@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import MetricComplex, PiSequence, SimplexKey
-from .errors import BadExponent, MissingSimplex
+from .errors import BadCarrier, BadDimension, BadExponent, MissingSimplex
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,10 @@ class Cochain:
         return self.values.get(tuple(key), 0.0)
 
     def __add__(self, other: "Cochain") -> "Cochain":
+        if other.degree != self.degree:
+            raise BadDimension("degree mismatch in cochain sum")
+        if other.complex != self.complex:
+            raise BadCarrier("complex mismatch in cochain sum")
         vals = dict(self.values)
         for k, v in other.values.items():
             vals[k] = vals.get(k, 0.0) + v

@@ -116,10 +116,7 @@ def cohomology_dims(M: MatrixComplex) -> list[int]:
     """dim ker D_i - rank D_{i-1} per degree, by SVD rank."""
     out = []
     for i in range(M.top + 1):
-        Di = M.matrix(i)
-        ker = M.dims[i] - (_rank(Di) if i < M.top else 0)
-        if i == M.top:
-            ker = M.dims[i] - 0  # no outgoing differential
+        ker = M.dims[i] - (_rank(M.matrix(i)) if i < M.top else 0)
         im = _rank(M.matrix(i - 1)) if i > 0 else 0
         out.append(ker - im)
     return out

@@ -4,11 +4,15 @@ The Whitney form of a k-simplex sigma = (w_0 < ... < w_k) is
 
     W(chi_sigma) = k! * sum_i (-1)^i t_{w_i} dt_{w_0} ^ ... ^i ... ^ dt_{w_k}
 
-built on every maximal simplex containing sigma.  With the metric-free
-form integral the composite I o W is the identity on cochains, on any
-complex; with the volume-weighted integral the diagonal value on a regular
-unit k-simplex is sqrt(k+1)/sqrt(2^k), and the normalized map
-W~ = sqrt(2^k)/sqrt(k+1) * W makes I o W~ the identity there.
+on every maximal simplex T containing sigma.  It is the pullback of one
+reference form, k! * sum_i (-1)^i l_i dl_0 ^ ... ^i ... ^ dl_k in the full
+barycentric coordinates l_0..l_k of the reference k-simplex, along the
+selection matrix that sends vertex i to w_i's position in T.
+
+With the metric-free form integral the composite I o W is the identity on
+cochains, on any complex; with the volume-weighted integral the diagonal
+value on a regular unit k-simplex is sqrt(k+1)/sqrt(2^k), and the
+normalized map W~ = sqrt(2^k)/sqrt(k+1) * W makes I o W~ the identity there.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .cochains import Cochain, coboundary
 from .complexes import MetricComplex, SimplexKey
-from .polyform import PolyForm, Terms, reduce_from_barycentric, t_add, t_scale
+from .polyform import PolyForm, Terms, pullback, selection, t_add, t_scale
 
 
 @dataclass(frozen=True)
@@ -37,35 +41,24 @@ def whitney_factor(k: int) -> float:
     return math.sqrt(2.0**k) / math.sqrt(k + 1.0)
 
 
-def _whitney_terms_on(T: SimplexKey, sigma: SimplexKey) -> Terms:
-    """Full-barycentric terms of W(chi_sigma) on the simplex T >= sigma."""
-    m = len(T) - 1
-    k = len(sigma) - 1
-    pos = {v: i for i, v in enumerate(T)}
-    spots = [pos[w] for w in sigma]
-    fact = float(math.factorial(k))
-    full: Terms = {}
-    for i, si in enumerate(spots):
-        exps = tuple(1 if q == si else 0 for q in range(m + 1))
-        idx = tuple(spots[:i] + spots[i + 1 :])
-        full[(exps, idx)] = full.get((exps, idx), 0.0) + (-1) ** i * fact
-    return full
-
-
 def whitney(c: Cochain) -> PolyForm:
     """Piecewise-linear Whitney form of a cochain, linear in c."""
     K = c.complex
+    k = c.degree
+    fact = float(math.factorial(k))
+    reference: Terms = {}
+    for i in range(k + 1):
+        exps = tuple(int(q == i) for q in range(k + 1))
+        reference[(exps, tuple(q for q in range(k + 1) if q != i))] = (-1) ** i * fact
     pieces: dict[SimplexKey, Terms] = {}
     maximal = K.maximal_simplices()
     for sigma, val in c.values.items():
         sset = set(sigma)
         for T in maximal:
             if sset <= set(T):
-                terms = reduce_from_barycentric(
-                    _whitney_terms_on(T, sigma), len(T) - 1
-                )
+                terms = pullback(reference, selection(sigma, T))
                 pieces[T] = t_add(pieces.get(T, {}), t_scale(terms, val))
-    return PolyForm(c.degree, K, pieces)
+    return PolyForm(k, K, pieces)
 
 
 def whitney_normalized(c: Cochain) -> PolyForm:

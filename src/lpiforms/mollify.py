@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDegree, BadDimension, OutsideDomain
+from .errors import BadCarrier, BadDegree, BadDimension, OutsideDomain
 
 AxisSet = tuple[int, ...]
 
@@ -73,6 +73,10 @@ class GridForm:
         return self.components.get(tuple(axes), np.zeros(shape))
 
     def __add__(self, other: "GridForm") -> "GridForm":
+        if other.degree != self.degree:
+            raise BadDimension("degree mismatch in grid form sum")
+        if (other.n, other.h) != (self.n, self.h):
+            raise BadCarrier("grid mismatch in grid form sum")
         comps = {a: arr.copy() for a, arr in self.components.items()}
         for a, arr in other.components.items():
             comps[a] = comps.get(a, 0.0) + arr

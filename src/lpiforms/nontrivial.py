@@ -265,7 +265,6 @@ def subdivision_image(fam: BumpFamily) -> ImageReport:
             values[key] = val
             worst = max(worst, abs(abs(val) - C * w))
             # re-orient by increasing coordinate for the sign pattern
-            lo, hi = min(x0, x1), max(x0, x1)
             oriented.append(val if x1 > x0 else -val)
         if oriented[0] * oriented[1] >= 0.0:
             signs_ok = False

@@ -10,6 +10,14 @@ dt_0 = -sum dt_i), so every piece has a unique canonical expansion
 Terms are held as a dict mapping (exponents, diff-indices) to the
 coefficient; zero coefficients are dropped.
 
+Every change of simplex is one pullback along an affine map, given by a
+matrix B whose row i writes source variable i as a combination of the
+target simplex's full barycentric coordinates (one column per target
+vertex).  A face trace selects columns (B[r][j] = 1 where T[r] == sigma[j]),
+the full-to-reduced rewrite uses the identity, a Whitney form pulls back a
+reference form along sigma's vertices, and the prism collapse sums the
+columns over each base vertex.
+
 Integration follows the volume-weighted barycentric monomial formula
 
     int_T t_1^{a_1} ... t_m^{a_m} dV = vol(T) * m! * prod(a_i!) / (m + sum a_i)!
@@ -119,75 +127,51 @@ def t_eval(a: Terms, t: np.ndarray) -> dict[tuple[int, ...], float]:
     return comp
 
 
-def t_subst(a: Terms, var_map: list[tuple[Terms, Terms]], m_dst: int) -> Terms:
-    """Substitute each source variable t_i -> (scalar poly, one-form) in dst
-    coordinates; var_map[i-1] gives the images of t_i and dt_i."""
-    zero_exp = (0,) * m_dst
-    out: Terms = {}
-    for (exps, idx), c in a.items():
-        acc: Terms = {(zero_exp, ()): c}
-        for i, e in enumerate(exps, start=1):
-            for _ in range(e):
-                acc = t_wedge(acc, var_map[i - 1][0])
-                if not acc:
-                    break
-            if not acc:
-                break
-        if not acc:
-            continue
-        for i in idx:
-            acc = t_wedge(acc, var_map[i - 1][1])
-            if not acc:
-                break
-        if not acc:
-            continue
-        out = t_add(out, acc)
-    return out
+def selection(src: SimplexKey, dst: SimplexKey) -> list[list[float]]:
+    """Pullback matrix with B[i][j] = 1 where src[i] == dst[j], else 0."""
+    return [[float(a == b) for b in dst] for a in src]
 
 
-def reduce_from_barycentric(full: Terms, m: int) -> Terms:
-    """Rewrite terms given in full barycentric variables t_0..t_m (exponent
-    tuples of length m+1, diff indices in 0..m) into reduced form."""
+def pullback(terms: Terms, B: list[list[float]]) -> Terms:
+    """Pull terms back along an affine map between simplices.
+
+    Row i of B is source variable i as a combination of the target's full
+    barycentric coordinates; the result is in the target's reduced ones.
+    Terms over full source variables carry len(B) exponents, reduced terms
+    one fewer (row 0 is skipped); diff index i always means row i.
+    """
+    m = len(B[0]) - 1
     zero = (0,) * m
-    one_minus: Terms = {(zero, ()): 1.0}
-    minus_sum_d: Terms = {}
-    for j in range(1, m + 1):
-        mono = tuple(1 if q == j - 1 else 0 for q in range(m))
-        one_minus[(mono, ())] = -1.0
-        minus_sum_d[(zero, (j,))] = -1.0
-    var_map = [(one_minus, minus_sum_d)]
-    for j in range(1, m + 1):
-        mono = tuple(1 if q == j - 1 else 0 for q in range(m))
-        var_map.append(({(mono, ()): 1.0}, {(zero, (j,)): 1.0}))
-    shifted = {
-        (tuple(exps), tuple(i + 1 for i in idx)): c for (exps, idx), c in full.items()
-    }
-    # treat the m+1 full variables as sources indexed 1..m+1
-    return t_subst(shifted, var_map, m)
-
-
-def _face_var_map(T: SimplexKey, sigma: SimplexKey) -> list[tuple[Terms, Terms]]:
-    """Substitution images of T's reduced variables on the face sigma."""
-    l = len(sigma) - 1
-    zero = (0,) * l
-    pos = {v: j for j, v in enumerate(sigma)}
-    one_minus: Terms = {(zero, ()): 1.0}
-    minus_sum_d: Terms = {}
-    for j in range(1, l + 1):
-        mono = tuple(1 if q == j - 1 else 0 for q in range(l))
-        one_minus[(mono, ())] = -1.0
-        minus_sum_d[(zero, (j,))] = -1.0
-    var_map = []
-    for v in T[1:]:
-        if v not in pos:
-            var_map.append(({}, {}))
-        elif pos[v] == 0:
-            var_map.append((dict(one_minus), dict(minus_sum_d)))
-        else:
-            j = pos[v]
-            mono = tuple(1 if q == j - 1 else 0 for q in range(l))
-            var_map.append(({(mono, ()): 1.0}, {(zero, (j,)): 1.0}))
-    return var_map
+    units = [tuple(int(q == j) for q in range(m)) for j in range(m)]
+    poly: list[Terms] = []
+    form: list[Terms] = []
+    for row in B:
+        # the target's t_0 = 1 - sum t_j and dt_0 = -sum dt_j, so column 0 is
+        # subtracted; this is the only place the term algebra eliminates t_0
+        lin = [float(x - row[0]) for x in row[1:]]
+        p = {(u, ()): c for u, c in zip(units, lin) if c}
+        if row[0]:
+            p[(zero, ())] = float(row[0])
+        poly.append(p)
+        form.append({(zero, (j,)): c for j, c in enumerate(lin, start=1) if c})
+    powers = [[p] for p in poly]  # powers[i][e - 1] = poly[i] ** e
+    out: Terms = {}
+    for (exps, idx), c in terms.items():
+        factors = [form[i] for i in idx]
+        for i, e in enumerate(exps, start=len(B) - len(exps)):
+            if not e:
+                continue
+            while len(powers[i]) < e:
+                powers[i].append(t_wedge(powers[i][-1], poly[i]))
+            factors.append(powers[i][e - 1])
+        if not all(factors):
+            continue
+        acc: Terms = {(zero, ()): c}
+        for f in factors:
+            acc = t_wedge(acc, f)
+        for key, v in acc.items():
+            out[key] = out.get(key, 0.0) + v
+    return t_clean(out)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +262,7 @@ class PolyForm:
         K: MetricComplex, k: int, pieces_full: dict[SimplexKey, Terms]
     ) -> "PolyForm":
         """Build from terms over full barycentric variables t_0..t_m."""
-        pieces = {
-            T: reduce_from_barycentric(full, len(T) - 1)
-            for T, full in pieces_full.items()
-        }
+        pieces = {T: pullback(full, selection(T, T)) for T, full in pieces_full.items()}
         return PolyForm(k, K, pieces)
 
     @staticmethod
@@ -296,6 +277,8 @@ class PolyForm:
     def __add__(self, other: "PolyForm") -> "PolyForm":
         if other.degree != self.degree:
             raise BadDimension("degree mismatch in form sum")
+        if other.complex != self.complex:
+            raise BadCarrier("carrier mismatch in form sum")
         pieces = dict(self.pieces)
         for T, p in other.pieces.items():
             pieces[T] = t_add(pieces.get(T, {}), p)
@@ -349,8 +332,7 @@ class PolyForm:
             if sset <= set(T):
                 if T == sigma:
                     return self.pieces[T]
-                vm = _face_var_map(T, sigma)
-                return t_subst(self.pieces[T], vm, len(sigma) - 1)
+                return pullback(self.pieces[T], selection(T, sigma))
         return {}
 
     def restrict(self, S: MetricComplex) -> "PolyForm":
@@ -444,39 +426,37 @@ class PolyForm:
         """
         if p < 1:
             raise BadExponent(f"p = {p} < 1")
+        if quad_degree is not None:
+            deg = quad_degree
+        elif float(p).is_integer() and int(p) % 2 == 0:
+            deg = int(p) * (self.poly_degree() + 1)
+        else:
+            deg = None
         total = 0.0
         for T in self.pieces:
             m = len(T) - 1
             if m < self.degree:
                 continue
-            vol = self.complex.volume(T)
             minor = self._minor_fn(T)
-            pd = self.poly_degree() + 1
-            if quad_degree is not None:
-                deg = quad_degree
-            elif float(p).is_integer() and int(p) % 2 == 0:
-                deg = int(p) * pd
-            else:
-                deg = None
             if deg is not None:
-                pts, wts = simplex_rule(m, deg)
-                acc = sum(
-                    w * self._norm_sq_poly_value(T, x, minor) ** (p / 2.0)
-                    for x, w in zip(pts, wts)
-                )
+                acc = self._rule_sum(T, simplex_rule(m, deg), p, minor)
             else:
                 acc = self._adaptive_piece(T, m, p, minor)
-            total += vol * acc
+            total += self.complex.volume(T) * acc
         return total ** (1.0 / p)
+
+    def _rule_sum(self, T, rule, p, minor) -> float:
+        """Quadrature of |omega|^p on T, relative to unit volume."""
+        pts, wts = rule
+        return sum(
+            w * self._norm_sq_poly_value(T, x, minor) ** (p / 2.0)
+            for x, w in zip(pts, wts)
+        )
 
     def _adaptive_piece(self, T, m, p, minor) -> float:
         prev = None
         for deg in (8, 14, 20, 28, 38):
-            pts, wts = simplex_rule(m, deg)
-            acc = sum(
-                w * self._norm_sq_poly_value(T, x, minor) ** (p / 2.0)
-                for x, w in zip(pts, wts)
-            )
+            acc = self._rule_sum(T, simplex_rule(m, deg), p, minor)
             if prev is not None and abs(acc - prev) <= 1e-10 * (1.0 + abs(acc)):
                 return acc
             prev = acc
@@ -540,11 +520,10 @@ class PolyForm:
                 shared = tuple(sorted(set(T) & set(S)))
                 if len(shared) < 1:
                     continue
-                l = len(shared) - 1
-                a = t_subst(self.pieces[T], _face_var_map(T, shared), l)
-                b = t_subst(self.pieces[S], _face_var_map(S, shared), l)
+                a = pullback(self.pieces[T], selection(T, shared))
+                b = pullback(self.pieces[S], selection(S, shared))
                 diff = t_add(a, b, -1.0)
-                for t in _lattice(l, samples):
+                for t in _lattice(len(shared) - 1, samples):
                     for v in t_eval(diff, np.array(t)).values():
                         worst = max(worst, abs(v))
         return worst
@@ -621,39 +600,14 @@ def prism_extend(omega: PolyForm, n: int) -> PolyForm:
     P, reverse = prism_complex(K, n)
     pieces: dict[SimplexKey, Terms] = {}
     for T in P.maximal_simplices():
-        m = len(T) - 1
-        basecell = tuple(sorted({reverse[v][0] for v in T}))
+        base, level = zip(*(reverse[v] for v in T))
+        basecell = tuple(sorted(set(base)))
         tr = omega.trace_on(basecell)
         if not tr:
             continue
-        l = len(basecell) - 1
-        zero = (0,) * m
-        # image of base reduced variable s_j: sum of prism barycentrics of
-        # vertices over basecell[j]; position 0 expands to 1 - sum others
-        groups: dict[int, list[int]] = {j: [] for j in range(l + 1)}
-        pos = {v: j for j, v in enumerate(basecell)}
-        for q, v in enumerate(T):
-            groups[pos[reverse[v][0]]].append(q)  # q: position in T
-        def group_poly(idxs):
-            poly: Terms = {}
-            form: Terms = {}
-            for q in idxs:
-                if q == 0:
-                    # t_0 of the prism simplex = 1 - sum reduced
-                    poly = t_add(poly, {(zero, ()): 1.0})
-                    for j in range(1, m + 1):
-                        mono = tuple(1 if w == j - 1 else 0 for w in range(m))
-                        poly = t_add(poly, {(mono, ()): -1.0})
-                        form = t_add(form, {(zero, (j,)): -1.0})
-                else:
-                    mono = tuple(1 if w == q - 1 else 0 for w in range(m))
-                    poly = t_add(poly, {(mono, ()): 1.0})
-                    form = t_add(form, {(zero, (q,)): 1.0})
-            return poly, form
-        var_map = [group_poly(groups[j]) for j in range(1, l + 1)]
-        ext = t_subst(tr, var_map, m)
-        # height coordinate t = sum of barycentrics of level-1 vertices
-        height, _hform = group_poly([q for q, v in enumerate(T) if reverse[v][1] == 1])
-        one_minus_t = t_add({(zero, ()): 1.0}, height, -1.0)
+        # base vertex j pulls back to the sum of the prism vertices over it;
+        # 1 - t is the sum of the level-0 barycentrics
+        ext = pullback(tr, selection(basecell, base))
+        one_minus_t = pullback({((1,), ()): 1.0}, selection((0,), level))
         pieces[T] = t_wedge(one_minus_t, ext)
     return PolyForm(omega.degree, P, pieces)

@@ -14,7 +14,7 @@ from lpiforms.cochains import (
     zero_cochain,
 )
 from lpiforms.complexes import PiSequence, barycentric_subdivide
-from lpiforms.errors import BadExponent, MissingSimplex
+from lpiforms.errors import BadCarrier, BadDimension, BadExponent, MissingSimplex
 
 from conftest import simplex_complex, sphere_complex
 
@@ -32,6 +32,14 @@ def test_coboundary_triangle():
     c = coboundary(indicator(K, (0, 2)))
     # (0,2) sits at position 1 in (0,1,2): sign (-1)^1
     assert c((0, 1, 2)) == -1.0
+
+
+def test_sum_rejects_mismatched_operands():
+    K = simplex_complex(2)
+    with pytest.raises(BadDimension):
+        indicator(K, (0,)) + indicator(K, (0, 1))
+    with pytest.raises(BadCarrier):
+        indicator(K, (0,)) + indicator(sphere_complex(1), (0,))
 
 
 def test_dd_zero_on_sphere():

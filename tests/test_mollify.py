@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpiforms.errors import BadDegree, OutsideDomain
+from lpiforms.errors import BadCarrier, BadDegree, BadDimension, OutsideDomain
 from lpiforms.mollify import (
     GridForm,
     MollifierConfig,
@@ -26,6 +26,16 @@ def test_kernel_weights_normalized_and_symmetric():
         key = {tuple(np.round(v, 12)): w for v, w in zip(cfg.nodes, cfg.weights)}
         for v, w in key.items():
             assert key[tuple(-x for x in v)] == pytest.approx(w)
+
+
+def test_grid_form_sum_rejects_mismatch():
+    a = GridForm.from_function(1, 0.25, 0, {(): lambda x: x})
+    with pytest.raises(BadCarrier):
+        a + GridForm.from_function(1, 0.125, 0, {(): lambda x: x})
+    with pytest.raises(BadCarrier):
+        a + GridForm.from_function(2, 0.25, 0, {(): lambda x, y: x})
+    with pytest.raises(BadDimension):
+        a + GridForm.from_function(1, 0.25, 1, {(0,): lambda x: x})
 
 
 def test_ball_diffeo_identity_and_boundary():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,3 +193,89 @@ def test_holder_embedding_on_triangle(subdivided_triangle):
         pieces = {T: _random_terms(rng, 2, 0) for T in S.maximal_simplices()}
         g = PolyForm(0, S, pieces)
         assert g.lp_norm(2.0) <= mes ** (1 / 2 - 1 / 4) * g.lp_norm(4.0) + 1e-8
+
+
+def test_form_sum_rejects_other_carrier(triangle):
+    a = PolyForm.constant(triangle, 1.0)
+    with pytest.raises(BadCarrier):
+        a + PolyForm.constant(simplex_complex(2), 1.0)
+
+
+# --- sympy oracles -----------------------------------------------------------
+
+def _sympy_simplex_integral(expr, xs):
+    """Exact integral over the reference simplex {x >= 0, sum x <= 1}."""
+    for j in reversed(range(len(xs))):
+        expr = sp.integrate(expr, (xs[j], 0, 1 - sum(xs[:j])))
+    return expr
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_monomial_integrals_against_sympy(m):
+    # on simplex_complex(m) the reduced coordinates are the Cartesian ones
+    rng = np.random.default_rng(40 + m)
+    xs = sp.symbols(f"x1:{m + 1}")
+    T = tuple(range(m + 1))
+    K = simplex_complex(m)
+    full = tuple(range(1, m + 1))
+    for _ in range(4):
+        terms = {}
+        for _ in range(3):
+            exps = tuple(int(rng.integers(0, 4)) for _ in range(m))
+            terms[(exps, full)] = float(rng.integers(-5, 6))
+        exact = {e: _sympy_simplex_integral(sp.prod([x**a for x, a in zip(xs, e)]), xs)
+                 for e, _ in terms}
+        for e, val in exact.items():
+            assert monomial_integral(e, m) == pytest.approx(
+                float(val * math.factorial(m)), rel=1e-14)
+        total = sum(int(c) * exact[e] for (e, _), c in terms.items())
+        got = PolyForm(m, K, {T: terms}).integrate(T, weighted=False)
+        assert got == pytest.approx(float(total), rel=1e-13, abs=1e-15)
+
+
+def _sympy_poly(terms, vs):
+    """Scalar terms as a sympy polynomial in the variables vs."""
+    return sum(sp.Rational(c) * sp.prod([v**a for v, a in zip(vs, e)])
+               for (e, _), c in terms.items())
+
+
+def test_trace_commutes_with_d_and_matches_sympy():
+    tet = simplex_complex(3)
+    T = (0, 1, 2, 3)
+    faces = [s for k in range(4) for s in tet.simplices_of_dim(k)]
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        k = int(rng.integers(0, 3))
+        terms = {key: float(rng.integers(-4, 5)) for key in _random_terms(rng, 3, k, 4)}
+        om = PolyForm(k, tet, {T: terms})
+        sigma = faces[int(rng.integers(len(faces)))]
+        l = len(sigma) - 1
+        assert om.d().trace_on(sigma) == t_d(om.trace_on(sigma), l)
+        if k:
+            continue
+        # scalar trace by substitution: T's barycentric of vertex v is
+        # 1 - sum s on sigma[0], s_j on sigma[j], and 0 off sigma
+        ss = sp.symbols(f"s1:{l + 1}")
+        lam = {v: (1 - sum(ss) if j == 0 else ss[j - 1]) for j, v in enumerate(sigma)}
+        want = _sympy_poly(om.pieces[T], [lam.get(v, 0) for v in T[1:]])
+        assert sp.expand(want - _sympy_poly(om.trace_on(sigma), ss)) == 0
+
+
+def test_from_barycentric_hand_expansion(triangle):
+    # l0 l1 dl2 + 2 l2 dl0 with l0 = 1 - t1 - t2, dl0 = -dt1 - dt2
+    full = {((1, 1, 0), (2,)): 1.0, ((0, 0, 1), (0,)): 2.0}
+    want = {
+        ((1, 0), (2,)): 1.0,
+        ((2, 0), (2,)): -1.0,
+        ((1, 1), (2,)): -1.0,
+        ((0, 1), (1,)): -2.0,
+        ((0, 1), (2,)): -2.0,
+    }
+    om = PolyForm.from_barycentric(triangle, 1, {(0, 1, 2): full})
+    assert om.piece((0, 1, 2)) == want
+    # l0^2 = 1 - 2 t1 - 2 t2 + t1^2 + 2 t1 t2 + t2^2
+    sq = PolyForm.from_barycentric(triangle, 0, {(0, 1, 2): {((2, 0, 0), ()): 1.0}})
+    assert sq.piece((0, 1, 2)) == {
+        ((0, 0), ()): 1.0, ((1, 0), ()): -2.0, ((0, 1), ()): -2.0,
+        ((2, 0), ()): 1.0, ((1, 1), ()): 2.0, ((0, 2), ()): 1.0,
+    }
