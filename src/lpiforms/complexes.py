@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimension, DegenerateSimplex, MissingVertex
+from .errors import BadDimension, DegenerateSimplex, DuplicateVertex, MissingVertex
 
 SimplexKey = tuple[int, ...]
 
@@ -28,8 +28,8 @@ class MetricComplex:
     dim: int
 
     def has_simplex(self, key: SimplexKey) -> bool:
-        k = len(key) - 1
-        return key in set(self.simplices.get(k, ()))
+        # `cofaces` has one entry for every simplex of the complex
+        return key in self.cofaces
 
     def simplices_of_dim(self, k: int) -> tuple[SimplexKey, ...]:
         return self.simplices.get(k, ())
@@ -331,6 +331,13 @@ def read_complex(text: str) -> MetricComplex:
     vertices: dict[int, tuple[float, ...]] = {}
     for ln in lines[idx_v + 1 : idx_s]:
         parts = ln.split()
-        vertices[int(parts[0])] = tuple(float(x) for x in parts[1:])
+        v = int(parts[0])
+        if v in vertices:
+            raise DuplicateVertex(f"vertex id {v} listed twice")
+        vertices[v] = tuple(float(x) for x in parts[1:])
     tops = [tuple(int(x) for x in ln.split()) for ln in lines[idx_s + 1 :]]
-    return build_complex(vertices, tops)
+    K = build_complex(vertices, tops)
+    dim = int(lines[0].split()[1])
+    if dim != K.dim:
+        raise BadDimension(f"header says dim {dim}, but the simplices span dim {K.dim}")
+    return K

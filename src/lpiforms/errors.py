@@ -13,6 +13,10 @@ class MissingVertex(LpiFormsError):
     """A vertex id is not present in the vertex table."""
 
 
+class DuplicateVertex(LpiFormsError):
+    """A vertex id appears twice in the vertex table."""
+
+
 class MissingSimplex(LpiFormsError):
     """A simplex key is not present in the complex."""
 

@@ -12,10 +12,18 @@ obstruction to splitting off the kernel of the integration map.
 Series are evaluated in closed vectorized form up to the full truncation
 length (10^6 by default) while the host complex itself is only built up
 to a geometry cap, since the per-bump geometry is identical beyond it.
+
+Every edge integral of the family is a Gauss-Legendre sum on one rule,
+built once per node count by `_gauss` and shared by all callers.  The
+kernel check integrates all bumps on their carrier edges as one
+(bumps, nodes) array, and the subdivision image all half-edges as one
+(bumps, 2, nodes) array, so the cost per bump is array arithmetic only.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,9 +61,19 @@ def bump_profile_deriv(u):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node
+    count; the arrays are read-only because every caller shares them."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def profile_reference_integral(p: float, n: int = 1, quad: int = 200) -> float:
     """c_p = (integral of Psi^p over the unit ball)^(1/p), by quadrature."""
-    t, w = np.polynomial.legendre.leggauss(quad)
+    t, w = _gauss(quad)
     if n == 1:
         val = float(np.sum(w * bump_profile(t) ** p))
     else:
@@ -90,8 +108,9 @@ def p_series(a: float, checkpoints: list[int]) -> SeriesVerdict:
     m^(1-a)/(a-1) at the largest checkpoint."""
     checkpoints = sorted(set(int(m) for m in checkpoints))
     M = checkpoints[-1]
-    terms = np.arange(1, M + 1, dtype=float) ** (-a)
-    csum = np.cumsum(terms)
+    csum = np.arange(1, M + 1, dtype=float)  # one buffer: terms, then sums
+    np.power(csum, -a, out=csum)
+    np.cumsum(csum, out=csum)
     sums = tuple((m, float(csum[m - 1])) for m in checkpoints)
     converges = a > 1.0
     tail = M ** (1.0 - a) / (a - 1.0) if converges else math.inf
@@ -101,6 +120,14 @@ def p_series(a: float, checkpoints: list[int]) -> SeriesVerdict:
         partial_sums=sums,
         tail_bound=tail,
     )
+
+
+def _checkpoints(M: int) -> list[int]:
+    """The truncations recorded in a series: 10, 100, ... up to M, then M."""
+    out = [10**j for j in range(1, int(math.log10(M)) + 1)]
+    if M not in out:
+        out.append(M)
+    return out
 
 
 def integral_test_brackets(a: float, m: int) -> tuple[float, float]:
@@ -175,25 +202,32 @@ def family_norm_series(fam: BumpFamily, p: float, which: str = "form") -> Series
     raw series sum i^(-a); the multiplicative constant is reported
     separately so the recorded sums match the integral-test oracle.
     """
-    a = fam.series_exponent(p)
-    checkpoints = [10**j for j in range(1, int(math.log10(fam.M)) + 1)]
-    if fam.M not in checkpoints:
-        checkpoints.append(fam.M)
-    base = p_series(a, checkpoints)
+    base = p_series(fam.series_exponent(p), _checkpoints(fam.M))
     if which == "form":
         const = profile_reference_integral(p, n=fam.n) / 2.0 ** (1.0 / p)
     elif which == "dform":
         const = profile_reference_integral(p, n=fam.n)  # derivative scale folded out
     else:
         const = math.sqrt(math.comb(fam.n, fam.k)) * math.exp(-1.0)
-    return SeriesVerdict(base.exponent, base.verdict, base.partial_sums,
-                         base.tail_bound, constant=const)
+    return dataclasses.replace(base, constant=const)
 
 
-def _edge_quad(fn, x0: float, x1: float, nodes: int = 96) -> float:
-    t, w = np.polynomial.legendre.leggauss(nodes)
+def _edge_quad(fn, x0, x1, nodes: int = 96) -> np.ndarray:
+    """Integrals of fn over the intervals [x0, x1], one per element of the
+    broadcast endpoint arrays.  fn receives the quadrature points with the
+    node axis last and returns values of the same shape."""
+    t, w = _gauss(nodes)
+    x0 = np.asarray(x0, dtype=float)[..., None]
+    x1 = np.asarray(x1, dtype=float)[..., None]
     x = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * t
-    return 0.5 * (x1 - x0) * float(np.sum(w * fn(x)))
+    return 0.5 * (x1 - x0)[..., 0] * np.sum(w * fn(x), axis=-1)
+
+
+def _domega(fam: BumpFamily, i: np.ndarray):
+    """x -> d(omega_i)/dx, for bump indices i along the leading axes of x."""
+    w = 2.0 * fam.weight(i)
+    centre = 2.0 * i - 1.0
+    return lambda x: w[..., None] * bump_profile_deriv(2.0 * x - centre[..., None])
 
 
 @dataclass(frozen=True)
@@ -212,16 +246,12 @@ def derham_kernel_check(fam: BumpFamily, limit: int | None = None) -> KernelRepo
     host ray; all values must vanish (supports are interior to single
     edges, and each edge integral of the derivative telescopes to 0)."""
     geo = fam.geometry_cap if limit is None else min(limit, fam.geometry_cap)
-    worst_pt = 0.0
-    worst_edge = 0.0
-    for i in range(1, geo + 1):
-        w = float(fam.weight(i))
-        # omega_i at the vertices of its carrier edge (x = i-1 and x = i)
-        for x in (float(i - 1), float(i)):
-            worst_pt = max(worst_pt, abs(w * float(bump_profile(2 * x - (2 * i - 1)))))
-        dfn = lambda x, ii=i, ww=w: 2.0 * ww * bump_profile_deriv(2 * x - (2 * ii - 1))
-        worst_edge = max(worst_edge, abs(_edge_quad(dfn, float(i - 1), float(i))))
-    return KernelReport(worst_pt, worst_edge, geo)
+    i = np.arange(1, geo + 1, dtype=float)
+    # omega_i at the vertices of its carrier edge (x = i-1 and x = i)
+    ends = np.stack([i - 1.0, i], axis=-1)
+    pts = fam.weight(i)[:, None] * bump_profile(2.0 * ends - (2.0 * i - 1.0)[:, None])
+    edges = _edge_quad(_domega(fam, i), i - 1.0, i)
+    return KernelReport(float(np.max(np.abs(pts))), float(np.max(np.abs(edges))), geo)
 
 
 @dataclass(frozen=True)
@@ -249,38 +279,24 @@ def subdivision_image(fam: BumpFamily) -> ImageReport:
         x = xy[0]
         if abs(x - round(x)) > 1e-9:  # midpoint of edge (i-1, i)
             mid_id[int(round(x + 0.5))] = v
-    values = {}
-    worst = 0.0
     C = math.exp(-1.0)
-    signs_ok = True
-    for i in range(1, geo + 1):
-        w = float(fam.weight(i))
-        b = mid_id[i]
-        oriented = []
-        for v0 in (i - 1, i):
-            key = tuple(sorted((v0, b)))
-            x0, x1 = Kp.vertices[key[0]][0], Kp.vertices[key[1]][0]
-            dfn = lambda x, ii=i, ww=w: 2.0 * ww * bump_profile_deriv(2 * x - (2 * ii - 1))
-            val = _edge_quad(dfn, x0, x1)
-            values[key] = val
-            worst = max(worst, abs(abs(val) - C * w))
-            # re-orient by increasing coordinate for the sign pattern
-            oriented.append(val if x1 > x0 else -val)
-        if oriented[0] * oriented[1] >= 0.0:
-            signs_ok = False
-    c = Cochain(1 if fam.k == 0 else fam.k + 1, values, Kp)
-    a_hi = fam.series_exponent(fam.pi[fam.k + 1])
-    a_lo = fam.series_exponent(fam.pi[fam.k])
-    checkpoints = [10**j for j in range(1, int(math.log10(fam.M)) + 1)]
-    if fam.M not in checkpoints:
-        checkpoints.append(fam.M)
-    hi = p_series(a_hi, checkpoints)
-    lo = p_series(a_lo, checkpoints)
-    const = 2.0 ** (1.0 / fam.pi[fam.k + 1]) * C
-    hi = SeriesVerdict(hi.exponent, hi.verdict, hi.partial_sums, hi.tail_bound, const)
-    const_lo = 2.0 ** (1.0 / fam.pi[fam.k]) * C
-    lo = SeriesVerdict(lo.exponent, lo.verdict, lo.partial_sums, lo.tail_bound, const_lo)
-    return ImageReport(c, C, worst, signs_ok, hi, lo)
+    # the two half-edges of carrier i, from vertex i-1 and from vertex i
+    keys = [tuple(sorted((v0, mid_id[i]))) for i in range(1, geo + 1) for v0 in (i - 1, i)]
+    ends = np.array([[Kp.vertices[a][0], Kp.vertices[b][0]] for a, b in keys])
+    ends = ends.reshape(geo, 2, 2)
+    i = np.arange(1, geo + 1, dtype=float)[:, None]
+    vals = _edge_quad(_domega(fam, i), ends[..., 0], ends[..., 1])
+    worst = float(np.max(np.abs(np.abs(vals) - C * fam.weight(i))))
+    # re-orient by increasing coordinate for the sign pattern
+    oriented = np.where(ends[..., 1] > ends[..., 0], vals, -vals)
+    signs_ok = bool(np.all(oriented[:, 0] * oriented[:, 1] < 0.0))
+    c = Cochain(1 if fam.k == 0 else fam.k + 1, dict(zip(keys, vals.ravel().tolist())), Kp)
+
+    def series(p: float) -> SeriesVerdict:
+        base = p_series(fam.series_exponent(p), _checkpoints(fam.M))
+        return dataclasses.replace(base, constant=2.0 ** (1.0 / p) * C)
+
+    return ImageReport(c, C, worst, signs_ok, series(fam.pi[fam.k + 1]), series(fam.pi[fam.k]))
 
 
 @dataclass(frozen=True)
@@ -342,7 +358,4 @@ def swapped_series(pi: PiSequence, eps: float, M: int, k: int = 0) -> dict[float
     the exponents p/(p_{k+1}-eps) exceed 1 at both norms and every series
     converges — the counterexample evaporates."""
     decay = 1.0 / (pi[k + 1] - eps)
-    checkpoints = [10**j for j in range(1, int(math.log10(M)) + 1)]
-    if M not in checkpoints:
-        checkpoints.append(M)
-    return {p: p_series(p * decay, checkpoints) for p in (pi[k], pi[k + 1])}
+    return {p: p_series(p * decay, _checkpoints(M)) for p in (pi[k], pi[k + 1])}

@@ -17,7 +17,7 @@ from lpiforms.complexes import (
     validate_bounded_geometry,
     write_complex,
 )
-from lpiforms.errors import BadDimension, DegenerateSimplex, MissingVertex
+from lpiforms.errors import BadDimension, DegenerateSimplex, DuplicateVertex, MissingVertex
 
 from conftest import simplex_complex, sphere_complex
 
@@ -141,6 +141,19 @@ def test_io_round_trip(subdivided_triangle):
     K2 = read_complex(text)
     assert write_complex(K2) == text
     assert K2.simplices == subdivided_triangle.simplices
+
+
+def test_read_complex_rejects_wrong_dim_header(triangle):
+    text = write_complex(triangle)
+    assert text.startswith("dim 2\n")
+    with pytest.raises(BadDimension):
+        read_complex(text.replace("dim 2", "dim 3", 1))
+
+
+def test_read_complex_rejects_repeated_vertex():
+    text = "dim 1\nvertices\n0 0.0\n1 1.0\n1 2.0\nsimplices\n0 1\n"
+    with pytest.raises(DuplicateVertex):
+        read_complex(text)
 
 
 @settings(max_examples=25, deadline=None)

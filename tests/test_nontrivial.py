@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpiforms import nontrivial
 from lpiforms.complexes import PiSequence
 from lpiforms.errors import BadEpsilon, NotACounterexample
 from lpiforms.nontrivial import (
@@ -105,6 +106,56 @@ def test_subdivision_image_entries():
     assert rep.lp_low.verdict == "diverges"
     # each bump contributes exactly two half-edge entries
     assert len(rep.cochain.values) == 2 * fam.geometry_cap
+
+
+@pytest.mark.parametrize("M", [1, 7, 1000])
+def test_batched_quadrature_matches_closed_form(M):
+    # every bump vanishes at its carrier's vertices, d(omega_i) integrates
+    # to 0 over the carrier, and to -+w_i/e over its two halves
+    fam = build_family(0, PI, 1.0, M)
+    kern = derham_kernel_check(fam)
+    assert kern.bumps_checked == M
+    assert kern.max_point_value == 0.0
+    assert kern.max_edge_integral <= 1e-12
+    Kp, values = fam.subdivided, subdivision_image(fam).cochain.values
+    mid = {int(round(x[0] + 0.5)): v for v, x in Kp.vertices.items()
+           if abs(x[0] - round(x[0])) > 1e-9}
+    for i in range(1, M + 1):
+        w = float(fam.weight(i)) / math.e
+        oriented = []
+        for v0 in (i - 1, i):
+            key = tuple(sorted((v0, mid[i])))
+            assert abs(abs(values[key]) - w) <= 1e-12
+            rising = Kp.vertices[key[1]][0] > Kp.vertices[key[0]][0]
+            oriented.append(values[key] if rising else -values[key])
+        assert oriented[0] > 0.0 > oriented[1]
+
+
+def test_gauss_rule_built_once_per_node_count(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(nodes):
+        calls.append(nodes)
+        return leggauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    nontrivial._gauss.cache_clear()
+    for _ in range(2):
+        assert verify_nontriviality(PI, 1.0, [1000]).passed
+    assert calls and len(calls) == len(set(calls))
+    t, w = nontrivial._gauss(96)
+    assert not t.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("a", [2.0 / 3.0, 4.0 / 3.0])
+def test_p_series_in_place_matches_cumsum(a):
+    M = 10**6
+    ref = np.cumsum(np.arange(1, M + 1, dtype=float) ** (-a))
+    checkpoints = [10**j for j in range(1, 7)]
+    assert p_series(a, checkpoints).partial_sums == tuple(
+        (m, float(ref[m - 1])) for m in checkpoints
+    )
 
 
 def test_verify_nontriviality_and_csv():
