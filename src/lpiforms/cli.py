@@ -1,8 +1,8 @@
 """Command-line driver: construction, norms, and verification suites.
 
-Exit codes: 0 = all asserted tolerances met, 1 = an assertion failed,
-2 = usage or parse error.  Reports are plain key:value lines; the
-counterexample suite can additionally emit a CSV of partial sums.
+Exit codes: 0 = all asserted tolerances met, 1 = an assertion failed or a
+numerical step raised LinAlgError, 2 = usage or parse error.  Reports are
+key:value lines; the counterexample suite can also emit a CSV of partial sums.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+
+import numpy as np
 
 from . import complexes
 from .contract import (
@@ -152,8 +154,6 @@ def _verify_split(args) -> tuple[bool, list]:
 
 
 def _verify_stokes(args) -> tuple[bool, list]:
-    import numpy as np
-
     from .derham import verify_stokes
     from .polyform import PolyForm
 
@@ -190,8 +190,6 @@ def _verify_stokes(args) -> tuple[bool, list]:
 
 
 def _verify_mollify(args) -> tuple[bool, list]:
-    import numpy as np
-
     from .mollify import GridForm, MollifierConfig, verify_homotopy
 
     h = 1.0 / args.grid
@@ -343,7 +341,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (LpiFormsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # LinAlgError is a ValueError, but a numerical failure, not a usage error
+        return 1 if isinstance(exc, np.linalg.LinAlgError) else 2
 
 
 if __name__ == "__main__":

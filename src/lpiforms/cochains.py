@@ -4,7 +4,8 @@ Sign convention: the coboundary of a k-cochain c at a (k+1)-simplex
 tau = (v_0 < ... < v_{k+1}) is the alternating sum over removed vertices,
 (dc)(tau) = sum_i (-1)^i c(tau \\ v_i).  This matches the orientation
 induced by ascending vertex order, which is also the orientation used when
-integrating forms over simplices.
+integrating forms over simplices.  The signs are read from the complex's
+signed cofaces (see `lpiforms.complexes`), not derived here.
 """
 
 from __future__ import annotations
@@ -65,16 +66,11 @@ def zero_cochain(K: MetricComplex, k: int) -> Cochain:
 def coboundary(c: Cochain) -> Cochain:
     """Alternating-sum coboundary; degree k -> k+1."""
     K = c.complex
-    k = c.degree
     out: dict[SimplexKey, float] = {}
     for key, v in c.values.items():
-        for tau in K.cofaces.get(key, ()):
-            if len(tau) != k + 2:
-                continue
-            # position of the vertex of tau missing from key
-            missing = next(i for i, w in enumerate(tau) if w not in key)
-            out[tau] = out.get(tau, 0.0) + (-1) ** missing * v
-    return Cochain(k + 1, out, K)
+        for tau, sign in K.cofaces.get(key, ()):
+            out[tau] = out.get(tau, 0.0) + sign * v
+    return Cochain(c.degree + 1, out, K)
 
 
 def lp_norm(c: Cochain, p: float) -> float:

@@ -3,6 +3,14 @@
 A complex stores embedded vertex coordinates and, per dimension, the ordered
 set of simplex keys (strictly increasing vertex-id tuples).  Complexes are
 immutable after construction; every operation returns a new complex.
+
+Incidence is built once, with the complex, and other modules only look it
+up.  Both maps have one key per simplex; on bounded geometry their entries
+have bounded length.  `cofaces[sigma]` holds one pair (tau, (-1)**i), in
+ascending tau, for each (k+1)-simplex tau = (v_0 < ... < v_{k+1}) with
+sigma = tau minus v_i: the coboundary sign, (dc)(tau) = sum_i (-1)^i
+c(tau \\ v_i).  `carriers[sigma]` holds the maximal simplices containing
+sigma (sigma itself if it is maximal), in ascending key order.
 """
 
 from __future__ import annotations
@@ -20,11 +28,13 @@ SimplexKey = tuple[int, ...]
 
 @dataclass(frozen=True)
 class MetricComplex:
-    """Face-closed simplicial complex with embedded vertex coordinates."""
+    """Face-closed simplicial complex with embedded vertex coordinates and
+    its incidence (`cofaces`, `carriers`; see the module docstring)."""
 
     vertices: dict[int, tuple[float, ...]]
     simplices: dict[int, tuple[SimplexKey, ...]]  # dim -> sorted keys
-    cofaces: dict[SimplexKey, frozenset[SimplexKey]]
+    cofaces: dict[SimplexKey, tuple[tuple[SimplexKey, int], ...]]
+    carriers: dict[SimplexKey, tuple[SimplexKey, ...]]
     dim: int
 
     def has_simplex(self, key: SimplexKey) -> bool:
@@ -39,13 +49,9 @@ class MetricComplex:
         return np.array([self.vertices[v] for v in key], dtype=float)
 
     def maximal_simplices(self) -> tuple[SimplexKey, ...]:
-        """Simplices that are not a proper face of any other simplex."""
-        out = []
-        for k in sorted(self.simplices):
-            for key in self.simplices[k]:
-                if not self.cofaces.get(key):
-                    out.append(key)
-        return tuple(out)
+        """Simplices that are not a proper face of any other simplex, by
+        dimension and then by key."""
+        return tuple(key for key, cof in self.cofaces.items() if not cof)
 
     def simplex_count(self) -> int:
         return sum(len(v) for v in self.simplices.values())
@@ -124,7 +130,8 @@ def _faces(key: SimplexKey):
 
 def _close_and_index(
     vertices: dict[int, tuple[float, ...]], tops: list[SimplexKey]
-) -> tuple[dict[int, tuple[SimplexKey, ...]], dict[SimplexKey, frozenset[SimplexKey]]]:
+) -> MetricComplex:
+    """The face closure of tops, with its signed cofaces and carriers."""
     by_dim: dict[int, set[SimplexKey]] = {}
     for t in tops:
         for f in _faces(t):
@@ -132,16 +139,29 @@ def _close_and_index(
     for v in vertices:
         by_dim.setdefault(0, set()).add((v,))
     simplices = {k: tuple(sorted(keys)) for k, keys in sorted(by_dim.items())}
-    cofaces: dict[SimplexKey, set[SimplexKey]] = {
-        key: set() for keys in simplices.values() for key in keys
+    # keyed in (dimension, key) order, which maximal_simplices relies on
+    cofaces: dict[SimplexKey, list[tuple[SimplexKey, int]]] = {
+        key: [] for keys in simplices.values() for key in keys
     }
-    for k in simplices:
+    for k, keys in simplices.items():
         if k == 0:
             continue
-        for key in simplices[k]:
-            for f in itertools.combinations(key, k):
-                cofaces[f].add(key)
-    return simplices, {key: frozenset(s) for key, s in cofaces.items()}
+        # combinations(tau, k) drops tau[k], then tau[k - 1], ..., then tau[0]
+        signs = [(-1) ** i for i in range(k, -1, -1)]
+        for tau in keys:
+            for face, sign in zip(itertools.combinations(tau, k), signs):
+                cofaces[face].append((tau, sign))
+    carriers: dict[SimplexKey, list[SimplexKey]] = {key: [] for key in cofaces}
+    for T in sorted(key for key, cof in cofaces.items() if not cof):
+        for f in _faces(T):
+            carriers[f].append(T)
+    return MetricComplex(
+        vertices,
+        simplices,
+        {key: tuple(cof) for key, cof in cofaces.items()},
+        {key: tuple(car) for key, car in carriers.items()},
+        max(simplices) if simplices else 0,
+    )
 
 
 def build_complex(
@@ -161,35 +181,24 @@ def build_complex(
             if v not in vertices:
                 raise MissingVertex(f"unknown vertex id {v}")
         tops.append(tuple(sorted(int(v) for v in t)))
-    simplices, cofaces = _close_and_index(vertices, tops)
-    dim = max(simplices) if simplices else 0
-    return MetricComplex(vertices, simplices, cofaces, dim)
+    return _close_and_index(vertices, tops)
 
 
 def _vertex_degrees(K: MetricComplex) -> dict[int, int]:
-    deg = {v: 0 for v in K.vertices}
-    for a, b in K.simplices_of_dim(1):
-        deg[a] += 1
-        deg[b] += 1
-    return deg
+    return {v: len(K.cofaces[(v,)]) for v in K.vertices}
 
 
 def _is_connected(K: MetricComplex) -> bool:
     verts = list(K.vertices)
-    if len(verts) <= 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in K.simplices_of_dim(1):
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
+    seen = set(verts[:1])
+    stack = verts[:1]
     while stack:
         v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+        for edge, _sign in K.cofaces[(v,)]:
+            for w in edge:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
     return len(seen) == len(verts)
 
 
@@ -229,17 +238,12 @@ def star(K: MetricComplex, v: int) -> MetricComplex:
     """Closed star: all simplices containing v, plus their faces."""
     if v not in K.vertices:
         raise MissingVertex(f"unknown vertex id {v}")
-    tops = [key for keys in K.simplices.values() for key in keys if v in key]
-    used = {w for key in tops for w in key} | {v}
-    return build_complex({w: K.vertices[w] for w in used}, tops)
+    tops = K.carriers[(v,)]
+    return build_complex({w: K.vertices[w] for key in tops for w in key}, tops)
 
 
 def is_subcomplex(S: MetricComplex, K: MetricComplex) -> bool:
-    for k, keys in S.simplices.items():
-        have = set(K.simplices.get(k, ()))
-        if any(key not in have for key in keys):
-            return False
-    return True
+    return all(K.has_simplex(key) for key in S.cofaces)
 
 
 def barycentric_subdivide(K: MetricComplex) -> MetricComplex:

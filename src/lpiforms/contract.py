@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cochains import indicator
 from .complexes import MetricComplex
 
 SIZE_LIMIT = 2000
@@ -82,21 +81,15 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
         raise ValueError(
             f"complex has {K.simplex_count()} simplices; dense limit is {SIZE_LIMIT}"
         )
-    from .cochains import coboundary
-
-    dims = []
+    dims = [len(K.simplices_of_dim(k)) for k in range(K.dim + 1)]
     mats = []
-    for k in range(K.dim + 1):
-        dims.append(len(K.simplices_of_dim(k)))
     for k in range(K.dim):
-        rows = sorted(K.simplices_of_dim(k + 1))
-        cols = sorted(K.simplices_of_dim(k))
+        rows = K.simplices_of_dim(k + 1)
         row_ix = {s: i for i, s in enumerate(rows)}
-        D = np.zeros((len(rows), len(cols)))
-        for j, sigma in enumerate(cols):
-            dchi = coboundary(indicator(K, sigma))
-            for tau, v in dchi.values.items():
-                D[row_ix[tau], j] = v
+        D = np.zeros((len(rows), dims[k]))
+        for j, sigma in enumerate(K.simplices_of_dim(k)):
+            for tau, sign in K.cofaces[sigma]:
+                D[row_ix[tau], j] = sign
         mats.append(D)
     if augmented:
         ones = np.ones((dims[0], 1)) if dims else np.zeros((0, 1))

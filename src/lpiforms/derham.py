@@ -51,13 +51,10 @@ def whitney(c: Cochain) -> PolyForm:
         exps = tuple(int(q == i) for q in range(k + 1))
         reference[(exps, tuple(q for q in range(k + 1) if q != i))] = (-1) ** i * fact
     pieces: dict[SimplexKey, Terms] = {}
-    maximal = K.maximal_simplices()
     for sigma, val in c.values.items():
-        sset = set(sigma)
-        for T in maximal:
-            if sset <= set(T):
-                terms = pullback(reference, selection(sigma, T))
-                pieces[T] = t_add(pieces.get(T, {}), t_scale(terms, val))
+        for T in K.carriers[sigma]:
+            terms = pullback(reference, selection(sigma, T))
+            pieces[T] = t_add(pieces.get(T, {}), t_scale(terms, val))
     return PolyForm(k, K, pieces)
 
 
@@ -71,9 +68,7 @@ def derham_map(
     """Integrate a k-form over every k-simplex.  weighted=False is the
     metric-free integral (Stokes-exact); weighted=True applies the
     volume-weighted convention."""
-    values = {}
-    for sigma in K.simplices_of_dim(k):
-        values[sigma] = omega.integrate(sigma, weighted=weighted)
+    values = {s: omega.integrate(s, weighted=weighted) for s in K.simplices_of_dim(k)}
     return Cochain(k, values, K)
 
 

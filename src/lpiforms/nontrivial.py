@@ -37,12 +37,11 @@ GEOMETRY_CAP = 1000
 
 
 def bump_profile(x, n: int = 1):
-    """Psi(x) = exp(1/(|x|^2 - 1)) inside the unit ball, 0 outside."""
+    """Psi(x) = exp(1/(|x|^2 - 1)) inside the unit ball, 0 outside.  With
+    n = 1 each element of x is a point, with n = 2 each row of the last axis;
+    an array of points gives an array, a single point a float."""
     x = np.asarray(x, dtype=float)
-    if n == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-        r2 = x**2
-    else:
-        r2 = (x**2).sum(axis=-1)
+    r2 = x**2 if n == 1 else (x**2).sum(axis=-1)
     out = np.zeros_like(r2, dtype=float)
     inside = r2 < 1.0
     out[inside] = np.exp(1.0 / (r2[inside] - 1.0))
@@ -202,7 +201,15 @@ def family_norm_series(fam: BumpFamily, p: float, which: str = "form") -> Series
     raw series sum i^(-a); the multiplicative constant is reported
     separately so the recorded sums match the integral-test oracle.
     """
-    base = p_series(fam.series_exponent(p), _checkpoints(fam.M))
+    return _norm_verdict(fam, p, which, _series(fam, [p])[p])
+
+
+def _series(fam: BumpFamily, ps) -> dict[float, SeriesVerdict]:
+    """The raw series of the family at each norm exponent in ps, up to fam.M."""
+    return {p: p_series(fam.series_exponent(p), _checkpoints(fam.M)) for p in ps}
+
+
+def _norm_verdict(fam: BumpFamily, p: float, which: str, base: SeriesVerdict) -> SeriesVerdict:
     if which == "form":
         const = profile_reference_integral(p, n=fam.n) / 2.0 ** (1.0 / p)
     elif which == "dform":
@@ -272,6 +279,10 @@ def subdivision_image(fam: BumpFamily) -> ImageReport:
     coordinate).  The l_p series of the entries are 2 (w_i/e)^p summed,
     convergent at p_{k+1} and divergent at p_k.
     """
+    return _subdivision_image(fam, _series(fam, (fam.pi[fam.k], fam.pi[fam.k + 1])))
+
+
+def _subdivision_image(fam: BumpFamily, series: dict[float, SeriesVerdict]) -> ImageReport:
     Kp = fam.subdivided
     geo = fam.geometry_cap
     mid_id = {}  # carrier index -> barycenter vertex id, via coordinates
@@ -292,11 +303,10 @@ def subdivision_image(fam: BumpFamily) -> ImageReport:
     signs_ok = bool(np.all(oriented[:, 0] * oriented[:, 1] < 0.0))
     c = Cochain(1 if fam.k == 0 else fam.k + 1, dict(zip(keys, vals.ravel().tolist())), Kp)
 
-    def series(p: float) -> SeriesVerdict:
-        base = p_series(fam.series_exponent(p), _checkpoints(fam.M))
-        return dataclasses.replace(base, constant=2.0 ** (1.0 / p) * C)
+    def lp(p: float) -> SeriesVerdict:
+        return dataclasses.replace(series[p], constant=2.0 ** (1.0 / p) * C)
 
-    return ImageReport(c, C, worst, signs_ok, series(fam.pi[fam.k + 1]), series(fam.pi[fam.k]))
+    return ImageReport(c, C, worst, signs_ok, lp(fam.pi[fam.k + 1]), lp(fam.pi[fam.k]))
 
 
 @dataclass(frozen=True)
@@ -329,10 +339,12 @@ def verify_nontriviality(
     divergence, and the convergent/divergent gap of the subdivision image."""
     fam = build_family(k, pi, eps, max(M_list))
     kernel = derham_kernel_check(fam)
-    omega_high = family_norm_series(fam, pi[k + 1], "form")
-    domega_high = family_norm_series(fam, pi[k + 1], "dform")
-    domega_low = family_norm_series(fam, pi[k], "dform")
-    image = subdivision_image(fam)
+    # every verdict below is one of these two series with its own constant
+    series = _series(fam, (pi[k], pi[k + 1]))
+    omega_high = _norm_verdict(fam, pi[k + 1], "form", series[pi[k + 1]])
+    domega_high = _norm_verdict(fam, pi[k + 1], "dform", series[pi[k + 1]])
+    domega_low = _norm_verdict(fam, pi[k], "dform", series[pi[k]])
+    image = _subdivision_image(fam, series)
     m_last, s_last = domega_low.partial_sums[-1]
     a = domega_low.exponent
     growth = s_last / (m_last ** (1.0 - a) / (1.0 - a)) if a < 1.0 else math.nan

@@ -323,13 +323,12 @@ class PolyForm:
     def trace_on(self, sigma: SimplexKey) -> Terms:
         """Tangential trace onto a simplex, in sigma's reduced coordinates.
 
-        sigma must be a face of some maximal simplex carrying a piece; the
-        continuity invariant makes the choice of carrier immaterial.
+        The piece is the first carrier of sigma that has one; the continuity
+        invariant makes the choice immaterial.  Without one the trace is {}.
         """
         sigma = tuple(sigma)
-        sset = set(sigma)
-        for T in sorted(self.pieces):
-            if sset <= set(T):
+        for T in self.complex.carriers.get(sigma, ()):
+            if T in self.pieces:
                 if T == sigma:
                     return self.pieces[T]
                 return pullback(self.pieces[T], selection(T, sigma))

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from lpiforms import cli
 from lpiforms.cli import main
 from lpiforms.cochains import Cochain, write_cochain
 from lpiforms.complexes import build_complex, read_complex, write_complex
@@ -83,6 +85,15 @@ def test_cohomology_and_contract_commands(tmp_path, capsys):
     assert "cohomology_dims: 1 0 1" in capsys.readouterr().out
     assert main(["contract", str(sf)]) == 1
     assert "failure_degree: 2" in capsys.readouterr().out
+
+
+def test_numerical_failure_is_exit_1(monkeypatch, capsys):
+    def singular(M):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "contract", singular)
+    assert main(["verify", "contract"]) == 1
+    assert "SVD did not converge" in capsys.readouterr().err
 
 
 def test_verify_seed_determinism(capsys):

@@ -22,6 +22,50 @@ from lpiforms.errors import BadDimension, DegenerateSimplex, DuplicateVertex, Mi
 from conftest import simplex_complex, sphere_complex
 
 
+INCIDENCE_CASES = {
+    **{f"ray{n}_{M}": (lambda n=n, M=M: ray_complex(n, M)) for n in (1, 2) for M in (1, 4)},
+    "sd_triangle": lambda: barycentric_subdivide(simplex_complex(2)),
+    "sd_tetrahedron": lambda: barycentric_subdivide(simplex_complex(3)),
+    "sphere2": lambda: sphere_complex(2),
+    "star": lambda: star(barycentric_subdivide(simplex_complex(3)), 0),
+    "skeleton": lambda: skeleton(simplex_complex(3), 1),
+    # maximal simplices of three dimensions, carriers across them
+    "mixed": lambda: build_complex(
+        {i: (float(i), float(i % 2)) for i in range(6)}, [(0, 1, 2), (2, 3), (4,), (3, 5)]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INCIDENCE_CASES)
+def test_incidence_matches_brute_force(case):
+    K = INCIDENCE_CASES[case]()
+    keys = [key for keys in K.simplices.values() for key in keys]
+    maximal = [
+        T for T in keys if not any(len(S) == len(T) + 1 and set(T) < set(S) for S in keys)
+    ]
+    assert list(K.maximal_simplices()) == maximal
+    assert set(K.cofaces) == set(K.carriers) == set(keys)
+    for sigma in keys:
+        expect = []
+        for tau in K.simplices_of_dim(len(sigma)):
+            if set(sigma) < set(tau):
+                missing = next(i for i, w in enumerate(tau) if w not in sigma)
+                expect.append((tau, (-1) ** missing))
+        assert list(K.cofaces[sigma]) == expect
+        assert list(K.carriers[sigma]) == sorted(T for T in maximal if set(sigma) <= set(T))
+    # stars and degrees as the containment scans defined them
+    for v in K.vertices:
+        tops = [key for key in keys if v in key]
+        ref = build_complex({w: K.vertices[w] for w in {w for t in tops for w in t}}, tops)
+        assert star(K, v) == ref
+    degree = {v: sum(v in e for e in K.simplices_of_dim(1)) for v in K.vertices}
+    rep = validate_bounded_geometry(K, L=4.0, N=3)
+    assert rep.max_vertex_degree == max(degree.values())
+    assert [key for key, msg in rep.violations if "degree" in msg] == [
+        (v,) for v in sorted(degree) if degree[v] > 3
+    ]
+
+
 def test_face_closure_counts():
     K = simplex_complex(3)
     assert [len(K.simplices_of_dim(k)) for k in range(4)] == [4, 6, 4, 1]

@@ -148,6 +148,38 @@ def test_gauss_rule_built_once_per_node_count(monkeypatch):
     assert not t.flags.writeable and not w.flags.writeable
 
 
+def test_p_series_runs_once_per_exponent(monkeypatch):
+    calls = []
+    real = nontrivial.p_series
+
+    def counting(a, checkpoints):
+        calls.append(a)
+        return real(a, checkpoints)
+
+    monkeypatch.setattr(nontrivial, "p_series", counting)
+    rep = verify_nontriviality(PI, 1.0, [10**4])
+    assert rep.passed
+    assert sorted(calls) == sorted({rep.domega_low.exponent, rep.domega_high.exponent})
+    # a second call recomputes: there is no cache across calls
+    verify_nontriviality(PI, 1.0, [10**4])
+    assert len(calls) == 4
+
+
+def test_bump_profile_is_elementwise_for_n1():
+    x = np.array([[0.0], [0.5], [1.5]])
+    out = bump_profile(x)
+    assert isinstance(out, np.ndarray) and out.shape == (3, 1)
+    assert out[:, 0].tolist() == [bump_profile(v) for v in (0.0, 0.5, 1.5)]
+    one = bump_profile(np.zeros(1))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == math.exp(-1.0)
+    pairs = np.array([[0.0, 0.5], [1.5, -0.25]])
+    assert bump_profile(pairs).shape == (2, 2)
+    assert bump_profile(pairs)[1, 1] == bump_profile(-0.25)
+    s = bump_profile(0.5)
+    assert isinstance(s, float) and s == math.exp(1.0 / (0.25 - 1.0))
+
+
 @pytest.mark.parametrize("a", [2.0 / 3.0, 4.0 / 3.0])
 def test_p_series_in_place_matches_cumsum(a):
     M = 10**6
