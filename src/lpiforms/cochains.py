@@ -18,13 +18,19 @@ from .errors import BadCarrier, BadDimension, BadExponent, MissingSimplex
 
 @dataclass(frozen=True)
 class Cochain:
-    """Degree-k real-valued function on k-simplices; absent keys are 0."""
+    """Degree-k real-valued function on k-simplices; absent keys are 0.
+    Every key must be a k-simplex of the complex, in ascending vertex order."""
 
     degree: int
     values: dict[SimplexKey, float]
     complex: MetricComplex = field(repr=False)
 
     def __post_init__(self):
+        for key in self.values:
+            if len(key) != self.degree + 1:
+                raise BadDimension(f"key {key} is not a {self.degree}-simplex")
+            if not self.complex.has_simplex(key):
+                raise MissingSimplex(f"{key} not in complex")
         clean = {k: float(v) for k, v in self.values.items() if v != 0.0}
         object.__setattr__(self, "values", clean)
 
@@ -54,8 +60,6 @@ class Cochain:
 def indicator(K: MetricComplex, sigma: SimplexKey) -> Cochain:
     """The characteristic cochain of a single simplex."""
     sigma = tuple(sigma)
-    if not K.has_simplex(sigma):
-        raise MissingSimplex(f"{sigma} not in complex")
     return Cochain(len(sigma) - 1, {sigma: 1.0}, K)
 
 
@@ -106,12 +110,7 @@ def read_cochain(text: str, K: MetricComplex) -> Cochain:
     values: dict[SimplexKey, float] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        key = tuple(int(x) for x in parts[:-1])
-        if len(key) != k + 1:
-            raise ValueError(f"key {key} has wrong dimension for degree {k}")
-        if not K.has_simplex(key):
-            raise MissingSimplex(f"{key} not in complex")
-        values[key] = float(parts[-1])
+        values[tuple(int(x) for x in parts[:-1])] = float(parts[-1])
     return Cochain(k, values, K)
 
 

@@ -243,7 +243,9 @@ def star(K: MetricComplex, v: int) -> MetricComplex:
 
 
 def is_subcomplex(S: MetricComplex, K: MetricComplex) -> bool:
-    return all(K.has_simplex(key) for key in S.cofaces)
+    """Every simplex of S is one of K, on the same vertex coordinates."""
+    return (all(K.vertices.get(v) == xs for v, xs in S.vertices.items())
+            and all(K.has_simplex(key) for key in S.cofaces))
 
 
 def barycentric_subdivide(K: MetricComplex) -> MetricComplex:

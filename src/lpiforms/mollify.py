@@ -10,12 +10,23 @@ A = (R - 1) S with S the classical cone (radial integration) operator, so
 d A + A d = R - 1 up to finite-difference, interpolation, and ray
 quadrature error, which is verified on an interior region away from the
 ball boundary.
+
+The Jacobian factors as  D s_{eps v}(x) = Dh(z) . Dh^{-1}(x)  with
+z = h^{-1}(x) + eps v, and only the first factor depends on v.  Both have
+closed forms,
+
+    Dh(z) = (s2 I - z z^T) / s2^{3/2},        s2 = 1 + |z|^2,
+    Dh^{-1}(x) = (r2 I + x x^T) / r2^{3/2},   r2 = 1 - |x|^2,
+
+with determinants s2^{-2} and r2^{-2} in 2-D.  So `regularize` computes
+h^{-1}(x) once per call, accumulates w^T Dh(z) (or det Dh(z)) over the
+kernel nodes, and applies Dh^{-1}(x) once at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,20 +145,28 @@ class MollifierConfig:
     def __post_init__(self):
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
-        g = self.kernel_grid
-        centers = (np.arange(g) + 0.5) / g * 2.0 - 1.0
-        pts = np.array(list(itertools.product(centers, repeat=self.n)))
-        r2 = (pts**2).sum(axis=1)
-        w = np.zeros(len(pts))
-        inside = r2 < 1.0
-        w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-        keep = w > 0.0
-        pts, w = pts[keep], w[keep]
-        w = w / w.sum()
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "nodes", pts)
-        object.__setattr__(self, "weights", w)
+        nodes, weights = _kernel(self.kernel_grid, self.n)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(kernel_grid: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint-grid nodes in the open unit n-ball and bump weights summing
+    to 1, built once per (kernel_grid, n); read-only, since callers share
+    them."""
+    centers = (np.arange(kernel_grid) + 0.5) / kernel_grid * 2.0 - 1.0
+    pts = np.array(list(itertools.product(centers, repeat=n)))
+    r2 = (pts**2).sum(axis=1)
+    w = np.zeros(len(pts))
+    inside = r2 < 1.0
+    w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    keep = w > 0.0
+    pts, w = pts[keep], w[keep]
+    w = w / w.sum()
+    pts.setflags(write=False)
+    w.setflags(write=False)
+    return pts, w
 
 
 # ---------------------------------------------------------------------------
@@ -206,60 +225,54 @@ def ball_diffeo_jacobian(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 # interpolation
 # ---------------------------------------------------------------------------
 
-def _interp(arr: np.ndarray, h: float, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of grid data at points in [-1,1]^n."""
-    n = pts.shape[-1]
-    npts = arr.shape[0]
+def _stencil(pts: np.ndarray, h: float, npts: int):
+    """Multilinear interpolation stencil of points pts (n, N) in [-1,1]^n on
+    a grid of npts^n nodes: flat corner indices of shape (2,)*n + (N,),
+    whose axis n-1-d holds the corner bit of axis d, and one weight factor
+    per axis broadcastable to it."""
+    n = len(pts)
     u = np.clip((pts + 1.0) / h, 0.0, npts - 1.000001)
-    i0 = np.floor(u).astype(int)
+    i0 = u.astype(np.intp)  # floor, as u >= 0
     f = u - i0
-    if n == 1:
-        a = arr[i0[..., 0]]
-        b = arr[np.minimum(i0[..., 0] + 1, npts - 1)]
-        return a * (1 - f[..., 0]) + b * f[..., 0]
-    i1 = np.minimum(i0 + 1, npts - 1)
-    fx, fy = f[..., 0], f[..., 1]
-    a00 = arr[i0[..., 0], i0[..., 1]]
-    a10 = arr[i1[..., 0], i0[..., 1]]
-    a01 = arr[i0[..., 0], i1[..., 1]]
-    a11 = arr[i1[..., 0], i1[..., 1]]
-    return (a00 * (1 - fx) * (1 - fy) + a10 * fx * (1 - fy)
-            + a01 * (1 - fx) * fy + a11 * fx * fy)
+    base, offset, factors = 0, 0, []
+    for d in range(n):
+        shape = (1,) * (n - 1 - d) + (2,) + (1,) * d + (-1,)
+        base = base * npts + i0[d]
+        offset = offset * npts + np.arange(2).reshape(shape)
+        factors.append(np.stack([1.0 - f[d], f[d]]).reshape(shape))
+    return base + offset, factors
+
+
+def _gather(flat: np.ndarray, stencil) -> np.ndarray:
+    """Values of the raveled grid array `flat` interpolated on a stencil,
+    rounded as a00 (1-fx)(1-fy) + a10 fx (1-fy) + a01 (1-fx) fy + ... is:
+    `verify_homotopy` differentiates R of a 0-form, which amplifies any
+    change of rounding by 1/h."""
+    idx, factors = stencil
+    vals = flat[idx]
+    for fac in factors:
+        vals *= fac
+    return vals.reshape(-1, vals.shape[-1]).sum(axis=0)
 
 
 def _axis_sets(n: int, k: int):
     return list(itertools.combinations(range(n), k))
 
 
-def _pullback(omega: GridForm, v: np.ndarray) -> dict[AxisSet, np.ndarray]:
-    """Components of s_v^* omega at the active grid nodes."""
-    n, k = omega.n, omega.degree
-    pts = omega.points()
+def _shift(y: np.ndarray, xs: np.ndarray, ev: np.ndarray):
+    """For points xs (n, N) with y = h^{-1}(xs): z = y + ev, s2 = 1 + |z|^2
+    and s_ev(xs) = h(z), which is xs itself when ev = 0 (as in
+    `ball_diffeo`)."""
+    z = y + ev[:, None]
+    s2 = 1.0 + (z**2).sum(axis=0)
+    ys = z / np.sqrt(s2) if np.any(ev) else xs
+    return z, s2, ys
+
+
+def _active_nodes(omega: GridForm) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the open ball and its nodes as an (n, N) array."""
     mask = omega.mask()
-    xs = pts[mask]
-    ys = ball_diffeo(v, xs)
-    shape = mask.shape
-    out: dict[AxisSet, np.ndarray] = {}
-    if k == 0:
-        vals = _interp(omega.component(()), omega.h, ys)
-        arr = np.zeros(shape)
-        arr[mask] = vals
-        return {(): arr}
-    J = ball_diffeo_jacobian(v, xs)
-    if k == 1:
-        w = {a: _interp(omega.component((a,)), omega.h, ys) for a in range(n)}
-        for i in range(n):
-            vals = sum(w[j] * J[..., j, i] for j in range(n))
-            arr = np.zeros(shape)
-            arr[mask] = vals
-            out[(i,)] = arr
-        return out
-    # k == 2, n == 2
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    vals = _interp(omega.component((0, 1)), omega.h, ys) * detJ
-    arr = np.zeros(shape)
-    arr[mask] = vals
-    return {(0, 1): arr}
+    return mask, np.ascontiguousarray(omega.points()[mask].T)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +284,29 @@ def regularize(omega: GridForm, cfg: MollifierConfig) -> GridForm:
     constant 0-forms."""
     if cfg.epsilon == 0.0:
         return omega
-    kernel = cfg if cfg.n == omega.n else MollifierConfig(
-        cfg.epsilon, cfg.kernel_grid, n=omega.n
-    )
-    acc: dict[AxisSet, np.ndarray] = {}
-    for v, w in zip(kernel.nodes, kernel.weights):
-        comp = _pullback(omega, cfg.epsilon * v)
-        for a, arr in comp.items():
-            acc[a] = acc.get(a, 0.0) + w * arr
-    return GridForm(omega.n, omega.h, omega.degree, acc)
+    n, k = omega.n, omega.degree
+    mask, xs = _active_nodes(omega)
+    r2 = np.maximum(1.0 - (xs**2).sum(axis=0), 1e-300)
+    y = xs / np.sqrt(r2)  # h^{-1}(x), as in `_h_inv`
+    axes = _axis_sets(n, k)
+    comps = [omega.component(a).ravel() for a in axes]
+    acc = np.zeros((len(axes), xs.shape[1]))
+    for v, w in zip(*_kernel(cfg.kernel_grid, n)):
+        z, s2, ys = _shift(y, xs, cfg.epsilon * v)
+        st = _stencil(ys, omega.h, mask.shape[0])
+        vals = np.array([_gather(c, st) for c in comps])
+        if k == 1:  # the row vector vals^T Dh(z)
+            vals = (s2 * vals - z * (vals * z).sum(axis=0)) / s2**1.5
+        elif k == 2:  # det Dh(z)
+            vals = vals / s2**2
+        acc += w * vals
+    if k == 1:  # times Dh^{-1}(x)
+        acc = (r2 * acc + xs * (acc * xs).sum(axis=0)) / r2**1.5
+    elif k == 2:
+        acc = acc / r2**2
+    out = np.zeros((len(axes),) + mask.shape)
+    out[:, mask] = acc
+    return GridForm(n, omega.h, k, dict(zip(axes, out)))
 
 
 def grid_d(omega: GridForm) -> GridForm:
@@ -310,31 +337,23 @@ def cone_S(omega: GridForm, quad_nodes: int = 24) -> GridForm:
     t, wt = np.polynomial.legendre.leggauss(quad_nodes)
     t = (t + 1.0) / 2.0
     wt = wt / 2.0
-    pts = omega.points()
-    mask = omega.mask()
-    xs = pts[mask]
-    shape = mask.shape
-    comps: dict[AxisSet, np.ndarray] = {}
-    if k == 1:
-        vals = np.zeros(len(xs))
-        for ti, wi in zip(t, wt):
-            for j in range(n):
-                vals += wi * xs[:, j] * _interp(
-                    omega.component((j,)), omega.h, ti * xs
-                )
-        arr = np.zeros(shape)
-        arr[mask] = vals
-        comps[()] = arr
-        return GridForm(n, omega.h, 0, comps)
-    # k == 2, n == 2: iota_x (f dx0^dx1) = f * (x0 dx1 - x1 dx0)
-    ray = np.zeros(len(xs))
+    mask, xs = _active_nodes(omega)
+    comps = [omega.component(a).ravel() for a in _axis_sets(n, k)]
+    ray = np.zeros(xs.shape[1])
     for ti, wi in zip(t, wt):
-        ray += wi * ti * _interp(omega.component((0, 1)), omega.h, ti * xs)
-    for i, sign, other in ((0, -1.0, 1), (1, 1.0, 0)):
-        arr = np.zeros(shape)
-        arr[mask] = sign * xs[:, other] * ray
-        comps[(i,)] = arr
-    return GridForm(n, omega.h, 1, comps)
+        st = _stencil(ti * xs, omega.h, mask.shape[0])
+        if k == 1:
+            for j in range(n):
+                ray += wi * xs[j] * _gather(comps[j], st)
+        else:
+            ray += wi * ti * _gather(comps[0], st)
+    if k == 1:
+        axes, rows = [()], [ray]
+    else:  # k == 2, n == 2: iota_x (f dx0^dx1) = f * (x0 dx1 - x1 dx0)
+        axes, rows = [(0,), (1,)], [-xs[1] * ray, xs[0] * ray]
+    out = np.zeros((len(axes),) + mask.shape)
+    out[:, mask] = rows
+    return GridForm(n, omega.h, k - 1, dict(zip(axes, out)))
 
 
 def homotopy_A(omega: GridForm, cfg: MollifierConfig) -> GridForm:
@@ -382,12 +401,12 @@ def displacement_bound(omega: GridForm, cfg: MollifierConfig) -> float:
     """Max node displacement of s_{eps v} over the kernel support."""
     if cfg.epsilon == 0.0:
         return 0.0
-    pts = omega.points()[omega.mask()]
-    kernel = MollifierConfig(cfg.epsilon, cfg.kernel_grid, n=omega.n)
+    xs = _active_nodes(omega)[1]
+    y = _h_inv(xs.T).T
     worst = 0.0
-    for v in kernel.nodes:
-        ys = ball_diffeo(cfg.epsilon * v, pts)
-        worst = max(worst, float(np.linalg.norm(ys - pts, axis=-1).max()))
+    for v in _kernel(cfg.kernel_grid, omega.n)[0]:
+        ys = _shift(y, xs, cfg.epsilon * v)[2]
+        worst = max(worst, float(np.linalg.norm(ys - xs, axis=0).max()))
     return worst
 
 

@@ -13,10 +13,26 @@ from lpiforms.cochains import (
     write_cochain,
     zero_cochain,
 )
-from lpiforms.complexes import PiSequence, barycentric_subdivide
+from lpiforms.complexes import PiSequence, barycentric_subdivide, ray_complex
+from lpiforms.derham import whitney
 from lpiforms.errors import BadCarrier, BadDimension, BadExponent, MissingSimplex
 
 from conftest import simplex_complex, sphere_complex
+
+
+def test_cochain_rejects_keys_outside_the_complex():
+    K = ray_complex(1, 3)
+    # an unsorted key and a foreign key: library errors, not KeyError or {}
+    with pytest.raises(MissingSimplex):
+        whitney(Cochain(1, {(1, 0): 2.0, (7, 8): 1.0}, K))
+    with pytest.raises(MissingSimplex):
+        coboundary(Cochain(0, {(9,): 1.0}, K))
+    with pytest.raises(BadDimension):
+        Cochain(1, {(0,): 1.0}, K)
+    with pytest.raises(BadDimension):
+        read_cochain("degree 1\n0 1 2 1.0\n", K)
+    with pytest.raises(MissingSimplex):
+        read_cochain("degree 1\n0 2 1.0\n", K)
 
 
 def test_coboundary_edge_signs():

@@ -1,6 +1,10 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
+from lpiforms import mollify
 from lpiforms.errors import BadCarrier, BadDegree, BadDimension, OutsideDomain
 from lpiforms.mollify import (
     GridForm,
@@ -138,3 +142,158 @@ def test_homotopy_A_shapes():
     a = homotopy_A(om, MollifierConfig(0.1, n=1))
     assert a.degree == 0
     assert a.component(()).shape == om.component((0,)).shape
+
+
+# ---------------------------------------------------------------------------
+# per-node references: one kernel node (or ray node) at a time, through the
+# public diffeomorphism and its Jacobian and a plain multilinear formula
+# ---------------------------------------------------------------------------
+
+def _ref_interp(arr, h, pts):
+    """Multilinear interpolation of grid data at points (N, n) in the open
+    ball, corner by corner."""
+    npts = arr.shape[0]
+    u = (pts + 1.0) / h
+    i0 = np.minimum(np.floor(u).astype(int), npts - 2)
+    f = u - i0
+    total = np.zeros(len(pts))
+    for corner in itertools.product((0, 1), repeat=pts.shape[1]):
+        wt = np.prod([f[:, d] if c else 1.0 - f[:, d] for d, c in enumerate(corner)], axis=0)
+        total += wt * arr[tuple(i0[:, d] + c for d, c in enumerate(corner))]
+    return total
+
+
+def _ref_regularize(omega, cfg):
+    """sum_v w_v s_{eps v}^* omega, one kernel node at a time."""
+    n, k = omega.n, omega.degree
+    mask = omega.mask()
+    xs = omega.points()[mask]
+    axes = list(itertools.combinations(range(n), k))
+    out = {a: np.zeros(len(xs)) for a in axes}
+    for v, w in zip(cfg.nodes, cfg.weights):
+        ys = ball_diffeo(cfg.epsilon * v, xs)
+        J = ball_diffeo_jacobian(cfg.epsilon * v, xs)
+        vals = {a: _ref_interp(omega.component(a), omega.h, ys) for a in axes}
+        for a in axes:
+            if k == 0:
+                out[a] += w * vals[a]
+            elif k == 1:
+                out[a] += w * sum(vals[(j,)] * J[:, j, a[0]] for j in range(n))
+            else:
+                out[a] += w * vals[a] * np.linalg.det(J)
+    return out
+
+
+def _sample(n, h, k, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.5, 2.0, size=(n + 1, 3))
+    if n == 1:
+        fns = [lambda x, c=c[j]: np.sin(c[0] * x + c[1]) * c[2] for j in range(2)]
+    else:
+        fns = [lambda x, y, c=c[j]: np.sin(c[0] * x + c[1] * y) + c[2] * x * y
+               for j in range(3)]
+    axes = list(itertools.combinations(range(n), k))
+    return GridForm.from_function(n, h, k, {a: fns[i] for i, a in enumerate(axes)})
+
+
+CASES = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("n,k", CASES)
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_regularize_matches_per_node_reference(n, k, eps):
+    omega = _sample(n, 1 / 32 if n == 1 else 1 / 16, k, seed=10 * n + k)
+    cfg = MollifierConfig(eps, n=n)
+    ref = _ref_regularize(omega, cfg)
+    got = regularize(omega, cfg)
+    mask = omega.mask()
+    scale = max(np.abs(r).max() for r in ref.values())
+    for a, r in ref.items():
+        assert np.abs(got.component(a)[mask] - r).max() <= 1e-12 * scale
+        assert np.all(got.component(a)[~mask] == 0.0)
+
+
+def test_regularize_takes_dimension_from_the_form():
+    omega = _sample(2, 1 / 16, 1, seed=3)
+    got = regularize(omega, MollifierConfig(0.1, n=1))
+    ref = _ref_regularize(omega, MollifierConfig(0.1, n=2))
+    for a, r in ref.items():
+        assert np.abs(got.component(a)[omega.mask()] - r).max() <= 1e-12 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
+def test_cone_S_matches_per_node_reference(n, k):
+    omega = _sample(n, 1 / 32 if n == 1 else 1 / 16, k, seed=7 + n + k)
+    t, wt = np.polynomial.legendre.leggauss(24)
+    t, wt = (t + 1.0) / 2.0, wt / 2.0
+    mask = omega.mask()
+    xs = omega.points()[mask]
+    ray = np.zeros(len(xs))
+    for ti, wi in zip(t, wt):
+        if k == 1:
+            ray += wi * sum(xs[:, j] * _ref_interp(omega.component((j,)), omega.h, ti * xs)
+                            for j in range(n))
+        else:
+            ray += wi * ti * _ref_interp(omega.component((0, 1)), omega.h, ti * xs)
+    ref = {(): ray} if k == 1 else {(0,): -xs[:, 1] * ray, (1,): xs[:, 0] * ray}
+    got = cone_S(omega)
+    assert got.degree == k - 1
+    scale = max(np.abs(r).max() for r in ref.values())
+    for a, r in ref.items():
+        assert np.abs(got.component(a)[mask] - r).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_displacement_bound_matches_per_node_reference(n, eps):
+    omega = _sample(n, 1 / 32, 0, seed=n)
+    cfg = MollifierConfig(eps, n=n)
+    xs = omega.points()[omega.mask()]
+    ref = max(float(np.linalg.norm(ball_diffeo(eps * v, xs) - xs, axis=-1).max())
+              for v in cfg.nodes)
+    assert displacement_bound(omega, cfg) == pytest.approx(ref, rel=1e-12)
+
+
+def test_kernel_built_once_per_grid_and_dimension(monkeypatch):
+    real = mollify._kernel.__wrapped__
+    built = []
+
+    def counting_kernel(kernel_grid, n):
+        built.append((kernel_grid, n))
+        return real(kernel_grid, n)
+
+    configs = []
+    post_init = MollifierConfig.__post_init__
+
+    def counting_post_init(self):
+        configs.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(mollify, "_kernel", functools.lru_cache(maxsize=None)(counting_kernel))
+    monkeypatch.setattr(MollifierConfig, "__post_init__", counting_post_init)
+    cfg = MollifierConfig(0.1, n=1)
+    f2 = GridForm.from_function(2, 1 / 16, 0, {(): lambda x, y: x * y})
+    for _ in range(3):
+        regularize(f2, cfg)  # the kernel dimension comes from the form
+        displacement_bound(f2, cfg)
+    other = MollifierConfig(0.2, n=1)
+    assert len(configs) == 2
+    assert built == [(9, 1), (9, 2)]
+    assert other.nodes is cfg.nodes and other.weights is cfg.weights
+    assert not cfg.nodes.flags.writeable and not cfg.weights.flags.writeable
+
+
+def test_homotopy_2d_h_sweep():
+    """The criterion 4 form in 2-D: the residual falls as h halves, at about
+    first order (ratios near 1.5 and 1.9), not the h^2 of the 1-D case."""
+    bump = lambda x, y: np.exp(-3 * (x**2 + y**2)) * (1 - x**2 - y**2)
+    res = []
+    for h in (1 / 32, 1 / 64, 1 / 128):
+        om = GridForm.from_function(
+            2, h, 1,
+            {(0,): lambda x, y: bump(x, y) * np.sin(2 * y),
+             (1,): lambda x, y: bump(x, y) * np.cos(x + y)},
+        )
+        res.append(verify_homotopy(om, MollifierConfig(0.1, n=2), tol=1e-2).residual)
+    assert max(res) <= 1e-2
+    assert res[0] > res[1] > res[2]

@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpiforms.cochains import Cochain
-from lpiforms.complexes import PiSequence, cube_boundary_complex
+from lpiforms.complexes import (
+    PiSequence,
+    build_complex,
+    cube_boundary_complex,
+    is_subcomplex,
+    ray_complex,
+)
 from lpiforms.derham import whitney
-from lpiforms.errors import BadCarrier, BadDimension, BadExponent
+from lpiforms.errors import BadCarrier, BadDimension, BadExponent, BadSubcomplex
 from lpiforms.polyform import (
     PolyForm,
     monomial_integral,
@@ -127,6 +133,19 @@ def test_trace_and_restrict(triangle):
 
     rest = om.restrict(skeleton(triangle, 1))
     assert rest.trace_on((0, 1)) == {((1,), ()): 1.0}
+
+
+def test_restrict_rejects_moved_geometry():
+    K = ray_complex(1, 2)
+    om = PolyForm.constant(K, 1.0)
+    same = build_complex({0: K.vertices[0], 1: K.vertices[1]}, [(0, 1)])
+    assert is_subcomplex(same, K)
+    assert om.restrict(same).lp_norm(2.0) == pytest.approx(1.0)
+    # the same keys on other coordinates are not a subcomplex
+    moved = build_complex({0: (0.0,), 1: (5.0,)}, [(0, 1)])
+    assert not is_subcomplex(moved, K)
+    with pytest.raises(BadSubcomplex):
+        om.restrict(moved)
 
 
 def test_lp_norm_constant():
