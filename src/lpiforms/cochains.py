@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import MetricComplex, PiSequence, SimplexKey
-from .errors import BadCarrier, BadDimension, BadExponent, MissingSimplex
+from .errors import BadCarrier, BadDimension, BadExponent, DuplicateSimplex, MissingSimplex
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,10 @@ def read_cochain(text: str, K: MetricComplex) -> Cochain:
     values: dict[SimplexKey, float] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        values[tuple(int(x) for x in parts[:-1])] = float(parts[-1])
+        key = tuple(int(x) for x in parts[:-1])
+        if key in values:
+            raise DuplicateSimplex(f"simplex {key} listed twice")
+        values[key] = float(parts[-1])
     return Cochain(k, values, K)
 
 

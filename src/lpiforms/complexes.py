@@ -11,6 +11,9 @@ ascending tau, for each (k+1)-simplex tau = (v_0 < ... < v_{k+1}) with
 sigma = tau minus v_i: the coboundary sign, (dc)(tau) = sum_i (-1)^i
 c(tau \\ v_i).  `carriers[sigma]` holds the maximal simplices containing
 sigma (sigma itself if it is maximal), in ascending key order.
+
+Per-simplex geometry (`volume`, `covector_gram`) is computed once per
+complex and kept in a private memo, which takes no part in equality or repr.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ class MetricComplex:
     cofaces: dict[SimplexKey, tuple[tuple[SimplexKey, int], ...]]
     carriers: dict[SimplexKey, tuple[SimplexKey, ...]]
     dim: int
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def has_simplex(self, key: SimplexKey) -> bool:
         # `cofaces` has one entry for every simplex of the complex
@@ -69,16 +73,33 @@ class MetricComplex:
 
     def volume(self, key: SimplexKey) -> float:
         """Riemannian k-volume from the Gram determinant of edge vectors."""
-        k = len(key) - 1
-        if k == 0:
-            return 1.0
+        memo = ("volume", key)
+        if memo not in self._memo:
+            det = float(np.linalg.det(self._gram(key)))  # 1.0 for a vertex
+            self._memo[memo] = math.sqrt(det) / math.factorial(len(key) - 1) if det > 0.0 else 0.0
+        return self._memo[memo]
+
+    def covector_gram(self, key: SimplexKey, k: int) -> np.ndarray:
+        """Inner products <dt_I, dt_J> of the coordinate k-covectors of a
+        simplex, over the ascending k-subsets I, J of 1..dim in
+        `itertools.combinations` order: the minors det(G^-1)[I, J] of the
+        inverse Gram matrix G of its edge vectors.  Read-only, since callers
+        share it."""
+        memo = ("covector_gram", key, k)
+        if memo not in self._memo:
+            out = np.ones((1, 1))
+            if k:
+                rows = np.array(list(itertools.combinations(range(len(key) - 1), k)))
+                ginv = np.linalg.inv(self._gram(key))
+                out = np.linalg.det(ginv[rows[:, None, :, None], rows[None, :, None, :]])
+            out.setflags(write=False)
+            self._memo[memo] = out
+        return self._memo[memo]
+
+    def _gram(self, key: SimplexKey) -> np.ndarray:
         pts = self.coords(key)
         edges = pts[1:] - pts[0]
-        gram = edges @ edges.T
-        det = float(np.linalg.det(gram))
-        if det <= 0.0:
-            return 0.0
-        return math.sqrt(det) / math.factorial(k)
+        return edges @ edges.T
 
 
 @dataclass(frozen=True)

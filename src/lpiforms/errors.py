@@ -21,6 +21,10 @@ class MissingSimplex(LpiFormsError):
     """A simplex key is not present in the complex."""
 
 
+class DuplicateSimplex(LpiFormsError):
+    """A simplex key appears twice in a cochain file."""
+
+
 class BadDimension(LpiFormsError):
     """Dimension or degree out of range for the operation."""
 

@@ -41,6 +41,23 @@ def grid_axis(h: float) -> np.ndarray:
     return np.linspace(-1.0, 1.0, npts)
 
 
+def _grid_points(n: int, h: float) -> np.ndarray:
+    xs = grid_axis(h)
+    if n == 1:
+        return xs[:, None]
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    return np.stack([X, Y], axis=-1)
+
+
+@functools.lru_cache(maxsize=32)
+def _ball_mask(n: int, h: float) -> np.ndarray:
+    """The mask of the open unit ball on the (n, h) grid, built once per
+    (n, h); read-only, since every GridForm on that grid shares it."""
+    mask = np.linalg.norm(_grid_points(n, h), axis=-1) < 1.0
+    mask.setflags(write=False)
+    return mask
+
+
 @dataclass(frozen=True)
 class GridForm:
     """Degree-k form sampled on a regular grid over [-1,1]^n, zero outside
@@ -67,17 +84,14 @@ class GridForm:
         return grid_axis(self.h)
 
     def points(self) -> np.ndarray:
-        xs = self.axis()
-        if self.n == 1:
-            return xs[:, None]
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        return np.stack([X, Y], axis=-1)
+        return _grid_points(self.n, self.h)
 
     def radius(self) -> np.ndarray:
         return np.linalg.norm(self.points(), axis=-1)
 
     def mask(self) -> np.ndarray:
-        return self.radius() < 1.0
+        """The nodes in the open unit ball; shared per (n, h), read-only."""
+        return _ball_mask(self.n, self.h)
 
     def component(self, axes: AxisSet) -> np.ndarray:
         shape = (len(self.axis()),) * self.n

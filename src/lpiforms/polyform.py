@@ -26,12 +26,26 @@ so that the integral of dt_1 ^ ... ^ dt_k over a k-simplex equals its
 Riemannian k-volume.  The metric-free (affine-invariant) integral, which
 satisfies Stokes' theorem exactly against the alternating-sum coboundary,
 is available with weighted=False; it differs by the factor k! * vol.
+
+Pointwise values have one path, `_components_at`, which evaluates a piece at
+many points at once: with E the (terms x m) exponent matrix and C the map
+from terms to the dt_I components, V = prod(pts ** E) @ C, and
+|omega|^2 = V G V^T with G the covector Gram matrix of the simplex.  Norms,
+`evaluate` and `continuity_defect` all go through it.
+
+Two caches serve the hot paths.  `pullback` is linear in the terms, so it
+sums cached images of single term keys (a module-level LRU cache keyed by
+the term key and B; almost every B is a 0/1 matrix, so the cache stays
+small).  The complex keeps each simplex's volume and covector Gram matrix
+once computed (`MetricComplex.volume`, `MetricComplex.covector_gram`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,24 +129,12 @@ def t_d(a: Terms, m: int) -> Terms:
             out[key] = out.get(key, 0.0) + (-1) ** below * c * e
     return t_clean(out)
 
-def t_eval(a: Terms, t: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Evaluate at reduced coordinates; returns per-diff-index component values."""
-    comp: dict[tuple[int, ...], float] = {}
-    for (exps, idx), c in a.items():
-        val = c
-        for x, e in zip(t, exps):
-            if e:
-                val *= x ** e
-        comp[idx] = comp.get(idx, 0.0) + val
-    return comp
-
-
-def selection(src: SimplexKey, dst: SimplexKey) -> list[list[float]]:
+def selection(src: SimplexKey, dst: SimplexKey) -> tuple[tuple[float, ...], ...]:
     """Pullback matrix with B[i][j] = 1 where src[i] == dst[j], else 0."""
-    return [[float(a == b) for b in dst] for a in src]
+    return tuple(tuple(float(a == b) for b in dst) for a in src)
 
 
-def pullback(terms: Terms, B: list[list[float]]) -> Terms:
+def pullback(terms: Terms, B: Sequence[Sequence[float]]) -> Terms:
     """Pull terms back along an affine map between simplices.
 
     Row i of B is source variable i as a combination of the target's full
@@ -140,38 +142,51 @@ def pullback(terms: Terms, B: list[list[float]]) -> Terms:
     Terms over full source variables carry len(B) exponents, reduced terms
     one fewer (row 0 is skipped); diff index i always means row i.
     """
+    B = tuple(map(tuple, B))
+    out: Terms = {}
+    for key, c in terms.items():
+        for image, v in _unit_pullback(key, B):
+            out[image] = out.get(image, 0.0) + c * v
+    return t_clean(out)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _unit_pullback(key: TermKey, B: tuple[tuple[float, ...], ...]):
+    """The pullback of one term with coefficient 1, as a tuple of items, so
+    that callers cannot change what the cache holds."""
+    exps, idx = key
     m = len(B[0]) - 1
     zero = (0,) * m
-    units = [tuple(int(q == j) for q in range(m)) for j in range(m)]
-    poly: list[Terms] = []
-    form: list[Terms] = []
-    for row in B:
-        # the target's t_0 = 1 - sum t_j and dt_0 = -sum dt_j, so column 0 is
-        # subtracted; this is the only place the term algebra eliminates t_0
-        lin = [float(x - row[0]) for x in row[1:]]
-        p = {(u, ()): c for u, c in zip(units, lin) if c}
-        if row[0]:
-            p[(zero, ())] = float(row[0])
-        poly.append(p)
-        form.append({(zero, (j,)): c for j, c in enumerate(lin, start=1) if c})
-    powers = [[p] for p in poly]  # powers[i][e - 1] = poly[i] ** e
-    out: Terms = {}
-    for (exps, idx), c in terms.items():
-        factors = [form[i] for i in idx]
-        for i, e in enumerate(exps, start=len(B) - len(exps)):
-            if not e:
-                continue
-            while len(powers[i]) < e:
-                powers[i].append(t_wedge(powers[i][-1], poly[i]))
-            factors.append(powers[i][e - 1])
-        if not all(factors):
-            continue
-        acc: Terms = {(zero, ()): c}
-        for f in factors:
-            acc = t_wedge(acc, f)
-        for key, v in acc.items():
-            out[key] = out.get(key, 0.0) + v
-    return t_clean(out)
+    # the target's t_0 = 1 - sum t_j and dt_0 = -sum dt_j, so column 0 is
+    # subtracted; this is the only place the term algebra eliminates t_0
+    lin = [[x - row[0] for x in row[1:]] for row in B]
+    acc: Terms = {(zero, ()): 1.0}
+    for i in idx:
+        acc = t_wedge(acc, {(zero, (j,)): c for j, c in enumerate(lin[i], start=1) if c})
+    for i, e in enumerate(exps, start=len(B) - len(exps)):
+        poly = {(tuple(int(q == j) for q in range(m)), ()): c
+                for j, c in enumerate(lin[i]) if c}
+        if B[i][0]:
+            poly[(zero, ())] = B[i][0]
+        for _ in range(e):
+            acc = t_wedge(acc, poly)
+    return tuple(acc.items())
+
+
+def _components_at(terms: Terms, pts: np.ndarray, k: int) -> np.ndarray:
+    """Values of the dt_I components of degree-k terms at the rows of pts
+    (reduced coordinates, shape (npts, m)), one column per ascending k-subset
+    I of 1..m in `itertools.combinations` order: prod(pts ** E) @ C."""
+    n, m = len(terms), pts.shape[1]
+    col = _columns(m, k)
+    E = np.array([e for e, _ in terms], dtype=int).reshape(n, m)
+    C = np.zeros((n, len(col)))
+    C[np.arange(n), [col[I] for _, I in terms]] = list(terms.values())
+    return np.prod(pts[:, None, :] ** E, axis=2) @ C
+
+
+def _columns(m: int, k: int) -> dict[tuple[int, ...], int]:
+    return {I: j for j, I in enumerate(itertools.combinations(range(1, m + 1), k))}
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +245,6 @@ def monomial_integral(exps: tuple[int, ...], m: int) -> float:
 # ---------------------------------------------------------------------------
 # the piecewise form
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FormNormReport:
-    lp: float
-    sup_per_simplex: dict[SimplexKey, float]
-    sl_pi: float
-    omega_pi: float
-
 
 @dataclass(frozen=True)
 class PolyForm:
@@ -347,7 +354,13 @@ class PolyForm:
 
     def evaluate(self, T: SimplexKey, t: np.ndarray) -> dict[tuple[int, ...], float]:
         """Components at reduced barycentric coordinates t on piece T."""
-        return t_eval(self.pieces.get(T, {}), np.asarray(t, dtype=float))
+        terms = self.pieces.get(T, {})
+        if not terms:
+            return {}
+        m = len(T) - 1
+        V = _components_at(terms, np.asarray(t, dtype=float).reshape(1, m), self.degree)[0]
+        col = _columns(m, self.degree)
+        return {I: float(V[col[I]]) for I in dict.fromkeys(I for _, I in terms)}
 
     # -- integration --------------------------------------------------------
 
@@ -374,47 +387,25 @@ class PolyForm:
             if idx != full_idx:
                 continue
             total += c * monomial_integral(exps, k)
-        vol = self.complex.volume(key)
         if weighted:
-            return sign * total * vol
+            return sign * total * self.complex.volume(key)
         return sign * total / math.factorial(k) if k > 0 else sign * total
 
     # -- norms --------------------------------------------------------------
 
-    def _gram_inverse(self, T: SimplexKey) -> np.ndarray:
-        pts = self.complex.coords(T)
-        edges = pts[1:] - pts[0]
-        G = edges @ edges.T
-        return np.linalg.inv(G)
-
-    def _norm_sq_poly_value(self, T: SimplexKey, t: np.ndarray, Minor) -> float:
-        comp = self.evaluate(T, t)
-        keys = list(comp)
-        val = 0.0
-        for i, I in enumerate(keys):
-            for J in keys[i:]:
-                m = Minor(I, J)
-                contrib = comp[I] * comp[J] * m
-                val += contrib if I == J else 2.0 * contrib
-        return max(val, 0.0)
-
-    def _minor_fn(self, T: SimplexKey):
-        k = self.degree
-        if k == 0:
-            return lambda I, J: 1.0
-        Ginv = self._gram_inverse(T)
-        cache: dict[tuple, float] = {}
-        def minor(I, J):
-            key = (I, J) if I <= J else (J, I)
-            if key not in cache:
-                sub = Ginv[np.ix_([i - 1 for i in key[0]], [j - 1 for j in key[1]])]
-                cache[key] = float(np.linalg.det(sub))
-            return cache[key]
-        return minor
+    def _norm_sq_at(self, T: SimplexKey, pts: np.ndarray) -> np.ndarray:
+        """|omega|^2 in the simplex metric at the rows of pts (reduced
+        coordinates on piece T)."""
+        if T not in self.pieces:
+            return np.zeros(len(pts))
+        V = _components_at(self.pieces[T], pts, self.degree)
+        G = self.complex.covector_gram(T, self.degree)
+        return np.maximum(np.sum((V @ G) * V, axis=1), 0.0)
 
     def norm_at(self, T: SimplexKey, t: np.ndarray) -> float:
         """Pointwise Euclidean norm |omega(x)| in the simplex metric."""
-        return math.sqrt(self._norm_sq_poly_value(T, np.asarray(t, float), self._minor_fn(T)))
+        pts = np.asarray(t, dtype=float).reshape(1, len(T) - 1)
+        return math.sqrt(self._norm_sq_at(tuple(T), pts)[0])
 
     def lp_norm(self, p: float, quad_degree: int | None = None) -> float:
         """||omega||_{Omega_p}: per-simplex integral of |omega|^p, p-th root.
@@ -436,26 +427,22 @@ class PolyForm:
             m = len(T) - 1
             if m < self.degree:
                 continue
-            minor = self._minor_fn(T)
             if deg is not None:
-                acc = self._rule_sum(T, simplex_rule(m, deg), p, minor)
+                acc = self._rule_sum(T, simplex_rule(m, deg), p)
             else:
-                acc = self._adaptive_piece(T, m, p, minor)
+                acc = self._adaptive_piece(T, m, p)
             total += self.complex.volume(T) * acc
         return total ** (1.0 / p)
 
-    def _rule_sum(self, T, rule, p, minor) -> float:
+    def _rule_sum(self, T, rule, p) -> float:
         """Quadrature of |omega|^p on T, relative to unit volume."""
         pts, wts = rule
-        return sum(
-            w * self._norm_sq_poly_value(T, x, minor) ** (p / 2.0)
-            for x, w in zip(pts, wts)
-        )
+        return float(wts @ self._norm_sq_at(T, pts) ** (p / 2.0))
 
-    def _adaptive_piece(self, T, m, p, minor) -> float:
+    def _adaptive_piece(self, T, m, p) -> float:
         prev = None
         for deg in (8, 14, 20, 28, 38):
-            acc = self._rule_sum(T, simplex_rule(m, deg), p, minor)
+            acc = self._rule_sum(T, simplex_rule(m, deg), p)
             if prev is not None and abs(acc - prev) <= 1e-10 * (1.0 + abs(acc)):
                 return acc
             prev = acc
@@ -470,14 +457,7 @@ class PolyForm:
                 return 0.0
             sub = PolyForm(self.degree, self.complex, {T: tr})
             return sub.sup_norm(T, resolution)
-        m = len(T) - 1
-        minor = self._minor_fn(T)
-        best = 0.0
-        for combo in _lattice(m, resolution):
-            v = self._norm_sq_poly_value(T, np.array(combo), minor)
-            if v > best:
-                best = v
-        return math.sqrt(best)
+        return math.sqrt(float(self._norm_sq_at(T, _lattice(len(T) - 1, resolution)).max()))
 
     def sl_pi_norm(self, pi: PiSequence, resolution: int = 8) -> float:
         """Per-simplex sup-norm Sobolev norm; the second sum runs over d(omega)."""
@@ -500,31 +480,21 @@ class PolyForm:
             total += self.d().lp_norm(pi[k + 1])
         return total
 
-    def norm_report(self, pi: PiSequence, p: float | None = None,
-                    resolution: int = 8) -> FormNormReport:
-        k = self.degree
-        return FormNormReport(
-            lp=self.lp_norm(p if p is not None else pi[k]),
-            sup_per_simplex={T: self.sup_norm(T, resolution) for T in self.pieces},
-            sl_pi=self.sl_pi_norm(pi, resolution),
-            omega_pi=self.omega_pi_norm(pi),
-        )
-
     def continuity_defect(self, samples: int = 4) -> float:
-        """Max mismatch of traces of adjacent pieces on shared faces."""
+        """Max mismatch of the traces of adjacent pieces, on the lattice of
+        every face shared by two or more maximal simplices.  A maximal
+        simplex without a piece contributes the zero trace."""
         worst = 0.0
-        tops = list(self.pieces)
-        for i, T in enumerate(tops):
-            for S in tops[i + 1 :]:
-                shared = tuple(sorted(set(T) & set(S)))
-                if len(shared) < 1:
-                    continue
-                a = pullback(self.pieces[T], selection(T, shared))
-                b = pullback(self.pieces[S], selection(S, shared))
-                diff = t_add(a, b, -1.0)
-                for t in _lattice(len(shared) - 1, samples):
-                    for v in t_eval(diff, np.array(t)).values():
-                        worst = max(worst, abs(v))
+        for sigma, tops in self.complex.carriers.items():
+            l = len(sigma) - 1
+            if len(tops) < 2 or l < self.degree or not any(T in self.pieces for T in tops):
+                continue
+            pts = _lattice(l, samples)
+            vals = np.array([
+                _components_at(pullback(self.piece(T), selection(T, sigma)), pts, self.degree)
+                for T in tops
+            ])
+            worst = max(worst, float((vals.max(axis=0) - vals.min(axis=0)).max()))
         return worst
 
 
@@ -538,14 +508,10 @@ def _permutation_sign(tau: tuple[int, ...]) -> int:
     return sign
 
 
-def _lattice(m: int, r: int):
-    """Reduced barycentric lattice points with coordinates i/r."""
-    if m == 0:
-        yield ()
-        return
-    for combo in itertools.product(range(r + 1), repeat=m):
-        if sum(combo) <= r:
-            yield tuple(c / r for c in combo)
+def _lattice(m: int, r: int) -> np.ndarray:
+    """Reduced barycentric lattice points with coordinates i/r, one per row."""
+    combos = [c for c in itertools.product(range(r + 1), repeat=m) if sum(c) <= r]
+    return np.array(combos, dtype=float).reshape(len(combos), m) / r
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,14 @@ def test_malformed_file_is_usage_error(tmp_path):
     assert main(["validate", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_duplicate_cochain_line_is_usage_error(triangle_file, tmp_path, capsys):
+    p, _ = triangle_file
+    cf = tmp_path / "dup.txt"
+    cf.write_text("degree 1\n0 1 1.0\n0 1 2.0\n")
+    assert main(["norm", str(p), str(cf), "--p", "2"]) == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
 def test_unknown_suite_exit_2():
     assert main(["verify", "nonsense"]) == 2
 

@@ -15,7 +15,13 @@ from lpiforms.cochains import (
 )
 from lpiforms.complexes import PiSequence, barycentric_subdivide, ray_complex
 from lpiforms.derham import whitney
-from lpiforms.errors import BadCarrier, BadDimension, BadExponent, MissingSimplex
+from lpiforms.errors import (
+    BadCarrier,
+    BadDimension,
+    BadExponent,
+    DuplicateSimplex,
+    MissingSimplex,
+)
 
 from conftest import simplex_complex, sphere_complex
 
@@ -95,6 +101,15 @@ def test_io_round_trip():
     assert read_cochain(write_cochain(c), K).values == c.values
     with pytest.raises(ValueError):
         read_cochain("no header", K)
+
+
+def test_read_cochain_rejects_duplicate_lines():
+    K = ray_complex(1, 3)
+    with pytest.raises(DuplicateSimplex):
+        read_cochain("degree 1\n0 1 1.0\n0 1 2.0\n", K)
+    # the same value twice is still a malformed file
+    with pytest.raises(DuplicateSimplex):
+        read_cochain("degree 1\n0 1 1.0\n1 2 3.0\n0 1 1.0\n", K)
 
 
 def test_coboundary_norm_bound_holds():

@@ -283,6 +283,26 @@ def test_kernel_built_once_per_grid_and_dimension(monkeypatch):
     assert not cfg.nodes.flags.writeable and not cfg.weights.flags.writeable
 
 
+def test_mask_built_once_per_grid(monkeypatch):
+    real = mollify._ball_mask.__wrapped__
+    built = []
+
+    def counting_mask(n, h):
+        built.append((n, h))
+        return real(n, h)
+
+    monkeypatch.setattr(mollify, "_ball_mask", functools.lru_cache(maxsize=None)(counting_mask))
+    om = GridForm.from_function(2, 1 / 16, 1, {(0,): lambda x, y: x * y, (1,): lambda x, y: x})
+    verify_homotopy(om, MollifierConfig(0.1, n=2), tol=1.0)
+    line = GridForm.from_function(1, 1 / 16, 0, {(): lambda x: x})
+    (line + line.scale(2.0)) - line
+    assert built == [(2, 1 / 16), (1, 1 / 16)]
+    for f in (om, line):
+        mask = f.mask()
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, np.linalg.norm(f.points(), axis=-1) < 1.0)
+
+
 def test_homotopy_2d_h_sweep():
     """The criterion 4 form in 2-D: the residual falls as h halves, at about
     first order (ratios near 1.5 and 1.9), not the h^2 of the 1-D case."""

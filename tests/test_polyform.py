@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from lpiforms.polyform import (
     PolyForm,
     monomial_integral,
     prism_extend,
+    pullback,
+    selection,
     simplex_rule,
     t_add,
     t_d,
@@ -300,3 +303,150 @@ def test_from_barycentric_hand_expansion(triangle):
         ((0, 0), ()): 1.0, ((1, 0), ()): -2.0, ((0, 1), ()): -2.0,
         ((2, 0), ()): 1.0, ((1, 1), ()): 2.0, ((0, 2), ()): 1.0,
     }
+
+
+def test_continuity_defect_measures_a_perturbed_piece(subdivided_triangle):
+    S = subdivided_triangle
+    rng = np.random.default_rng(8)
+    delta = 0.375
+    for k, bump in ((0, {((0, 0), ()): delta}), (1, {((0, 0), (1,)): delta})):
+        c = Cochain(k, {s: float(rng.normal()) for s in S.simplices_of_dim(k)}, S)
+        w = whitney(c)
+        # the last small triangle is (vertex, edge midpoint, barycentre): dt_1
+        # traces to -ds on its edge (midpoint, barycentre), which it shares
+        T = S.maximal_simplices()[-1]
+        pieces = dict(w.pieces)
+        pieces[T] = t_add(pieces[T], bump)
+        bent = PolyForm(k, S, pieces)
+        assert bent.continuity_defect() == pytest.approx(delta, abs=1e-12)
+    # a maximal simplex without a piece carries the zero trace
+    T = S.maximal_simplices()[0]
+    lone = PolyForm(0, S, {T: {((0, 0), ()): 2.5}})
+    assert lone.continuity_defect() == pytest.approx(2.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_lp_norm_against_sympy_on_a_non_regular_tetrahedron(k):
+    verts = [(0, 0, 0), (2, 0, 0), (sp.Rational(1, 2), sp.Rational(3, 2), 0),
+             (sp.Rational(1, 3), sp.Rational(1, 4), sp.Rational(5, 4))]
+    K = build_complex({i: tuple(float(x) for x in v) for i, v in enumerate(verts)},
+                      [(0, 1, 2, 3)])
+    T = (0, 1, 2, 3)
+    E = sp.Matrix([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]])
+    ginv = (E * E.T).inv()
+    ts = sp.symbols("t1:4")
+    rng = np.random.default_rng(60 + k)
+    terms = {}
+    for _ in range(3):
+        exps = tuple(int(rng.integers(0, 2)) for _ in range(3))
+        idx = tuple(sorted(int(i) + 1 for i in rng.choice(3, size=k, replace=False)))
+        terms[(exps, idx)] = float(rng.integers(-4, 5) or 1)
+    om = PolyForm(k, K, {T: terms})
+    comp: dict = {}
+    for (e, I), c in terms.items():
+        comp[I] = comp.get(I, 0) + sp.Integer(int(c)) * sp.prod([t**a for t, a in zip(ts, e)])
+    norm_sq = sum(comp[I] * comp[J] * ginv.extract([i - 1 for i in I], [j - 1 for j in J]).det()
+                  for I in comp for J in comp)
+    for p in (2, 4):
+        # the reduced coordinates map the reference simplex onto T with
+        # Jacobian |det E|
+        exact = abs(E.det()) * _sympy_simplex_integral(sp.expand(norm_sq ** (p // 2)), ts)
+        want = float(exact) ** (1.0 / p)
+        assert om.lp_norm(float(p)) == pytest.approx(want, rel=1e-12)
+
+
+def _random_source_terms(rng, rows, reduced, k, count=4):
+    first = 1 if reduced else 0
+    terms = {}
+    for _ in range(count):
+        exps = tuple(int(rng.integers(0, 3)) for _ in range(rows - first))
+        idx = tuple(sorted(int(i) + first for i in rng.choice(rows - first, size=k, replace=False)))
+        terms[(exps, idx)] = float(rng.normal())
+    return terms
+
+
+def _sympy_pullback(terms, B):
+    """Reference expansion: source variable i is l_i = sum_j B[i][j] lam_j
+    with lam_0 = 1 - sum t and lam_j = t_j, and by Cauchy-Binet the dt_J
+    component of dl_I is det(D[I, J]) with D[i][j] = B[i][j] - B[i][0]."""
+    Bq = sp.Matrix([[sp.Rational(x) for x in row] for row in B])
+    m = Bq.cols - 1
+    ts = sp.symbols(f"t1:{m + 1}")
+    lam = sp.Matrix([1 - sum(ts)] + list(ts))
+    ls = Bq * lam
+    D = Bq[:, 1:] - Bq[:, 0] * sp.ones(1, m)
+    out = {}
+    for (exps, idx), c in terms.items():
+        first = len(B) - len(exps)
+        poly = sp.Rational(c) * sp.prod([ls[i] ** a for i, a in enumerate(exps, start=first)])
+        for J in itertools.combinations(range(1, m + 1), len(idx)):
+            minor = D.extract(list(idx), [j - 1 for j in J]).det() if idx else 1
+            for mono, coeff in sp.Poly(sp.expand(poly * minor), *ts).terms():
+                key = (tuple(mono), J)
+                out[key] = out.get(key, 0) + coeff
+    return {key: float(v) for key, v in out.items() if v != 0}
+
+
+def test_pullback_matches_uncached_reference_expansion():
+    rng = np.random.default_rng(23)
+    cases = [
+        selection((0, 1), (0, 0, 1)),   # prism_extend: base vertex j -> its prism vertices
+        selection((0,), (0, 0, 1)),     # prism_extend: 1 - t as the level-0 sum
+        selection((0, 1, 2), (0, 1, 2)),
+        rng.normal(size=(3, 4)).tolist(),
+        rng.normal(size=(2, 3)).tolist(),
+    ]
+    for B in cases:
+        for reduced in (False, True):
+            rows = len(B)
+            for k in range(min(rows - reduced, len(B[0]) - 1) + 1):
+                terms = _random_source_terms(rng, rows, reduced, k)
+                got, want = pullback(terms, B), _sympy_pullback(terms, B)
+                scale = max(abs(v) for v in want.values()) if want else 1.0
+                assert set(got) <= set(want) | {key for key, v in got.items()
+                                                if abs(v) <= 1e-12 * scale}
+                for key, v in want.items():
+                    assert got.get(key, 0.0) == pytest.approx(v, abs=1e-12 * scale)
+
+
+def test_pullback_results_do_not_share_state():
+    B = selection((0, 1, 2), (0, 1, 2, 3))
+    for terms in ({((1, 0, 2), (0,)): 1.0}, {((1, 0), (1,)): 2.0, ((0, 2), (2,)): -1.5}):
+        first = pullback(terms, B)
+        want = dict(first)
+        for key in list(first):
+            first[key] = 99.0
+        first[((9, 9, 9), (1,))] = 1.0
+        assert pullback(terms, B) == want
+        first.clear()
+        assert pullback(terms, [list(row) for row in B]) == want
+
+
+def test_pointwise_values_match_a_per_term_loop():
+    # evaluate, norm_at and sup_norm against a plain loop over the terms and
+    # the Gram-inverse minors of a non-regular tetrahedron
+    K = build_complex({0: (0.0, 0.0, 0.0), 1: (2.0, 0.0, 0.0), 2: (0.5, 1.5, 0.0),
+                       3: (0.3, 0.2, 1.25)}, [(0, 1, 2, 3)])
+    T = (0, 1, 2, 3)
+    edges = K.coords(T)[1:] - K.coords(T)[0]
+    ginv = np.linalg.inv(edges @ edges.T)
+    rng = np.random.default_rng(29)
+    lattice = [np.array(x) / 3.0 for x in itertools.product(range(4), repeat=3) if sum(x) <= 3]
+    for k in range(4):
+        om = PolyForm(k, K, {T: _random_terms(rng, 3, k, 5)})
+        squares = []
+        for x in lattice + [rng.uniform(0, 1 / 3, 3) for _ in range(5)]:
+            comp = {}
+            for (e, I), c in om.pieces[T].items():
+                comp[I] = comp.get(I, 0.0) + c * float(np.prod(x ** np.array(e)))
+            got = om.evaluate(T, x)
+            assert set(got) == set(comp)
+            for I, v in comp.items():
+                assert got[I] == pytest.approx(v, rel=1e-12, abs=1e-14)
+            sq = max(0.0, sum(
+                comp[I] * comp[J] * np.linalg.det(ginv[np.ix_([i - 1 for i in I], [j - 1 for j in J])])
+                for I in comp for J in comp))
+            assert om.norm_at(T, x) == pytest.approx(math.sqrt(sq), rel=1e-12, abs=1e-14)
+            squares.append(sq)
+        best = max(squares[: len(lattice)])
+        assert om.sup_norm(T, resolution=3) == pytest.approx(math.sqrt(best), rel=1e-12)
