@@ -198,7 +198,8 @@ _rule_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 def simplex_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Conical-product rule on the reference m-simplex, exact for total
     degree <= degree.  Returns (points in reduced coords (npts, m), weights
-    summing to 1); the integral of f dV is vol * sum w_i f(x_i)."""
+    summing to 1); the integral of f dV is vol * sum w_i f(x_i).  Both
+    arrays are cached and read-only, since every caller shares them."""
     q = max(1, (degree + 2) // 2)
     key = (m, q)
     if key in _rule_cache:
@@ -228,6 +229,8 @@ def simplex_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
         pts = np.array(pts_list)
         wts = np.array(wts_list)
         wts = wts / wts.sum()  # normalize: weights vs. volume measure
+    pts.setflags(write=False)
+    wts.setflags(write=False)
     _rule_cache[key] = (pts, wts)
     return pts, wts
 

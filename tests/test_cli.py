@@ -45,6 +45,12 @@ def test_duplicate_cochain_line_is_usage_error(triangle_file, tmp_path, capsys):
     assert "listed twice" in capsys.readouterr().err
 
 
+def test_verify_mollify_passes_at_its_defaults(capsys):
+    assert main(["verify", "mollify"]) == 0
+    out = capsys.readouterr().out
+    assert "tol: 0.001" in out and "pass: True" in out
+
+
 def test_unknown_suite_exit_2():
     assert main(["verify", "nonsense"]) == 2
 

@@ -254,6 +254,55 @@ def test_displacement_bound_matches_per_node_reference(n, eps):
     assert displacement_bound(omega, cfg) == pytest.approx(ref, rel=1e-12)
 
 
+def _public_residual(omega, cfg):
+    """The homotopy residual of `verify_homotopy`, one public operator at a
+    time: each R through `regularize`, each A through `homotopy_A`."""
+    k = omega.degree
+    rhs = regularize(omega, cfg) - omega
+    if k == 0:
+        lhs = homotopy_A(grid_d(omega), cfg)
+    elif k < omega.n:
+        lhs = grid_d(homotopy_A(omega, cfg)) + homotopy_A(grid_d(omega), cfg)
+    else:
+        lhs = grid_d(homotopy_A(omega, cfg))
+    region = interior_region(omega, cfg.epsilon + 2.0 * omega.h)
+    return (lhs - rhs).max_norm(region)
+
+
+@pytest.mark.parametrize("n,k", CASES)
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_shared_loop_matches_public_operators(n, k, eps):
+    omega = _sample(n, 1 / 32 if n == 1 else 1 / 16, k, seed=20 + 10 * n + k)
+    cfg = MollifierConfig(eps, n=n)
+    rep = verify_homotopy(omega, cfg, tol=1.0)
+    assert rep.residual == _public_residual(omega, cfg)
+    assert rep.detail["collar"] == eps + 2.0 * omega.h
+
+
+def _blocked_outputs():
+    cfg = MollifierConfig(0.1, kernel_grid=5, n=2)
+    out = []
+    for k in (0, 1, 2):
+        omega = _sample(2, 1 / 128, k, seed=30 + k)
+        out += list(regularize(omega, cfg).components.values())
+        if k > 0:
+            out += list(cone_S(omega).components.values())
+    out.append(displacement_bound(_sample(2, 1 / 128, 0, seed=30), cfg))
+    return out
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    default = _blocked_outputs()
+    nodes = int(_sample(2, 1 / 128, 0, seed=30).mask().sum())
+    for size in (1000, nodes):  # block edges mid-row; one block
+        monkeypatch.setattr(mollify, "_BLOCK", size)
+        assert len(mollify._blocks(nodes)) == -(-nodes // size)
+        got = _blocked_outputs()
+        assert len(got) == len(default)
+        for a, b in zip(got, default):
+            assert np.array_equal(a, b)
+
+
 def test_kernel_built_once_per_grid_and_dimension(monkeypatch):
     real = mollify._kernel.__wrapped__
     built = []

@@ -51,6 +51,19 @@ def test_quadrature_matches_monomials(m):
         assert approx == pytest.approx(monomial_integral(exps, m), abs=1e-13)
 
 
+def test_cached_rule_is_read_only():
+    pts, wts = simplex_rule(1, 4)
+    with pytest.raises(ValueError):
+        pts[:] = 0.0
+    with pytest.raises(ValueError):
+        wts[:] = 0.0
+    assert simplex_rule(1, 4)[0] is pts
+    # the L2 norm of t_1 on a unit edge is sqrt(1/3), through the same rule
+    K = build_complex({0: (0.0,), 1: (1.0,)}, [(0, 1)])
+    t1 = PolyForm(0, K, {(0, 1): {((1,), ()): 1.0}})
+    assert t1.lp_norm(2.0) == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-14)
+
+
 def test_exterior_derivative_known():
     # d(t1) = dt1 on a triangle
     terms = {((1, 0), ()): 1.0}
