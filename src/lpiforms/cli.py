@@ -1,5 +1,9 @@
 """Command-line driver: construction, norms, and verification suites.
 
+`verify` has one subcommand per suite, and each declares only the options
+its check reads, with that suite's defaults (`lpiforms verify <suite> -h`
+lists them), so an option of another suite is a usage error.
+
 Exit codes: 0 = all asserted tolerances met, 1 = an assertion failed or a
 numerical step raised LinAlgError, 2 = usage or parse error.  Reports are
 key:value lines; the counterexample suite can also emit a CSV of partial sums.
@@ -8,6 +12,7 @@ key:value lines; the counterexample suite can also emit a CSV of partial sums.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -21,9 +26,13 @@ from .contract import (
     contract,
     verify_contraction,
 )
-from .cochains import lp_norm, pi_norm, read_cochain
+from .cochains import Cochain, lp_norm, pi_norm, read_cochain
 from .complexes import PiSequence, read_complex
+from .derham import derham_map, verify_split, verify_stokes, whitney
 from .errors import LpiFormsError
+from .mollify import GridForm, MollifierConfig, verify_homotopy
+from .nontrivial import verify_nontriviality
+from .polyform import PolyForm
 
 
 def _emit(pairs):
@@ -80,8 +89,6 @@ def cmd_norm(args) -> int:
 
 
 def cmd_whitney(args) -> int:
-    from .derham import whitney
-
     K = _load_complex(args.path)
     with open(args.cochain) as fh:
         c = read_cochain(fh.read(), K)
@@ -97,8 +104,6 @@ def cmd_whitney(args) -> int:
 
 def cmd_derham(args) -> int:
     """Round trip: Whitney form of the cochain, integrated back."""
-    from .derham import derham_map, whitney
-
     K = _load_complex(args.path)
     with open(args.cochain) as fh:
         c = read_cochain(fh.read(), K)
@@ -141,8 +146,6 @@ def _default_split_complex():
 
 
 def _verify_split(args) -> tuple[bool, list]:
-    from .derham import verify_split
-
     K = _load_complex(args.complex) if args.complex else _default_split_complex()
     rep = verify_split(K, args.k, args.samples, seed=args.seed)
     ok = rep.max_identity_error <= args.tol
@@ -154,12 +157,6 @@ def _verify_split(args) -> tuple[bool, list]:
 
 
 def _verify_stokes(args) -> tuple[bool, list]:
-    from .derham import verify_stokes
-    from .polyform import PolyForm
-
-    from .cochains import Cochain
-    from .derham import whitney
-
     K = _load_complex(args.complex) if args.complex else _default_split_complex()
     rng = np.random.default_rng(args.seed)
     tops = K.maximal_simplices()
@@ -190,8 +187,6 @@ def _verify_stokes(args) -> tuple[bool, list]:
 
 
 def _verify_mollify(args) -> tuple[bool, list]:
-    from .mollify import GridForm, MollifierConfig, verify_homotopy
-
     h = 1.0 / args.grid
     if args.n == 1:
         omega = GridForm.from_function(
@@ -226,11 +221,8 @@ def _verify_contract(args) -> tuple[bool, list]:
 
 
 def _verify_nontrivial(args) -> tuple[bool, list]:
-    from .nontrivial import verify_nontriviality
-
     pi = PiSequence((args.pk, args.pk1), 1)
-    M = int(float(args.trunc))
-    rep = verify_nontriviality(pi, args.eps, [M])
+    rep = verify_nontriviality(pi, args.eps, [args.trunc])
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(rep.csv())
@@ -248,28 +240,56 @@ def _verify_nontrivial(args) -> tuple[bool, list]:
     return rep.passed, pairs
 
 
-# Default --tol per suite: the chain identities hold to rounding, while the
-# mollifier homotopy holds only up to its discretization error.
-_SUITE_TOL = {"split": 1e-10, "stokes": 1e-10, "mollify": 1e-3, "contract": 1e-10}
-
-
 def cmd_verify(args) -> int:
-    if args.tol is None:
-        args.tol = _SUITE_TOL.get(args.suite)
-    runners = {
-        "split": _verify_split,
-        "stokes": _verify_stokes,
-        "mollify": _verify_mollify,
-        "contract": _verify_contract,
-        "nontrivial": _verify_nontrivial,
-    }
     t0 = time.time()
-    ok, pairs = runners[args.suite](args)
+    ok, pairs = args.run(args)
     _emit([("suite", args.suite)] + pairs + [
         ("elapsed", f"{time.time() - t0:.3f}"),
         ("pass", ok),
     ])
     return 0 if ok else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _truncation(text: str) -> int:
+    """A finite number >= 1, such as 1e6, truncated to an integer."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 1.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text!r}")
+    return int(value)
+
+
+# The options of the verify suites; each suite declares only those it reads.
+_OPTIONS = {
+    "complex": dict(help="complex file; without it, a subdivided triangle"),
+    "k": dict(type=int, default=1, help="cochain degree"),
+    "samples": dict(type=_positive_int, default=100, help="random trials"),
+    "seed": dict(type=int, default=0, help="random seed"),
+    "n": dict(type=int, choices=(1, 2), default=1, help="ball dimension"),
+    "grid": dict(type=_positive_int, default=256, help="h = 1/grid"),
+    "eps": dict(type=float, default=0.1, help="epsilon"),
+    "pk": dict(type=float, default=2.0, help="exponent p_0"),
+    "pk1": dict(type=float, default=4.0, help="exponent p_1"),
+    "trunc": dict(type=_truncation, default="1e6", help="series truncation"),
+    "csv": dict(help="write partial-sum CSV here"),
+}
+
+# suite -> (runner, help, options, default --tol or None for no --tol).  The
+# chain identities hold to rounding, while the mollifier homotopy holds only
+# up to its discretization error.
+_SUITES = {
+    "split": (_verify_split, "Whitney/de Rham retraction", "complex k samples seed", 1e-10),
+    "stokes": (_verify_stokes, "Stokes' theorem", "complex samples seed", 1e-10),
+    "mollify": (_verify_mollify, "mollifier homotopy on the ball", "n grid eps", 1e-3),
+    "contract": (_verify_contract, "contracting homotopy", "complex", 1e-10),
+    "nontrivial": (_verify_nontrivial, "bump-family counterexample", "pk pk1 eps trunc csv", None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,22 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_contract)
 
     p = sub.add_parser("verify", help="verification suites")
-    p.add_argument("suite",
-                   choices=["split", "stokes", "mollify", "contract", "nontrivial"])
-    p.add_argument("--complex", help="complex file (suites with a default omit it)")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float,
-                   help="default 1e-3 for mollify, 1e-10 for the other suites")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--pk", type=float, default=2.0)
-    p.add_argument("--pk1", type=float, default=4.0)
-    p.add_argument("--trunc", default="1e6")
-    p.add_argument("--csv", help="write partial-sum CSV here")
-    p.set_defaults(fn=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for name, (run, text, options, tol) in _SUITES.items():
+        q = suites.add_parser(name, help=text,
+                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        q.set_defaults(fn=cmd_verify, run=run)
+        for opt in options.split():
+            q.add_argument("--" + opt, **_OPTIONS[opt])
+        if tol is not None:
+            q.add_argument("--tol", type=float, default=tol, help="pass threshold")
     return ap
 
 

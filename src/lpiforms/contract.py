@@ -23,6 +23,7 @@ from .complexes import MetricComplex
 
 SIZE_LIMIT = 2000
 RANK_RTOL = 1e-10
+STEP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -105,63 +106,59 @@ def _rank(D: np.ndarray) -> int:
     return int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
 
 
-def cohomology_dims(M: MatrixComplex) -> list[int]:
-    """dim ker D_i - rank D_{i-1} per degree, by SVD rank."""
+def _exact_rank(D: np.ndarray) -> int:
+    """Rank by Gaussian elimination over the rationals; the entries must be
+    (near-)integers, as coboundary matrices are."""
+    if D.size == 0:
+        return 0
+    rows = [[Fraction(x).limit_denominator(10**6) for x in row] for row in D]
+    r = 0  # the rank so far, and the next pivot row
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def _cohomology(M: MatrixComplex, rank) -> list[int]:
+    """dim ker D_i - rank D_{i-1} per degree, with the given rank function."""
     out = []
     for i in range(M.top + 1):
-        ker = M.dims[i] - (_rank(M.matrix(i)) if i < M.top else 0)
-        im = _rank(M.matrix(i - 1)) if i > 0 else 0
+        ker = M.dims[i] - (rank(M.matrix(i)) if i < M.top else 0)
+        im = rank(M.matrix(i - 1)) if i > 0 else 0
         out.append(ker - im)
     return out
+
+
+def cohomology_dims(M: MatrixComplex) -> list[int]:
+    """dim ker D_i - rank D_{i-1} per degree, by SVD rank."""
+    return _cohomology(M, _rank)
 
 
 def rational_cohomology_dims(M: MatrixComplex) -> list[int]:
-    """Exact oracle: ranks by Gaussian elimination over the rationals.
-    Entries must be (near-)integers, as coboundary matrices are."""
-
-    def exact_rank(D: np.ndarray) -> int:
-        if D.size == 0:
-            return 0
-        rows = [[Fraction(x).limit_denominator(10**6) for x in row] for row in D]
-        rank = 0
-        ncols = len(rows[0])
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][c]
-            rows[r] = [x / inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-            rank += 1
-            if r == len(rows):
-                break
-        return rank
-
-    out = []
-    for i in range(M.top + 1):
-        ker = M.dims[i] - (exact_rank(M.matrix(i)) if i < M.top else 0)
-        im = exact_rank(M.matrix(i - 1)) if i > 0 else 0
-        out.append(ker - im)
-    return out
+    """Exact oracle: the same dimensions with ranks over the rationals."""
+    return _cohomology(M, _exact_rank)
 
 
-def contract(
-    M: MatrixComplex, start_degree: int = 1, step_tol: float = 1e-8
-) -> Contraction | ContractionFailure:
-    """Descending induction producing h with D h + h D = 1 in degrees
-    >= start_degree.  Fails (with the degree and residual) on the first
-    degree where the right-inverse equation d eta = 1 is unsolvable on
-    the cycles, i.e. where cohomology is present."""
+def contract(M: MatrixComplex) -> Contraction | ContractionFailure:
+    """Descending induction producing h with D h + h D = 1 in degrees >= 1.
+    Fails (with the degree and residual) on the first degree where a
+    residual exceeds STEP_TOL: where the right-inverse equation d eta = 1
+    is unsolvable on the cycles, i.e. where cohomology is present."""
     n = M.top
     h: dict[int, np.ndarray] = {}
     alpha_prev = np.eye(M.dims[n]) if M.dims else np.zeros((0, 0))
-    for i in range(n, start_degree - 1, -1):
+    for i in range(n, 0, -1):
         Dm = M.matrix(i - 1)  # degree i-1 -> i
         eta = np.linalg.pinv(Dm, rcond=RANK_RTOL)
         h_i = eta @ alpha_prev
@@ -171,10 +168,10 @@ def contract(
         else:
             resid_mat = Dm @ h_i + h[i + 1] @ M.matrix(i) - np.eye(M.dims[i])
         residual = float(np.abs(resid_mat).max()) if resid_mat.size else 0.0
-        if residual > step_tol:
+        if residual > STEP_TOL:
             return ContractionFailure(degree=i, residual=residual)
         closure = float(np.abs(Dm @ alpha).max()) if Dm.size else 0.0
-        if closure > step_tol:
+        if closure > STEP_TOL:
             return ContractionFailure(degree=i - 1, residual=closure)
         h[i] = h_i
         alpha_prev = alpha
@@ -189,11 +186,11 @@ class ContractionReport:
 
 
 def verify_contraction(
-    M: MatrixComplex, h: Contraction, tol: float = 1e-8, start_degree: int = 1
+    M: MatrixComplex, h: Contraction, tol: float = 1e-8
 ) -> ContractionReport:
-    """Entrywise residual of D_{i-1} h^i + h^{i+1} D_i - 1 per degree."""
+    """Entrywise residual of D_{i-1} h^i + h^{i+1} D_i - 1 per degree >= 1."""
     residuals = {}
-    for i in range(start_degree, M.top + 1):
+    for i in range(1, M.top + 1):
         hi = h.matrix(i)
         if hi is None:
             continue

@@ -22,17 +22,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochains import Cochain, coboundary
+from .cochains import Cochain, coboundary, indicator, lp_norm
 from .complexes import MetricComplex, SimplexKey
+from .errors import BadDimension
 from .polyform import PolyForm, Terms, pullback, selection, t_add, t_scale
 
 
 @dataclass(frozen=True)
 class SplitReport:
     max_identity_error: float
+    sample_count: int
+    bound_ratios: dict[str, float]
+
+
+@dataclass(frozen=True)
+class StokesReport:
     max_stokes_error: float
     sample_count: int
-    bound_ratios: dict[str, float] | None = None
 
 
 def whitney_factor(k: int) -> float:
@@ -72,25 +78,22 @@ def derham_map(
     return Cochain(k, values, K)
 
 
-def verify_split(
-    K: MetricComplex, k: int, samples: int, seed: int = 0, weighted: bool = True
-) -> SplitReport:
-    """Check that integration is a retraction of the (rescaled) Whitney map.
+def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> SplitReport:
+    """Check that volume-weighted integration is a retraction of the
+    (rescaled) Whitney map on k-cochains, 0 <= k <= dim K.
 
     The Whitney image of each indicator is rescaled per simplex by its own
     computed integral, so the identity holds exactly on non-regular
     complexes too.  Boundedness ratios of both maps are recorded.
     """
+    if not 0 <= k <= K.dim:
+        raise BadDimension(f"no {k}-cochains on a complex of dimension {K.dim}")
     rng = np.random.default_rng(seed)
     sigmas = K.simplices_of_dim(k)
-    if not sigmas:
-        return SplitReport(0.0, 0.0, 0)
-    from .cochains import indicator, lp_norm
-
     diag = {}
     for sigma in sigmas:
         w = whitney(indicator(K, sigma))
-        diag[sigma] = w.integrate(sigma, weighted=weighted)
+        diag[sigma] = w.integrate(sigma)
     max_err = 0.0
     ratio_i = 0.0
     ratio_w = 0.0
@@ -100,7 +103,7 @@ def verify_split(
         c = Cochain(k, vals, K)
         scaled = Cochain(k, {s: v / diag[s] for s, v in c.values.items()}, K)
         form = whitney(scaled)
-        image = derham_map(form, K, k, weighted=weighted)
+        image = derham_map(form, K, k, weighted=True)
         err = max(
             abs(image(s) - c(s))
             for s in set(image.values) | set(c.values) | set(sigmas)
@@ -114,13 +117,12 @@ def verify_split(
             ratio_w = max(ratio_w, nf / nc)
     return SplitReport(
         max_identity_error=max_err,
-        max_stokes_error=0.0,
         sample_count=samples,
         bound_ratios={"derham_over_form": ratio_i, "whitney_over_cochain": ratio_w},
     )
 
 
-def verify_stokes(omega: PolyForm, K: MetricComplex) -> SplitReport:
+def verify_stokes(omega: PolyForm, K: MetricComplex) -> StokesReport:
     """Entrywise residual of I(d omega) - coboundary(I omega) over the
     (k+1)-simplices, with the metric-free integral."""
     k = omega.degree
@@ -128,8 +130,7 @@ def verify_stokes(omega: PolyForm, K: MetricComplex) -> SplitReport:
     rhs = coboundary(derham_map(omega, K, k, weighted=False))
     keys = set(lhs.values) | set(rhs.values) | set(K.simplices_of_dim(k + 1))
     err = max((abs(lhs(s) - rhs(s)) for s in keys), default=0.0)
-    return SplitReport(
-        max_identity_error=0.0,
+    return StokesReport(
         max_stokes_error=err,
         sample_count=len(K.simplices_of_dim(k + 1)),
     )

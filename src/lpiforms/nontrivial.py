@@ -70,9 +70,10 @@ def _gauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def profile_reference_integral(p: float, n: int = 1, quad: int = 200) -> float:
-    """c_p = (integral of Psi^p over the unit ball)^(1/p), by quadrature."""
-    t, w = _gauss(quad)
+def profile_reference_integral(p: float, n: int = 1) -> float:
+    """c_p = (integral of Psi^p over the unit ball)^(1/p), by a 200-node
+    Gauss-Legendre rule per axis."""
+    t, w = _gauss(200)
     if n == 1:
         val = float(np.sum(w * bump_profile(t) ** p))
     else:
@@ -219,11 +220,12 @@ def _norm_verdict(fam: BumpFamily, p: float, which: str, base: SeriesVerdict) ->
     return dataclasses.replace(base, constant=const)
 
 
-def _edge_quad(fn, x0, x1, nodes: int = 96) -> np.ndarray:
-    """Integrals of fn over the intervals [x0, x1], one per element of the
-    broadcast endpoint arrays.  fn receives the quadrature points with the
-    node axis last and returns values of the same shape."""
-    t, w = _gauss(nodes)
+def _edge_quad(fn, x0, x1) -> np.ndarray:
+    """Integrals of fn over the intervals [x0, x1] by a 96-node
+    Gauss-Legendre rule, one per element of the broadcast endpoint arrays.
+    fn receives the quadrature points with the node axis last and returns
+    values of the same shape."""
+    t, w = _gauss(96)
     x0 = np.asarray(x0, dtype=float)[..., None]
     x1 = np.asarray(x1, dtype=float)[..., None]
     x = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * t
@@ -248,11 +250,11 @@ class KernelReport:
         return max(self.max_point_value, self.max_edge_integral)
 
 
-def derham_kernel_check(fam: BumpFamily, limit: int | None = None) -> KernelReport:
+def derham_kernel_check(fam: BumpFamily) -> KernelReport:
     """Integrate omega_i over vertices and d(omega_i) over edges of the
     host ray; all values must vanish (supports are interior to single
     edges, and each edge integral of the derivative telescopes to 0)."""
-    geo = fam.geometry_cap if limit is None else min(limit, fam.geometry_cap)
+    geo = fam.geometry_cap
     i = np.arange(1, geo + 1, dtype=float)
     # omega_i at the vertices of its carrier edge (x = i-1 and x = i)
     ends = np.stack([i - 1.0, i], axis=-1)

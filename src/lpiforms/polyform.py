@@ -81,26 +81,20 @@ def t_add(a: Terms, b: Terms, bs: float = 1.0) -> Terms:
 def t_scale(a: Terms, s: float) -> Terms:
     return t_clean({k: s * v for k, v in a.items()})
 
+def _permutation_sign(tau: tuple[int, ...]) -> int:
+    """Sign of the permutation that sorts tau, by counting inversions."""
+    sign = 1
+    for i in range(len(tau)):
+        for j in range(i + 1, len(tau)):
+            if tau[i] > tau[j]:
+                sign = -sign
+    return sign
+
 def _wedge_indices(i: tuple[int, ...], j: tuple[int, ...]):
     """Merge two ascending index tuples; return (sorted tuple, sign) or None."""
     if set(i) & set(j):
         return None
-    merged = i + j
-    order = sorted(range(len(merged)), key=lambda q: merged[q])
-    # parity of the sorting permutation
-    sign = 1
-    seen = [False] * len(order)
-    for s in range(len(order)):
-        if seen[s]:
-            continue
-        q, cl = s, 0
-        while not seen[q]:
-            seen[q] = True
-            q = order[q]
-            cl += 1
-        if cl % 2 == 0:
-            sign = -sign
-    return tuple(sorted(merged)), sign
+    return tuple(sorted(i + j)), _permutation_sign(i + j)
 
 def t_wedge(a: Terms, b: Terms) -> Terms:
     out: Terms = {}
@@ -410,7 +404,7 @@ class PolyForm:
         pts = np.asarray(t, dtype=float).reshape(1, len(T) - 1)
         return math.sqrt(self._norm_sq_at(tuple(T), pts)[0])
 
-    def lp_norm(self, p: float, quad_degree: int | None = None) -> float:
+    def lp_norm(self, p: float) -> float:
         """||omega||_{Omega_p}: per-simplex integral of |omega|^p, p-th root.
 
         Exact (up to the rule's polynomial exactness) for even integer p;
@@ -419,9 +413,7 @@ class PolyForm:
         """
         if p < 1:
             raise BadExponent(f"p = {p} < 1")
-        if quad_degree is not None:
-            deg = quad_degree
-        elif float(p).is_integer() and int(p) % 2 == 0:
+        if float(p).is_integer() and int(p) % 2 == 0:
             deg = int(p) * (self.poly_degree() + 1)
         else:
             deg = None
@@ -462,17 +454,17 @@ class PolyForm:
             return sub.sup_norm(T, resolution)
         return math.sqrt(float(self._norm_sq_at(T, _lattice(len(T) - 1, resolution)).max()))
 
-    def sl_pi_norm(self, pi: PiSequence, resolution: int = 8) -> float:
+    def sl_pi_norm(self, pi: PiSequence) -> float:
         """Per-simplex sup-norm Sobolev norm; the second sum runs over d(omega)."""
         k = self.degree
         first = sum(
-            self.sup_norm(T, resolution) ** pi[k] for T in self.pieces
+            self.sup_norm(T) ** pi[k] for T in self.pieces
         ) ** (1.0 / pi[k])
         if k >= self.complex.dim:
             return first
         dw = self.d()
         second = sum(
-            dw.sup_norm(T, resolution) ** pi[k + 1] for T in dw.pieces
+            dw.sup_norm(T) ** pi[k + 1] for T in dw.pieces
         )
         return first + second ** (1.0 / pi[k + 1]) if second else first
 
@@ -483,32 +475,22 @@ class PolyForm:
             total += self.d().lp_norm(pi[k + 1])
         return total
 
-    def continuity_defect(self, samples: int = 4) -> float:
+    def continuity_defect(self) -> float:
         """Max mismatch of the traces of adjacent pieces, on the lattice of
-        every face shared by two or more maximal simplices.  A maximal
-        simplex without a piece contributes the zero trace."""
+        spacing 1/4 of every face shared by two or more maximal simplices.  A
+        maximal simplex without a piece contributes the zero trace."""
         worst = 0.0
         for sigma, tops in self.complex.carriers.items():
             l = len(sigma) - 1
             if len(tops) < 2 or l < self.degree or not any(T in self.pieces for T in tops):
                 continue
-            pts = _lattice(l, samples)
+            pts = _lattice(l, 4)
             vals = np.array([
                 _components_at(pullback(self.piece(T), selection(T, sigma)), pts, self.degree)
                 for T in tops
             ])
             worst = max(worst, float((vals.max(axis=0) - vals.min(axis=0)).max()))
         return worst
-
-
-def _permutation_sign(tau: tuple[int, ...]) -> int:
-    sign = 1
-    tau = list(tau)
-    for i in range(len(tau)):
-        for j in range(i + 1, len(tau)):
-            if tau[i] > tau[j]:
-                sign = -sign
-    return sign
 
 
 def _lattice(m: int, r: int) -> np.ndarray:

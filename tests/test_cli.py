@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,14 +46,63 @@ def test_duplicate_cochain_line_is_usage_error(triangle_file, tmp_path, capsys):
     assert "listed twice" in capsys.readouterr().err
 
 
-def test_verify_mollify_passes_at_its_defaults(capsys):
-    assert main(["verify", "mollify"]) == 0
+@pytest.mark.parametrize(
+    "suite, tol",
+    [("mollify", "0.001"), ("split", "1e-10"), ("stokes", "1e-10"), ("contract", "1e-10")],
+    ids=["mollify", "split", "stokes", "contract"],
+)
+def test_verify_mollify_passes_at_its_defaults(suite, tol, capsys):
+    assert main(["verify", suite]) == 0
     out = capsys.readouterr().out
-    assert "tol: 0.001" in out and "pass: True" in out
+    assert f"tol: {tol}" in out and "pass: True" in out
 
 
 def test_unknown_suite_exit_2():
     assert main(["verify", "nonsense"]) == 2
+
+
+# the options each verify suite reads, with the --tol default it prints
+SUITE_OPTIONS = {
+    "split": ({"complex", "k", "samples", "seed", "tol"}, "1e-10"),
+    "stokes": ({"complex", "samples", "seed", "tol"}, "1e-10"),
+    "mollify": ({"n", "grid", "eps", "tol"}, "0.001"),
+    "contract": ({"complex", "tol"}, "1e-10"),
+    "nontrivial": ({"pk", "pk1", "eps", "trunc", "csv"}, None),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+def test_verify_help_lists_only_the_suite_options(suite, capsys):
+    assert main(["verify", suite, "-h"]) == 0
+    out = capsys.readouterr().out
+    options, tol = SUITE_OPTIONS[suite]
+    assert set(re.findall(r"--(\w+)", out)) - {"help"} == options
+    if tol is not None:
+        assert f"pass threshold (default: {tol})" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "mollify --k 2", "nontrivial --tol 1e-30", "contract --samples 3", "stokes --k 1",
+])
+def test_verify_rejects_an_option_of_another_suite(argv, capsys):
+    assert main(["verify", *argv.split()]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "mollify --n 3", "mollify --grid 0", "mollify --grid -4",
+    "split --samples 0", "stokes --samples -3",
+    "nontrivial --trunc inf", "nontrivial --trunc nan", "nontrivial --trunc 0.5",
+])
+def test_verify_rejects_a_bad_value(argv, capsys):
+    assert main(["verify", *argv.split()]) == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["5", "-1"])
+def test_verify_split_degree_out_of_range_is_usage_error(k, capsys):
+    assert main(["verify", "split", "--k", k]) == 2
+    assert "no " + k + "-cochains" in capsys.readouterr().err
 
 
 def test_subdivide_round_trip(triangle_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lpiforms.derham import (
     whitney_factor,
     whitney_normalized,
 )
+from lpiforms.errors import BadDimension
 from lpiforms.polyform import PolyForm
 
 from conftest import regular_simplex, simplex_complex
@@ -71,6 +73,17 @@ def test_verify_split_report(subdivided_triangle):
     assert rep.max_identity_error <= 1e-10
     assert rep.sample_count == 25
     assert rep.bound_ratios["derham_over_form"] > 0
+    assert [f.name for f in fields(rep)] == [
+        "max_identity_error", "sample_count", "bound_ratios"]
+    K = subdivided_triangle
+    stokes = verify_stokes(whitney(indicator(K, K.simplices_of_dim(1)[0])), K)
+    assert [f.name for f in fields(stokes)] == ["max_stokes_error", "sample_count"]
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_verify_split_rejects_a_degree_outside_the_complex(subdivided_triangle, k):
+    with pytest.raises(BadDimension):
+        verify_split(subdivided_triangle, k, samples=3)
 
 
 def test_stokes_on_tetrahedron():
