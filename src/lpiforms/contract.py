@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import MetricComplex
+from .errors import BadDimension
 
 SIZE_LIMIT = 2000
 RANK_RTOL = 1e-10
@@ -34,9 +35,12 @@ class MatrixComplex:
     matrices: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        assert len(self.matrices) == max(len(self.dims) - 1, 0)
+        if len(self.matrices) != max(len(self.dims) - 1, 0):
+            raise BadDimension(f"{len(self.matrices)} matrices for {len(self.dims)} degrees")
         for i, D in enumerate(self.matrices):
-            assert D.shape == (self.dims[i + 1], self.dims[i])
+            if D.shape != (self.dims[i + 1], self.dims[i]):
+                raise BadDimension(f"D_{i} has shape {D.shape}, "
+                                   f"expected {(self.dims[i + 1], self.dims[i])}")
 
     @property
     def top(self) -> int:

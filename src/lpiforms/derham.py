@@ -88,6 +88,8 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
     """
     if not 0 <= k <= K.dim:
         raise BadDimension(f"no {k}-cochains on a complex of dimension {K.dim}")
+    if samples < 1:
+        raise ValueError(f"samples = {samples}: at least 1 required")
     rng = np.random.default_rng(seed)
     sigmas = K.simplices_of_dim(k)
     diag = {}

@@ -149,14 +149,6 @@ class GridForm:
                  for a, f in fns.items()}
         return GridForm(n, h, degree, comps)
 
-    def dump(self) -> str:
-        lines = [f"{self.n} {self.degree} {self.h!r}"]
-        for axes in sorted(self.components):
-            lines.append("component " + " ".join(map(str, axes)))
-            for v in self.components[axes].ravel():
-                lines.append(repr(float(v)))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class MollifierConfig:
@@ -435,8 +427,13 @@ def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> Mollif
     """Residual of d A + A d - (R - 1) away from the mask boundary.
 
     For 0-forms the d A term is absent and the identity reads
-    A(d omega) = R omega - omega.
+    A(d omega) = R omega - omega.  An interior region without a grid node
+    raises ValueError: a residual over no node would pass vacuously.
     """
+    collar = cfg.epsilon + 2.0 * omega.h
+    region = interior_region(omega, collar)
+    if not region.any():
+        raise ValueError(f"no grid node lies in |x| < 1 - {collar!r} (eps + 2h)")
     k = omega.degree
     sources = ([omega] if k > 0 else []) + ([grid_d(omega)] if k < omega.n else [])
     cones = [cone_S(f) for f in sources]  # S omega and S d omega, where defined
@@ -449,8 +446,6 @@ def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> Mollif
         lhs = grid_d(a[0]) + a[1]
     else:
         lhs = grid_d(a[0])
-    collar = cfg.epsilon + 2.0 * omega.h
-    region = interior_region(omega, collar)
     residual = (lhs - rhs).max_norm(region)
     return MollifyReport(
         residual=residual, tol=tol, passed=residual <= tol,

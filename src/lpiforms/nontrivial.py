@@ -9,9 +9,12 @@ subdivision the integrals no longer cancel, so the image cochain exhibits
 the same convergent/divergent gap; this is the numeric content of the
 obstruction to splitting off the kernel of the integration map.
 
-Series are evaluated in closed vectorized form up to the full truncation
-length (10^6 by default) while the host complex itself is only built up
-to a geometry cap, since the per-bump geometry is identical beyond it.
+Only the exponents p * decay decide the verdicts, so every certificate is
+one of two raw series sum_i i^(-p * decay), at p = p_k and p = p_{k+1};
+no norm constant is computed.  Series are evaluated in closed vectorized
+form up to the full truncation length (10^6 by default) while the
+subdivided ray is only built up to a geometry cap, since the per-bump
+geometry is identical beyond it.
 
 Every edge integral of the family is a Gauss-Legendre sum on one rule,
 built once per node count by `_gauss` and shared by all callers.  The
@@ -22,7 +25,6 @@ kernel check integrates all bumps on their carrier edges as one
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -70,30 +72,14 @@ def _gauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def profile_reference_integral(p: float, n: int = 1) -> float:
-    """c_p = (integral of Psi^p over the unit ball)^(1/p), by a 200-node
-    Gauss-Legendre rule per axis."""
-    t, w = _gauss(200)
-    if n == 1:
-        val = float(np.sum(w * bump_profile(t) ** p))
-    else:
-        # tensor rule on the square; Psi vanishes outside the disc anyway
-        X, Y = np.meshgrid(t, t, indexing="ij")
-        W = np.outer(w, w)
-        val = float(np.sum(W * bump_profile(np.stack([X, Y], -1), n=2) ** p))
-    return val ** (1.0 / p)
-
-
 @dataclass(frozen=True)
 class SeriesVerdict:
     """Integral-test verdict for sum_i i^(-a), with partial sums recorded
-    at checkpoint truncations and a tail bound when convergent."""
+    at checkpoint truncations."""
 
     exponent: float
     verdict: str  # "converges" | "diverges"
     partial_sums: tuple[tuple[int, float], ...]
-    tail_bound: float
-    constant: float = 1.0
 
     def sum_at(self, m: int) -> float:
         for mm, s in self.partial_sums:
@@ -104,22 +90,14 @@ class SeriesVerdict:
 
 def p_series(a: float, checkpoints: list[int]) -> SeriesVerdict:
     """Partial sums of sum i^(-a) at the given truncations, plus the
-    integral-test verdict (converges iff a > 1) and tail bound
-    m^(1-a)/(a-1) at the largest checkpoint."""
+    integral-test verdict (converges iff a > 1)."""
     checkpoints = sorted(set(int(m) for m in checkpoints))
     M = checkpoints[-1]
     csum = np.arange(1, M + 1, dtype=float)  # one buffer: terms, then sums
     np.power(csum, -a, out=csum)
     np.cumsum(csum, out=csum)
     sums = tuple((m, float(csum[m - 1])) for m in checkpoints)
-    converges = a > 1.0
-    tail = M ** (1.0 - a) / (a - 1.0) if converges else math.inf
-    return SeriesVerdict(
-        exponent=a,
-        verdict="converges" if converges else "diverges",
-        partial_sums=sums,
-        tail_bound=tail,
-    )
+    return SeriesVerdict(a, "converges" if a > 1.0 else "diverges", sums)
 
 
 def _checkpoints(M: int) -> list[int]:
@@ -148,7 +126,6 @@ class BumpFamily:
     pi: PiSequence
     eps: float
     M: int
-    host: MetricComplex = field(repr=False)
     subdivided: MetricComplex = field(repr=False)
     geometry_cap: int = GEOMETRY_CAP
 
@@ -186,38 +163,15 @@ def build_family(k: int, pi: PiSequence, eps: float, M: int) -> BumpFamily:
     if k != 0:
         raise NotACounterexample("only the 1-D family (k = 0) is constructed")
     geo = min(M, GEOMETRY_CAP)
-    host = ray_complex(1, geo)
-    return BumpFamily(
-        k=k, pi=pi, eps=eps, M=M,
-        host=host, subdivided=barycentric_subdivide(host), geometry_cap=geo,
-    )
+    return BumpFamily(k=k, pi=pi, eps=eps, M=M,
+                      subdivided=barycentric_subdivide(ray_complex(1, geo)), geometry_cap=geo)
 
 
-def family_norm_series(fam: BumpFamily, p: float, which: str = "form") -> SeriesVerdict:
-    """Verdict for the p-series governing the chosen norm of the family.
-
-    which = "form": L_p of sum omega_i (constant c_p from the profile);
-    "dform": L_p of the derivative family; "sup"/"cochain": sup-based
-    constants sqrt(binom(n,k))/e.  The partial sums themselves are of the
-    raw series sum i^(-a); the multiplicative constant is reported
-    separately so the recorded sums match the integral-test oracle.
-    """
-    return _norm_verdict(fam, p, which, _series(fam, [p])[p])
-
-
-def _series(fam: BumpFamily, ps) -> dict[float, SeriesVerdict]:
-    """The raw series of the family at each norm exponent in ps, up to fam.M."""
-    return {p: p_series(fam.series_exponent(p), _checkpoints(fam.M)) for p in ps}
-
-
-def _norm_verdict(fam: BumpFamily, p: float, which: str, base: SeriesVerdict) -> SeriesVerdict:
-    if which == "form":
-        const = profile_reference_integral(p, n=fam.n) / 2.0 ** (1.0 / p)
-    elif which == "dform":
-        const = profile_reference_integral(p, n=fam.n)  # derivative scale folded out
-    else:
-        const = math.sqrt(math.comb(fam.n, fam.k)) * math.exp(-1.0)
-    return dataclasses.replace(base, constant=const)
+def family_norm_series(fam: BumpFamily, p: float) -> SeriesVerdict:
+    """The raw series sum_{i <= M} i^(-p * decay) behind every L_p and l_p
+    norm of the family (omega, d omega and the image cochain alike): those
+    norms differ from it only by constant factors, which leave the verdict."""
+    return p_series(fam.series_exponent(p), _checkpoints(fam.M))
 
 
 def _edge_quad(fn, x0, x1) -> np.ndarray:
@@ -281,20 +235,17 @@ def subdivision_image(fam: BumpFamily) -> ImageReport:
     coordinate).  The l_p series of the entries are 2 (w_i/e)^p summed,
     convergent at p_{k+1} and divergent at p_k.
     """
-    return _subdivision_image(fam, _series(fam, (fam.pi[fam.k], fam.pi[fam.k + 1])))
+    return _subdivision_image(fam, family_norm_series(fam, fam.pi[fam.k + 1]),
+                              family_norm_series(fam, fam.pi[fam.k]))
 
 
-def _subdivision_image(fam: BumpFamily, series: dict[float, SeriesVerdict]) -> ImageReport:
+def _subdivision_image(fam: BumpFamily, high: SeriesVerdict, low: SeriesVerdict) -> ImageReport:
     Kp = fam.subdivided
     geo = fam.geometry_cap
-    mid_id = {}  # carrier index -> barycenter vertex id, via coordinates
-    for v, xy in Kp.vertices.items():
-        x = xy[0]
-        if abs(x - round(x)) > 1e-9:  # midpoint of edge (i-1, i)
-            mid_id[int(round(x + 0.5))] = v
     C = math.exp(-1.0)
-    # the two half-edges of carrier i, from vertex i-1 and from vertex i
-    keys = [tuple(sorted((v0, mid_id[i]))) for i in range(1, geo + 1) for v0 in (i - 1, i)]
+    # the two half-edges of carrier i, from vertex i-1 and from vertex i; the
+    # subdivision numbers the barycenter of edge (i-1, i) as vertex geo + i
+    keys = [(v0, geo + i) for i in range(1, geo + 1) for v0 in (i - 1, i)]
     ends = np.array([[Kp.vertices[a][0], Kp.vertices[b][0]] for a, b in keys])
     ends = ends.reshape(geo, 2, 2)
     i = np.arange(1, geo + 1, dtype=float)[:, None]
@@ -304,11 +255,7 @@ def _subdivision_image(fam: BumpFamily, series: dict[float, SeriesVerdict]) -> I
     oriented = np.where(ends[..., 1] > ends[..., 0], vals, -vals)
     signs_ok = bool(np.all(oriented[:, 0] * oriented[:, 1] < 0.0))
     c = Cochain(1 if fam.k == 0 else fam.k + 1, dict(zip(keys, vals.ravel().tolist())), Kp)
-
-    def lp(p: float) -> SeriesVerdict:
-        return dataclasses.replace(series[p], constant=2.0 ** (1.0 / p) * C)
-
-    return ImageReport(c, C, worst, signs_ok, lp(fam.pi[fam.k + 1]), lp(fam.pi[fam.k]))
+    return ImageReport(c, C, worst, signs_ok, high, low)
 
 
 @dataclass(frozen=True)
@@ -341,29 +288,22 @@ def verify_nontriviality(
     divergence, and the convergent/divergent gap of the subdivision image."""
     fam = build_family(k, pi, eps, max(M_list))
     kernel = derham_kernel_check(fam)
-    # every verdict below is one of these two series with its own constant
-    series = _series(fam, (pi[k], pi[k + 1]))
-    omega_high = _norm_verdict(fam, pi[k + 1], "form", series[pi[k + 1]])
-    domega_high = _norm_verdict(fam, pi[k + 1], "dform", series[pi[k + 1]])
-    domega_low = _norm_verdict(fam, pi[k], "dform", series[pi[k]])
-    image = _subdivision_image(fam, series)
-    m_last, s_last = domega_low.partial_sums[-1]
-    a = domega_low.exponent
+    # every verdict is one of two series: omega and d omega share p_{k+1}
+    high, low = family_norm_series(fam, pi[k + 1]), family_norm_series(fam, pi[k])
+    image = _subdivision_image(fam, high, low)
+    m_last, s_last = low.partial_sums[-1]
+    a = low.exponent
     growth = s_last / (m_last ** (1.0 - a) / (1.0 - a)) if a < 1.0 else math.nan
     ok = (
         kernel.max_residual <= 1e-10
-        and omega_high.verdict == "converges"
-        and domega_high.verdict == "converges"
-        and domega_low.verdict == "diverges"
-        and image.lp_high.verdict == "converges"
-        and image.lp_low.verdict == "diverges"
+        and high.verdict == "converges"
+        and low.verdict == "diverges"
         and image.opposite_signs
         and image.max_constant_error <= 1e-10
     )
     return NonTrivReport(
-        family=fam, kernel=kernel, omega_high=omega_high,
-        domega_high=domega_high, domega_low=domega_low, image=image,
-        growth_ratio=growth, passed=ok,
+        family=fam, kernel=kernel, omega_high=high, domega_high=high, domega_low=low,
+        image=image, growth_ratio=growth, passed=ok,
     )
 
 

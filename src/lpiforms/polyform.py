@@ -187,45 +187,30 @@ def _columns(m: int, k: int) -> dict[tuple[int, ...], int]:
 # quadrature on simplices
 # ---------------------------------------------------------------------------
 
-_rule_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
+@functools.lru_cache(maxsize=None)
 def simplex_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Conical-product rule on the reference m-simplex, exact for total
     degree <= degree.  Returns (points in reduced coords (npts, m), weights
     summing to 1); the integral of f dV is vol * sum w_i f(x_i).  Both
     arrays are cached and read-only, since every caller shares them."""
     q = max(1, (degree + 2) // 2)
-    key = (m, q)
-    if key in _rule_cache:
-        return _rule_cache[key]
     if m == 0:
         pts, wts = np.zeros((1, 0)), np.ones(1)
     else:
-        axes = []
-        for j in range(1, m + 1):
-            alpha = m - j
-            x, w = roots_jacobi(q, alpha, 0.0)
-            x = (x + 1.0) / 2.0
-            w = w / (2.0 ** (alpha + 1))
-            axes.append((x, w))
-        pts_list, wts_list = [], []
-        for combo in itertools.product(*(range(q) for _ in range(m))):
-            u = np.zeros(m)
-            rem = 1.0
-            wt = 1.0
-            for j, ci in enumerate(combo):
-                x, w = axes[j]
-                u[j] = rem * x[ci]
-                wt *= w[ci]
-                rem *= 1.0 - x[ci]
-            pts_list.append(u)
-            wts_list.append(wt)
-        pts = np.array(pts_list)
-        wts = np.array(wts_list)
+        # Gauss-Jacobi rule on [0, 1] with weight (1 - x)^(m - j) on axis j
+        axes = [roots_jacobi(q, m - j, 0.0) for j in range(1, m + 1)]
+        xs = np.meshgrid(*[(x + 1.0) / 2.0 for x, _ in axes], indexing="ij")
+        ws = np.meshgrid(*[w / 2.0 ** (m - j + 1) for j, (_, w) in enumerate(axes, 1)],
+                         indexing="ij")
+        pts, wts, rem = np.empty((q**m, m)), np.ones(q**m), np.ones(q**m)
+        for j in range(m):  # u_j = x_j * prod_{l < j} (1 - x_l)
+            x = xs[j].ravel()
+            pts[:, j] = rem * x
+            wts *= ws[j].ravel()
+            rem *= 1.0 - x
         wts = wts / wts.sum()  # normalize: weights vs. volume measure
     pts.setflags(write=False)
     wts.setflags(write=False)
-    _rule_cache[key] = (pts, wts)
     return pts, wts
 
 

@@ -105,6 +105,14 @@ def test_verify_split_degree_out_of_range_is_usage_error(k, capsys):
     assert "no " + k + "-cochains" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", ["--grid 2", "--n 2 --grid 64 --eps 0.99"])
+def test_verify_mollify_empty_region_is_usage_error(argv, capsys):
+    assert main(["verify", "mollify", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert "pass: True" not in captured.out
+    assert "error: no grid node" in captured.err
+
+
 def test_subdivide_round_trip(triangle_file, tmp_path, capsys):
     p, K = triangle_file
     out = tmp_path / "sub.txt"

@@ -12,6 +12,7 @@ from lpiforms.contract import (
     rational_cohomology_dims,
     verify_contraction,
 )
+from lpiforms.errors import BadDimension
 
 from conftest import simplex_complex, sphere_complex
 
@@ -83,6 +84,16 @@ def test_identity_two_term_complex():
     h = contract(M)
     assert isinstance(h, Contraction)
     assert verify_contraction(M, h).max_residual == 0.0
+
+
+@pytest.mark.parametrize("dims, mats", [
+    ((2, 3), (np.eye(2),)),          # D_0 must be 3 x 2
+    ((1, 1), ()),                    # one matrix for two degrees
+    ((1, 1), (np.eye(1), np.eye(1))),
+])
+def test_matrix_complex_rejects_bad_shapes(dims, mats):
+    with pytest.raises(BadDimension):
+        MatrixComplex(dims, mats)
 
 
 def test_zero_homotopy_has_unit_residual():

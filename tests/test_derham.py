@@ -86,6 +86,12 @@ def test_verify_split_rejects_a_degree_outside_the_complex(subdivided_triangle, 
         verify_split(subdivided_triangle, k, samples=3)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_split_rejects_no_samples(subdivided_triangle, samples):
+    with pytest.raises(ValueError, match="samples"):
+        verify_split(subdivided_triangle, 1, samples=samples)
+
+
 def test_stokes_on_tetrahedron():
     K = simplex_complex(3)
     rng = np.random.default_rng(7)

@@ -126,6 +126,17 @@ def test_homotopy_top_degree_2d():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n, h, degree, eps", [(1, 1 / 2, 0, 0.1), (2, 1 / 64, 1, 0.99)],
+                         ids=["collar-1.1", "collar-1.02"])
+def test_homotopy_rejects_an_empty_interior_region(n, h, degree, eps):
+    # the collar eps + 2h leaves no node in |x| < 1 - collar to check
+    fns = {(): lambda *x: x[0]} if degree == 0 else {(0,): lambda x, y: x, (1,): lambda x, y: y}
+    om = GridForm.from_function(n, h, degree, fns)
+    assert not interior_region(om, eps + 2 * h).any()
+    with pytest.raises(ValueError, match="no grid node"):
+        verify_homotopy(om, MollifierConfig(eps, n=n), tol=1.0)
+
+
 def test_support_control():
     def cut(x, y):
         r = np.sqrt(x**2 + y**2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from lpiforms import nontrivial
 from lpiforms.complexes import PiSequence
 from lpiforms.errors import BadEpsilon, NotACounterexample
 from lpiforms.nontrivial import (
+    SeriesVerdict,
     build_family,
     bump_profile,
     derham_kernel_check,
@@ -80,14 +82,14 @@ def test_divergent_growth_rate():
 
 def test_family_norm_series_exponents():
     fam = build_family(0, PI, 1.0, 1000)
-    hi = family_norm_series(fam, 4.0, "form")
-    lo = family_norm_series(fam, 2.0, "dform")
+    hi = family_norm_series(fam, 4.0)
+    lo = family_norm_series(fam, 2.0)
     assert hi.exponent == pytest.approx(4.0 / 3.0)
     assert hi.verdict == "converges"
     assert lo.exponent == pytest.approx(2.0 / 3.0)
     assert lo.verdict == "diverges"
     # boundary p = p_{k+1} - eps gives the harmonic series
-    assert family_norm_series(fam, 3.0, "sup").verdict == "diverges"
+    assert family_norm_series(fam, 3.0).verdict == "diverges"
 
 
 def test_kernel_check():
@@ -196,6 +198,9 @@ def test_verify_nontriviality_and_csv():
     lines = rep.csv().splitlines()
     assert lines[0] == "m,S_pk,S_pk1,tail_bound"
     assert len(lines) >= 4
+    # a verdict carries only what the checks read: no norm constant, no tail
+    assert [f.name for f in dataclasses.fields(SeriesVerdict)] == [
+        "exponent", "verdict", "partial_sums"]
 
 
 def test_swapped_sequence_all_converge():
