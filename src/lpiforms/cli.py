@@ -4,9 +4,10 @@
 its check reads, with that suite's defaults (`lpiforms verify <suite> -h`
 lists them), so an option of another suite is a usage error.
 
-Exit codes: 0 = all asserted tolerances met, 1 = an assertion failed or a
-numerical step raised LinAlgError, 2 = usage or parse error.  Reports are
-key:value lines; the counterexample suite can also emit a CSV of partial sums.
+Exit codes: 0 = all asserted tolerances met, 1 = an assertion failed, a
+numerical step raised LinAlgError or a complex exceeded the dense size limit,
+2 = usage or parse error.  Reports are key:value lines; the counterexample
+suite can also emit a CSV of partial sums.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .contract import (
 from .cochains import Cochain, lp_norm, pi_norm, read_cochain
 from .complexes import PiSequence, read_complex
 from .derham import derham_map, verify_split, verify_stokes, whitney
-from .errors import LpiFormsError
+from .errors import LpiFormsError, TooLarge
 from .mollify import GridForm, MollifierConfig, verify_homotopy
 from .nontrivial import verify_nontriviality
 from .polyform import PolyForm
@@ -362,8 +363,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (LpiFormsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # LinAlgError is a ValueError, but a numerical failure, not a usage error
-        return 1 if isinstance(exc, np.linalg.LinAlgError) else 2
+        # a numerical failure or a size refusal is a ValueError, but not a usage error
+        return 1 if isinstance(exc, (np.linalg.LinAlgError, TooLarge)) else 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,12 @@
 """Finite-dimensional chain-complex utilities: cohomology dimensions and
 an inductively constructed contracting homotopy on acyclic complexes.
 
+Each D_i is ranked once, by SVD and, as the exact oracle the SVD is checked
+against, by sparse column elimination over the rationals with lowest-row
+pivots (Edelsbrunner-Letscher-Zomorodian 2002): each column, a dict of its
+nonzero Fraction entries, is reduced against the pivot columns, keyed by
+their lowest row, until it is empty or has a new lowest row.
+
 The contraction follows the descending induction
 
     h^n = eta^n,   alpha^{i-1} = 1 - h^i d^{i-1},   h^{i-1} = eta^{i-1} alpha^{i-1}
@@ -20,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import MetricComplex
-from .errors import BadDimension
+from .errors import BadDimension, TooLarge
 
 SIZE_LIMIT = 2000
 RANK_RTOL = 1e-10
@@ -47,19 +53,10 @@ class MatrixComplex:
         return len(self.dims) - 1
 
     def matrix(self, i: int) -> np.ndarray:
-        """D_i, a zero matrix outside the stored range."""
-        if 0 <= i < len(self.matrices):
-            return self.matrices[i]
-        rows = self.dims[i + 1] if 0 <= i + 1 <= self.top else 0
-        cols = self.dims[i] if 0 <= i <= self.top else 0
-        return np.zeros((rows, cols))
-
-    def dump(self) -> str:
-        lines = []
-        for i, D in enumerate(self.matrices):
-            lines.append(f"D {i} {D.shape[0]} {D.shape[1]}")
-            lines.extend(" ".join(repr(float(x)) for x in row) for row in D)
-        return "\n".join(lines) + "\n"
+        """D_i, for 0 <= i < top."""
+        if not 0 <= i < len(self.matrices):
+            raise BadDimension(f"no D_{i}: the complex has D_0..D_{len(self.matrices) - 1}")
+        return self.matrices[i]
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,6 @@ class Contraction:
     """Degree-lowering maps h^i: R^{dims[i]} -> R^{dims[i-1]}, i >= 1."""
 
     maps: dict[int, np.ndarray] = field(repr=False)
-
-    def matrix(self, i: int) -> np.ndarray | None:
-        return self.maps.get(i)
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,8 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
     order.  With augmented=True a column of ones R -> C^0 is prepended,
     absorbing the H^0 of a connected complex into an acyclic complex."""
     if K.simplex_count() > SIZE_LIMIT:
-        raise ValueError(
-            f"complex has {K.simplex_count()} simplices; dense limit is {SIZE_LIMIT}"
-        )
+        raise TooLarge(f"complex has {K.simplex_count()} simplices; "
+                       f"dense limit is {SIZE_LIMIT}")
     dims = [len(K.simplices_of_dim(k)) for k in range(K.dim + 1)]
     mats = []
     for k in range(K.dim):
@@ -97,7 +90,7 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
                 D[row_ix[tau], j] = sign
         mats.append(D)
     if augmented:
-        ones = np.ones((dims[0], 1)) if dims else np.zeros((0, 1))
+        ones = np.ones((dims[0], 1))
         dims = [1] + dims
         mats = [ones] + mats
     return MatrixComplex(tuple(dims), tuple(mats))
@@ -107,41 +100,32 @@ def _rank(D: np.ndarray) -> int:
     if D.size == 0:
         return 0
     s = np.linalg.svd(D, compute_uv=False)
-    return int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def _exact_rank(D: np.ndarray) -> int:
-    """Rank by Gaussian elimination over the rationals; the entries must be
-    (near-)integers, as coboundary matrices are."""
-    if D.size == 0:
-        return 0
-    rows = [[Fraction(x).limit_denominator(10**6) for x in row] for row in D]
-    r = 0  # the rank so far, and the next pivot row
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Exact rank; the entries must be (near-)integers, as D_i's are."""
+    pivots: dict[int, dict[int, Fraction]] = {}  # lowest row -> reduced column
+    for col in D.T:
+        c = {int(i): q for i in np.flatnonzero(col)
+             if (q := Fraction(col[i]).limit_denominator(10**6))}
+        while c and (low := max(c)) in pivots:
+            p = pivots[low]
+            f = c[low] / p[low]
+            for i, x in p.items():
+                if (v := c.get(i, 0) - f * x):
+                    c[i] = v
+                else:
+                    c.pop(i, None)
+        if c:
+            pivots[low] = c
+    return len(pivots)
 
 
 def _cohomology(M: MatrixComplex, rank) -> list[int]:
     """dim ker D_i - rank D_{i-1} per degree, with the given rank function."""
-    out = []
-    for i in range(M.top + 1):
-        ker = M.dims[i] - (rank(M.matrix(i)) if i < M.top else 0)
-        im = rank(M.matrix(i - 1)) if i > 0 else 0
-        out.append(ker - im)
-    return out
+    r = [0, *(rank(D) for D in M.matrices), 0]  # r[i + 1] = rank D_i
+    return [M.dims[i] - r[i + 1] - r[i] for i in range(M.top + 1)]
 
 
 def cohomology_dims(M: MatrixComplex) -> list[int]:
@@ -154,6 +138,14 @@ def rational_cohomology_dims(M: MatrixComplex) -> list[int]:
     return _cohomology(M, _exact_rank)
 
 
+def _defect(M: MatrixComplex, h: dict[int, np.ndarray], i: int) -> float:
+    """max |D_{i-1} h^i + h^{i+1} D_i - 1|, the h^{i+1} term where h has one."""
+    acc = M.matrix(i - 1) @ h[i] - np.eye(M.dims[i])
+    if i + 1 in h:
+        acc = acc + h[i + 1] @ M.matrix(i)
+    return float(np.abs(acc).max()) if acc.size else 0.0
+
+
 def contract(M: MatrixComplex) -> Contraction | ContractionFailure:
     """Descending induction producing h with D h + h D = 1 in degrees >= 1.
     Fails (with the degree and residual) on the first degree where a
@@ -164,20 +156,14 @@ def contract(M: MatrixComplex) -> Contraction | ContractionFailure:
     alpha_prev = np.eye(M.dims[n]) if M.dims else np.zeros((0, 0))
     for i in range(n, 0, -1):
         Dm = M.matrix(i - 1)  # degree i-1 -> i
-        eta = np.linalg.pinv(Dm, rcond=RANK_RTOL)
-        h_i = eta @ alpha_prev
-        alpha = np.eye(M.dims[i - 1]) - h_i @ Dm
-        if i == n:
-            resid_mat = Dm @ h_i - np.eye(M.dims[i])
-        else:
-            resid_mat = Dm @ h_i + h[i + 1] @ M.matrix(i) - np.eye(M.dims[i])
-        residual = float(np.abs(resid_mat).max()) if resid_mat.size else 0.0
+        h[i] = np.linalg.pinv(Dm, rcond=RANK_RTOL) @ alpha_prev
+        residual = _defect(M, h, i)
         if residual > STEP_TOL:
             return ContractionFailure(degree=i, residual=residual)
+        alpha = np.eye(M.dims[i - 1]) - h[i] @ Dm
         closure = float(np.abs(Dm @ alpha).max()) if Dm.size else 0.0
         if closure > STEP_TOL:
             return ContractionFailure(degree=i - 1, residual=closure)
-        h[i] = h_i
         alpha_prev = alpha
     return Contraction(h)
 
@@ -193,15 +179,6 @@ def verify_contraction(
     M: MatrixComplex, h: Contraction, tol: float = 1e-8
 ) -> ContractionReport:
     """Entrywise residual of D_{i-1} h^i + h^{i+1} D_i - 1 per degree >= 1."""
-    residuals = {}
-    for i in range(1, M.top + 1):
-        hi = h.matrix(i)
-        if hi is None:
-            continue
-        acc = M.matrix(i - 1) @ hi - np.eye(M.dims[i])
-        hnext = h.matrix(i + 1)
-        if hnext is not None:
-            acc = acc + hnext @ M.matrix(i)
-        residuals[i] = float(np.abs(acc).max()) if acc.size else 0.0
+    residuals = {i: _defect(M, h.maps, i) for i in range(1, M.top + 1) if i in h.maps}
     worst = max(residuals.values(), default=0.0)
     return ContractionReport(residuals, worst, worst <= tol)

@@ -55,3 +55,7 @@ class BadEpsilon(LpiFormsError):
 
 class NotACounterexample(LpiFormsError):
     """The exponent sequence is non-increasing, so no counterexample exists."""
+
+
+class TooLarge(LpiFormsError, ValueError):
+    """The input exceeds the size limit of a dense computation."""

@@ -50,8 +50,12 @@ SUPPORT_TOL = 1e-12
 
 
 def grid_axis(h: float) -> np.ndarray:
-    npts = int(round(2.0 / h)) + 1
-    return np.linspace(-1.0, 1.0, npts)
+    """The nodes -1, -1 + h, ..., 1.  The stencils and collars read h as the
+    node spacing, so 2/h must be a positive integer (up to rounding)."""
+    cells = round(2.0 / h) if h > 0 else 0
+    if cells < 1 or abs(2.0 / h - cells) > 1e-9 * cells:
+        raise ValueError(f"grid step {h!r} does not divide [-1, 1] into whole cells")
+    return np.linspace(-1.0, 1.0, cells + 1)
 
 
 def _grid_points(n: int, h: float) -> np.ndarray:
@@ -88,6 +92,8 @@ class GridForm:
         comps = {}
         for axes, arr in self.components.items():
             arr = np.asarray(arr, dtype=float).copy()
+            if arr.shape != mask.shape:
+                raise ValueError(f"component {axes} has shape {arr.shape}, grid {mask.shape}")
             arr[~mask] = 0.0
             arr.setflags(write=False)
             comps[tuple(axes)] = arr
@@ -473,9 +479,16 @@ def verify_support_control(
 ) -> MollifyReport:
     """If omega vanishes on the centred disc of radius r, R omega vanishes
     (to SUPPORT_TOL) on the disc shrunk by the computed displacement bound
-    delta(eps)."""
+    delta(eps).  Raises ValueError when omega is nonzero at a node of |x| < r
+    (the premise fails) or when no node lies in |x| < r - delta (a max over
+    no node would pass vacuously)."""
+    rad = omega.radius()
+    if omega.max_norm(rad < r) != 0.0:
+        raise ValueError(f"omega is nonzero at a grid node of |x| < {r!r}")
     delta = displacement_bound(omega, cfg)
-    inner = omega.radius() < r - delta
+    inner = rad < r - delta
+    if not inner.any():
+        raise ValueError(f"no grid node lies in |x| < r - delta = {r - delta!r}")
     worst = regularize(omega, cfg).max_norm(inner)
     return MollifyReport(
         residual=worst, tol=SUPPORT_TOL, passed=worst <= SUPPORT_TOL,

@@ -7,7 +7,7 @@ import pytest
 from lpiforms import cli
 from lpiforms.cli import main
 from lpiforms.cochains import Cochain, write_cochain
-from lpiforms.complexes import build_complex, read_complex, write_complex
+from lpiforms.complexes import build_complex, ray_complex, read_complex, write_complex
 
 
 @pytest.fixture
@@ -166,6 +166,15 @@ def test_numerical_failure_is_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "contract", singular)
     assert main(["verify", "contract"]) == 1
     assert "SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["cohomology"], ["contract"], ["verify", "contract", "--complex"]])
+def test_size_refusal_is_exit_1(tmp_path, capsys, argv):
+    # a well-formed complex beyond the dense limit is a capacity failure, not a usage error
+    big = tmp_path / "big.txt"
+    big.write_text(write_complex(ray_complex(1, 1500)))  # 3,001 simplices
+    assert main([*argv, str(big)]) == 1
+    assert "dense limit is 2000" in capsys.readouterr().err
 
 
 def test_verify_seed_determinism(capsys):

@@ -1,11 +1,15 @@
+import time
+
 import numpy as np
 import pytest
+import sympy
 
 from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex
 from lpiforms.contract import (
     Contraction,
     ContractionFailure,
     MatrixComplex,
+    _exact_rank,
     assemble,
     cohomology_dims,
     contract,
@@ -109,7 +113,38 @@ def test_size_refusal():
         assemble(K)
 
 
-def test_dump_format():
-    M = assemble(simplex_complex(1))
-    lines = M.dump().splitlines()
-    assert lines[0] == "D 0 1 2"
+@pytest.mark.parametrize("i", [-1, 2])
+def test_matrix_outside_the_stored_range_raises(i):
+    M = assemble(simplex_complex(2))  # D_0 and D_1; top = 2
+    with pytest.raises(BadDimension):
+        M.matrix(i)
+
+
+def test_exact_rank_matches_sympy():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m, n = rng.integers(1, 12, size=2)
+        A = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.6)
+        if m > 2:  # a row dependent on two others
+            a, b, r = rng.choice(m, size=3, replace=False)
+            A[r] = 2 * A[a] - A[b]
+        if n > 1:  # a column dependent on another
+            A[:, -1] = -3 * A[:, 0]
+        D = A.astype(float)
+        zeros = np.argwhere(A == 0)
+        if len(zeros):  # a rounding-level entry counts as zero
+            D[tuple(zeros[rng.integers(len(zeros))])] = 1e-17
+        assert _exact_rank(D) == sympy.Matrix(A.tolist()).rank()
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert _exact_rank(np.zeros(shape)) == 0
+
+
+@pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+def test_rational_oracle_on_a_645_simplex_strip(augmented):
+    K = barycentric_subdivide(ray_complex(2, 16))
+    assert K.simplex_count() == 645
+    M = assemble(K, augmented=augmented)
+    t0 = time.perf_counter()
+    exact = rational_cohomology_dims(M)
+    assert time.perf_counter() - t0 < 1.0
+    assert exact == cohomology_dims(M) == ([0, 0, 0, 0] if augmented else [1, 0, 0])

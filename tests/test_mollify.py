@@ -148,6 +148,42 @@ def test_support_control():
     assert rep.detail["delta"] < 0.11
 
 
+def test_support_control_rejects_a_form_that_does_not_vanish_on_the_disc():
+    one = GridForm.from_function(2, 1 / 16, 0, {(): lambda x, y: np.ones_like(x)})
+    with pytest.raises(ValueError, match="nonzero at a grid node"):
+        verify_support_control(one, MollifierConfig(0.2, n=2), r=0.05)
+
+
+def test_support_control_rejects_an_empty_inner_disc():
+    # delta(0.2) is about 0.198 > r, so |x| < r - delta holds no node
+    def cut(x, y):
+        r = np.sqrt(x**2 + y**2)
+        return np.where(r > 0.1, (r - 0.1) ** 2, 0.0)
+
+    g = GridForm.from_function(2, 1 / 16, 0, {(): cut})
+    with pytest.raises(ValueError, match="no grid node"):
+        verify_support_control(g, MollifierConfig(0.2, n=2), r=0.1)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.0, -0.5, 3.0, float("nan")])
+def test_grid_step_must_divide_the_interval(h):
+    # at h = 0.3 the nodes would be 2/7 apart while every stencil reads 0.3
+    with pytest.raises(ValueError, match="grid step"):
+        GridForm.from_function(1, h, 0, {(): lambda x: x})
+
+
+def test_grid_steps_in_use_are_accepted():
+    for grid in (1, 2, 3, 7, 64, 100, 256):
+        assert len(mollify.grid_axis(1 / grid)) == 2 * grid + 1
+
+
+def test_grid_form_rejects_a_component_of_another_shape():
+    with pytest.raises(ValueError, match="shape"):
+        GridForm(1, 0.25, 0, {(): np.zeros((9, 9))})
+    with pytest.raises(ValueError, match="shape"):
+        GridForm(2, 0.25, 1, {(0,): np.zeros((9, 8))})
+
+
 def test_homotopy_A_shapes():
     om = GridForm.from_function(1, 1 / 32, 1, {(0,): lambda x: x**2})
     a = homotopy_A(om, MollifierConfig(0.1, n=1))
