@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import MetricComplex
-from .errors import BadDimension, TooLarge
+from .errors import BadDegree, BadDimension, TooLarge
 
 SIZE_LIMIT = 2000
 RANK_RTOL = 1e-10
@@ -178,7 +178,11 @@ class ContractionReport:
 def verify_contraction(
     M: MatrixComplex, h: Contraction, tol: float = 1e-8
 ) -> ContractionReport:
-    """Entrywise residual of D_{i-1} h^i + h^{i+1} D_i - 1 per degree >= 1."""
-    residuals = {i: _defect(M, h.maps, i) for i in range(1, M.top + 1) if i in h.maps}
+    """Entrywise residual of D_{i-1} h^i + h^{i+1} D_i - 1 per degree >= 1;
+    h must hold a map h^i for every degree 1 <= i <= top."""
+    missing = [i for i in range(1, M.top + 1) if i not in h.maps]
+    if missing:
+        raise BadDegree(f"the contraction has no h^i for degrees {missing}")
+    residuals = {i: _defect(M, h.maps, i) for i in range(1, M.top + 1)}
     worst = max(residuals.values(), default=0.0)
     return ContractionReport(residuals, worst, worst <= tol)

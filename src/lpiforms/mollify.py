@@ -88,9 +88,15 @@ class GridForm:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise BadDimension("grids support n in {1, 2}")
+        if not 0 <= self.degree <= self.n:
+            raise BadDegree(f"degree {self.degree} on an {self.n}-D grid")
+        valid = _axis_sets(self.n, self.degree)
         mask = self.mask()
         comps = {}
         for axes, arr in self.components.items():
+            if tuple(axes) not in valid:
+                raise BadDegree(f"component {axes} is not a sorted "
+                                f"{self.degree}-subset of range({self.n})")
             arr = np.asarray(arr, dtype=float).copy()
             if arr.shape != mask.shape:
                 raise ValueError(f"component {axes} has shape {arr.shape}, grid {mask.shape}")

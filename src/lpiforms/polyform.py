@@ -49,7 +49,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .complexes import (
     MetricComplex,
@@ -59,6 +58,9 @@ from .complexes import (
     is_subcomplex,
 )
 from .errors import BadCarrier, BadDimension, BadExponent, BadSubcomplex
+
+# the rule degrees lp_norm tries in turn for a p that is not an even integer
+_ADAPTIVE_DEGREES = (8, 14, 20, 28, 38)
 
 # a term key: (exponent tuple over t_1..t_m, ascending diff index tuple)
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -187,18 +189,33 @@ def _columns(m: int, k: int) -> dict[tuple[int, ...], int]:
 # quadrature on simplices
 # ---------------------------------------------------------------------------
 
+def _gauss_jacobi(q: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """q-point Gauss rule on [-1, 1] for the weight (1 - x)^a (Golub-Welsch
+    1969): the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix, the weights 2^(a+1)/(a+1) times the squared first components of
+    its unit eigenvectors."""
+    n = np.arange(q, dtype=float)
+    s = 2.0 * n + a
+    diag = -(a * a) / np.where(s == 0.0, 1.0, s * (s + 2.0))  # 0 at n = 0 if a = 0
+    k, s = n[1:], s[1:]
+    off = np.sqrt(4.0 * k**2 * (k + a) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))  # eigh reads the lower triangle
+    return x, 2.0 ** (a + 1) / (a + 1) * v[0] ** 2
+
+
 @functools.lru_cache(maxsize=None)
 def simplex_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Conical-product rule on the reference m-simplex, exact for total
-    degree <= degree.  Returns (points in reduced coords (npts, m), weights
-    summing to 1); the integral of f dV is vol * sum w_i f(x_i).  Both
-    arrays are cached and read-only, since every caller shares them."""
+    degree <= degree: a tensor product of Golub-Welsch Gauss-Jacobi rules
+    collapsed onto the simplex.  Returns (points in reduced coords (npts, m),
+    weights summing to 1); the integral of f dV is vol * sum w_i f(x_i).
+    Both arrays are cached and read-only, since every caller shares them."""
     q = max(1, (degree + 2) // 2)
     if m == 0:
         pts, wts = np.zeros((1, 0)), np.ones(1)
     else:
         # Gauss-Jacobi rule on [0, 1] with weight (1 - x)^(m - j) on axis j
-        axes = [roots_jacobi(q, m - j, 0.0) for j in range(1, m + 1)]
+        axes = [_gauss_jacobi(q, m - j) for j in range(1, m + 1)]
         xs = np.meshgrid(*[(x + 1.0) / 2.0 for x, _ in axes], indexing="ij")
         ws = np.meshgrid(*[w / 2.0 ** (m - j + 1) for j, (_, w) in enumerate(axes, 1)],
                          indexing="ij")
@@ -421,7 +438,7 @@ class PolyForm:
 
     def _adaptive_piece(self, T, m, p) -> float:
         prev = None
-        for deg in (8, 14, 20, 28, 38):
+        for deg in _ADAPTIVE_DEGREES:
             acc = self._rule_sum(T, simplex_rule(m, deg), p)
             if prev is not None and abs(acc - prev) <= 1e-10 * (1.0 + abs(acc)):
                 return acc

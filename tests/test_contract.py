@@ -16,7 +16,7 @@ from lpiforms.contract import (
     rational_cohomology_dims,
     verify_contraction,
 )
-from lpiforms.errors import BadDimension
+from lpiforms.errors import BadDegree, BadDimension
 
 from conftest import simplex_complex, sphere_complex
 
@@ -105,6 +105,17 @@ def test_zero_homotopy_has_unit_residual():
     h = Contraction({i: np.zeros((M.dims[i - 1], M.dims[i]))
                      for i in range(1, M.top + 1)})
     assert verify_contraction(M, h).max_residual == pytest.approx(1.0)
+
+
+def test_verification_rejects_a_contraction_with_missing_maps():
+    # the circle carries H^1, so a contraction that checks nothing must not pass
+    M = assemble(sphere_complex(1))
+    with pytest.raises(BadDegree):
+        verify_contraction(M, Contraction({}))
+    M = assemble(simplex_complex(2), augmented=True)
+    h = contract(M)
+    with pytest.raises(BadDegree):
+        verify_contraction(M, Contraction({i: h.maps[i] for i in (1, 2)}))
 
 
 def test_size_refusal():

@@ -184,6 +184,21 @@ def test_grid_form_rejects_a_component_of_another_shape():
         GridForm(2, 0.25, 1, {(0,): np.zeros((9, 8))})
 
 
+@pytest.mark.parametrize("n, degree, components", [
+    (1, 0, {(0,): 1.0, (): 1.0}),  # grid_d used to drop the (0,) component
+    (1, 1, {(): 1.0}),
+    (2, 1, {(0, 1): 1.0}),
+    (2, 1, {(2,): 1.0}),
+    (2, 2, {(1, 0): 1.0}),
+    (1, 2, {}),
+    (2, -1, {}),
+])
+def test_grid_form_rejects_keys_that_do_not_match_its_degree(n, degree, components):
+    shape = (9,) * n
+    with pytest.raises(BadDegree):
+        GridForm(n, 0.25, degree, {a: np.full(shape, v) for a, v in components.items()})
+
+
 def test_homotopy_A_shapes():
     om = GridForm.from_function(1, 1 / 32, 1, {(0,): lambda x: x**2})
     a = homotopy_A(om, MollifierConfig(0.1, n=1))

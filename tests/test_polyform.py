@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from lpiforms.complexes import (
 from lpiforms.derham import whitney
 from lpiforms.errors import BadCarrier, BadDimension, BadExponent, BadSubcomplex
 from lpiforms.polyform import (
+    _ADAPTIVE_DEGREES,
     PolyForm,
+    _gauss_jacobi,
     monomial_integral,
     prism_extend,
     pullback,
@@ -41,14 +44,32 @@ def test_monomial_integral_values():
     assert monomial_integral((), 0) == 1.0
 
 
+def _jacobi_moment(j: int, a: int) -> Fraction:
+    """int_{-1}^{1} x^j (1 - x)^a dx, exactly."""
+    return sum(Fraction(2 * math.comb(a, i) * (-1) ** i, j + i + 1)
+               for i in range(a + 1) if (j + i) % 2 == 0)
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 3])
+def test_gauss_jacobi_is_exact(a):
+    # a q-point Gauss rule integrates every x^j, j <= 2q - 1, exactly
+    for q in range(1, 21):
+        x, w = _gauss_jacobi(q, a)
+        for j in range(2 * q):
+            exact = float(_jacobi_moment(j, a))
+            assert float(w @ x**j) == pytest.approx(exact, rel=1e-12, abs=1e-14), (q, j)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_quadrature_matches_monomials(m):
-    pts, wts = simplex_rule(m, 6)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        exps = tuple(int(rng.integers(0, 3)) for _ in range(m))
-        approx = sum(w * np.prod(x**np.array(exps)) for x, w in zip(pts, wts))
-        assert approx == pytest.approx(monomial_integral(exps, m), abs=1e-13)
+    # every monomial of total degree <= degree, at each degree lp_norm asks for
+    for degree in (6, *_ADAPTIVE_DEGREES):
+        pts, wts = simplex_rule(m, degree)
+        powers = pts.T[:, None, :] ** np.arange(degree + 1)[:, None]  # (m, degree + 1, npts)
+        for exps in itertools.product(range(degree + 1), repeat=m):
+            if sum(exps) <= degree:
+                approx = wts @ np.prod(powers[np.arange(m), exps], axis=0)
+                assert approx == pytest.approx(monomial_integral(exps, m), abs=1e-14), exps
 
 
 def test_cached_rule_is_read_only():

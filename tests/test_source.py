@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lpiforms"
@@ -16,3 +18,13 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_import_pulls_in_no_scipy():
+    # numpy is the one numerical runtime dependency; a fresh interpreter
+    # also catches scipy imported through another module
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import lpiforms; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", out
