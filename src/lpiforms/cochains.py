@@ -10,6 +10,7 @@ signed cofaces (see `lpiforms.complexes`), not derived here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .complexes import MetricComplex, PiSequence, SimplexKey
@@ -79,8 +80,8 @@ def coboundary(c: Cochain) -> Cochain:
 
 def lp_norm(c: Cochain, p: float) -> float:
     """Counting-measure l_p norm over the k-simplices."""
-    if p < 1:
-        raise BadExponent(f"p = {p} < 1")
+    if not (math.isfinite(p) and p >= 1):
+        raise BadExponent(f"p = {p} is not a finite number >= 1")
     if not c.values:
         return 0.0
     return sum(abs(v) ** p for v in c.values.values()) ** (1.0 / p)

@@ -7,15 +7,22 @@ pivots (Edelsbrunner-Letscher-Zomorodian 2002): each column, a dict of its
 nonzero Fraction entries, is reduced against the pivot columns, keyed by
 their lowest row, until it is empty or has a new lowest row.
 
-The contraction follows the descending induction
+The contraction is the paper's descending induction
 
     h^n = eta^n,   alpha^{i-1} = 1 - h^i d^{i-1},   h^{i-1} = eta^{i-1} alpha^{i-1}
 
-where eta^i is a right inverse of d^{i-1} on the cycles Z^i, realized
-here as the Moore-Penrose pseudo-inverse.  At each step the closure
-property d^{i-1} alpha^{i-1} = 0 is asserted; on a non-acyclic complex
-the construction fails at the first degree carrying cohomology, and the
-failure report records that degree and the residual.
+with eta^i = D_{i-1}^+, the Moore-Penrose pseudo-inverse.  D_{i-1} D_{i-2} = 0
+gives D_{i-2}^+ D_{i-1}^+ = 0, so eta^{i-1} alpha^{i-1} = eta^{i-1}: h^i = D_{i-1}^+.
+Each degree from the top is still checked, by the defect and by the closure
+d^{i-1} alpha^{i-1} = 0, i.e. D D^+ D = D; the first failing one carries cohomology.
+
+D^+ = V_k L_k^-1 V_k^T A^T, from eigh of the smaller Gram matrix A^T A (A = D
+or D^T, whichever is tall); eigenvalues <= RANK_RTOL w_max count as zero, i.e.
+singular values below 1e-5 s_max.  The smallest kept is 1.4e-4 w_max on the
+subdivided 2 x 48 strip and 2.5e-6 w_max on the 999-edge path, the longest
+path under SIZE_LIMIT; those dropped are at most 3e-16.  The squared
+condition number costs accuracy: the residual on that path is 2.4e-12 (SVD:
+1.2e-14).
 """
 
 from __future__ import annotations
@@ -146,25 +153,33 @@ def _defect(M: MatrixComplex, h: dict[int, np.ndarray], i: int) -> float:
     return float(np.abs(acc).max()) if acc.size else 0.0
 
 
+def _pinv(D: np.ndarray) -> np.ndarray:
+    """D^+ from eigh of the smaller Gram matrix (see the module docstring)."""
+    wide = D.shape[0] < D.shape[1]
+    A = D.T if wide else D
+    if A.size == 0:
+        return np.zeros(D.shape[::-1])
+    w, V = np.linalg.eigh(A.T @ A)
+    keep = w > RANK_RTOL * w[-1]
+    P = (V[:, keep] / w[keep]) @ (V[:, keep].T @ A.T)
+    return P.T if wide else P
+
+
 def contract(M: MatrixComplex) -> Contraction | ContractionFailure:
-    """Descending induction producing h with D h + h D = 1 in degrees >= 1.
-    Fails (with the degree and residual) on the first degree where a
-    residual exceeds STEP_TOL: where the right-inverse equation d eta = 1
-    is unsolvable on the cycles, i.e. where cohomology is present."""
-    n = M.top
+    """h^i = D_{i-1}^+ for i = top..1, so that D h + h D = 1 in degrees >= 1.
+    Fails (with the degree and residual) on the first degree, from the top,
+    where a residual exceeds STEP_TOL: where the right-inverse equation
+    d eta = 1 is unsolvable on the cycles, i.e. where cohomology is present."""
     h: dict[int, np.ndarray] = {}
-    alpha_prev = np.eye(M.dims[n]) if M.dims else np.zeros((0, 0))
-    for i in range(n, 0, -1):
+    for i in range(M.top, 0, -1):
         Dm = M.matrix(i - 1)  # degree i-1 -> i
-        h[i] = np.linalg.pinv(Dm, rcond=RANK_RTOL) @ alpha_prev
+        h[i] = _pinv(Dm)
         residual = _defect(M, h, i)
         if residual > STEP_TOL:
             return ContractionFailure(degree=i, residual=residual)
-        alpha = np.eye(M.dims[i - 1]) - h[i] @ Dm
-        closure = float(np.abs(Dm @ alpha).max()) if Dm.size else 0.0
+        closure = float(np.abs(np.linalg.multi_dot([Dm, h[i], Dm]) - Dm).max(initial=0.0))
         if closure > STEP_TOL:
             return ContractionFailure(degree=i - 1, residual=closure)
-        alpha_prev = alpha
     return Contraction(h)
 
 
@@ -180,6 +195,8 @@ def verify_contraction(
 ) -> ContractionReport:
     """Entrywise residual of D_{i-1} h^i + h^{i+1} D_i - 1 per degree >= 1;
     h must hold a map h^i for every degree 1 <= i <= top."""
+    if M.top < 1:
+        raise BadDegree("the complex has no degree >= 1 to contract")
     missing = [i for i in range(1, M.top + 1) if i not in h.maps]
     if missing:
         raise BadDegree(f"the contraction has no h^i for degrees {missing}")

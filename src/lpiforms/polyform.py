@@ -413,8 +413,8 @@ class PolyForm:
         otherwise the quadrature order is raised until two consecutive
         conical rules agree to 1e-10 relative.
         """
-        if p < 1:
-            raise BadExponent(f"p = {p} < 1")
+        if not (math.isfinite(p) and p >= 1):
+            raise BadExponent(f"p = {p} is not a finite number >= 1")
         if float(p).is_integer() and int(p) % 2 == 0:
             deg = int(p) * (self.poly_degree() + 1)
         else:

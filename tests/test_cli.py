@@ -133,6 +133,24 @@ def test_norm_command(triangle_file, tmp_path, capsys):
     assert main(["norm", str(p), str(cf), "--pi", "2,4"]) == 0
 
 
+@pytest.mark.parametrize("p", ["inf", "nan", "0.5"])
+def test_norm_rejects_an_exponent_outside_the_range(triangle_file, tmp_path, capsys, p):
+    path, K = triangle_file
+    cf = tmp_path / "c.txt"
+    cf.write_text(write_cochain(Cochain(1, {(0, 1): 5.0, (1, 2): -7.0}, K)))
+    assert main(["norm", str(path), str(cf), "--p", p]) == 2
+    assert "lp_norm" not in capsys.readouterr().out
+
+
+def test_contract_of_isolated_points_is_usage_error(tmp_path, capsys):
+    # no degree >= 1: nothing to contract, so no vacuous "contraction: ok"
+    pf = tmp_path / "points.txt"
+    pf.write_text(write_complex(build_complex({0: (0.0,), 1: (1.0,), 2: (2.0,)},
+                                              [(0,), (1,), (2,)])))
+    assert main(["contract", str(pf)]) == 2
+    assert "contraction: ok" not in capsys.readouterr().out
+
+
 def test_whitney_and_derham_commands(triangle_file, tmp_path, capsys):
     p, K = triangle_file
     c = Cochain(1, {(0, 1): 2.0, (1, 2): -1.0}, K)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,13 @@ def test_lp_norms():
         lp_norm(c, 0.5)
     two = Cochain(1, {(0, 1): 3.0, (0, 2): 4.0}, K)
     assert lp_norm(two, 2.0) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan], ids=["inf", "nan"])
+def test_lp_norm_rejects_an_exponent_that_is_not_finite(p):
+    c = Cochain(1, {(0, 1): 5.0, (0, 2): -7.0}, simplex_complex(2))
+    with pytest.raises(BadExponent):
+        lp_norm(c, p)
 
 
 def test_pi_norm_top_degree_has_no_coboundary_term():

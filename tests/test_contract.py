@@ -6,10 +6,12 @@ import sympy
 
 from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex
 from lpiforms.contract import (
+    RANK_RTOL,
     Contraction,
     ContractionFailure,
     MatrixComplex,
     _exact_rank,
+    _pinv,
     assemble,
     cohomology_dims,
     contract,
@@ -77,10 +79,59 @@ def test_contract_fails_on_spheres():
     res1 = contract(assemble(sphere_complex(1)))
     assert isinstance(res1, ContractionFailure)
     assert res1.degree == 1
-    assert res1.residual > 1e-3
+    # the largest entry of the harmonic projector: 1/3 on the triangle's
+    # three edges, 1/4 on the tetrahedron boundary's four faces
+    assert res1.residual == pytest.approx(1 / 3, rel=1e-12)
     res2 = contract(assemble(sphere_complex(2)))
     assert isinstance(res2, ContractionFailure)
     assert res2.degree == 2
+    assert res2.residual == pytest.approx(1 / 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble(simplex_complex(1), augmented=True),
+    lambda: assemble(simplex_complex(2), augmented=True),
+    lambda: assemble(simplex_complex(3), augmented=True),
+    lambda: assemble(barycentric_subdivide(simplex_complex(2)), augmented=True),
+    lambda: assemble(simplex_complex(2)),
+    lambda: MatrixComplex((1, 1), (np.eye(1),)),
+    lambda: assemble(barycentric_subdivide(ray_complex(2, 48)), augmented=True),
+], ids=["edge", "tri", "tet", "sd-tri", "tri-plain", "identity", "strip-48"])
+def test_contract_matches_the_svd_pseudo_inverse(make):
+    M = make()
+    h = contract(M)
+    assert isinstance(h, Contraction)
+    for i in range(1, M.top + 1):
+        ref = np.linalg.pinv(M.matrix(i - 1), rcond=RANK_RTOL)
+        assert np.abs(h.maps[i] - ref).max() <= 1e-10
+
+
+def test_pinv_matches_svd_on_rank_deficient_integer_matrices():
+    rng = np.random.default_rng(12)
+    shapes = set()
+    for _ in range(300):
+        m, n = (int(x) for x in rng.integers(1, 16, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        A = rng.integers(-2, 3, size=(m, r)) @ rng.integers(-2, 3, size=(r, n))
+        D = A.astype(float)
+        shapes.add("tall" if m > n else "wide" if m < n else "square")
+        ref = np.linalg.pinv(D, rcond=RANK_RTOL)
+        assert np.abs(_pinv(D) - ref).max() <= 1e-10
+    assert shapes == {"tall", "wide", "square"}
+    for shape in ((4, 2), (2, 5), (0, 0), (0, 3), (3, 0)):  # all-zero and empty
+        P = _pinv(np.zeros(shape))
+        assert P.shape == shape[::-1] and not P.any()
+
+
+def test_contract_on_a_999_edge_path():
+    # the longest path under SIZE_LIMIT, and the closest to the Gram cutoff of
+    # the complexes tested: the smallest eigenvalue kept for D_1 is 2.5e-6 w_max
+    K = ray_complex(1, 999)
+    assert K.simplex_count() == 1999
+    M = assemble(K, augmented=True)
+    h = contract(M)
+    assert isinstance(h, Contraction)
+    assert verify_contraction(M, h).max_residual <= 1e-10
 
 
 def test_identity_two_term_complex():
@@ -116,6 +167,11 @@ def test_verification_rejects_a_contraction_with_missing_maps():
     h = contract(M)
     with pytest.raises(BadDegree):
         verify_contraction(M, Contraction({i: h.maps[i] for i in (1, 2)}))
+    # three isolated points carry H^0 = 3, and there is no degree >= 1 to check
+    M = assemble(build_complex({0: (0.0,), 1: (1.0,), 2: (2.0,)}, [(0,), (1,), (2,)]))
+    assert M.top == 0
+    with pytest.raises(BadDegree):
+        verify_contraction(M, contract(M))
 
 
 def test_size_refusal():

@@ -190,8 +190,9 @@ def test_lp_norm_constant():
     one = PolyForm.constant(K, 1.0)
     assert one.lp_norm(2.0) == pytest.approx(1.0)
     assert one.lp_norm(3.0) == pytest.approx(1.0)
-    with pytest.raises(BadExponent):
-        one.lp_norm(0.5)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(BadExponent):
+            one.lp_norm(p)
 
 
 def test_norm_at_one_form():
