@@ -79,12 +79,13 @@ def coboundary(c: Cochain) -> Cochain:
 
 
 def lp_norm(c: Cochain, p: float) -> float:
-    """Counting-measure l_p norm over the k-simplices."""
+    """Counting-measure l_p norm over the k-simplices, scaled so |v|^p stays in range."""
     if not (math.isfinite(p) and p >= 1):
         raise BadExponent(f"p = {p} is not a finite number >= 1")
     if not c.values:
         return 0.0
-    return sum(abs(v) ** p for v in c.values.values()) ** (1.0 / p)
+    scale = math.ldexp(1.0, math.frexp(max(abs(v) for v in c.values.values()))[1])
+    return sum((abs(v) / scale) ** p for v in c.values.values()) ** (1.0 / p) * scale
 
 
 def pi_norm(c: Cochain, pi: PiSequence) -> float:

@@ -27,17 +27,18 @@ Riemannian k-volume.  The metric-free (affine-invariant) integral, which
 satisfies Stokes' theorem exactly against the alternating-sum coboundary,
 is available with weighted=False; it differs by the factor k! * vol.
 
-Pointwise values have one path, `_components_at`, which evaluates a piece at
-many points at once: with E the (terms x m) exponent matrix and C the map
-from terms to the dt_I components, V = prod(pts ** E) @ C, and
-|omega|^2 = V G V^T with G the covector Gram matrix of the simplex.  Norms,
-`evaluate` and `continuity_defect` all go through it.
+Pointwise values have one path, `_coefficients`, which lays out pieces of
+one dimension as an exponent matrix E (keys x m) over the union of their
+term keys and a coefficient tensor A (pieces x keys x dt_I columns); then
+V = prod(pts ** E) @ A, and |omega|^2 = V G V^T with G the covector Gram
+matrices.  `lp_norm` takes all pieces of one dimension in one such pass.
 
-Two caches serve the hot paths.  `pullback` is linear in the terms, so it
-sums cached images of single term keys (a module-level LRU cache keyed by
-the term key and B; almost every B is a 0/1 matrix, so the cache stays
-small).  The complex keeps each simplex's volume and covector Gram matrix
-once computed (`MetricComplex.volume`, `MetricComplex.covector_gram`).
+LRU caches keyed by reference data, never by a complex, serve the hot
+paths: `_unit_pullback` (one term key pulled back along B, almost always a
+0/1 matrix), `_face_table` (one term's integrals over the faces of its
+reference simplex, so a piece's face integrals are one product) and, in
+`derham`, the Whitney form of each face position.  The complex keeps each
+simplex's volume and covector Gram matrix once computed.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ from .errors import BadCarrier, BadDimension, BadExponent, BadSubcomplex
 
 # the rule degrees lp_norm tries in turn for a p that is not an even integer
 _ADAPTIVE_DEGREES = (8, 14, 20, 28, 38)
+# pieces x points lp_norm evaluates at once, which bounds the memory of a high rule
+_BLOCK = 1 << 15
 
 # a term key: (exponent tuple over t_1..t_m, ascending diff index tuple)
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -169,20 +172,56 @@ def _unit_pullback(key: TermKey, B: tuple[tuple[float, ...], ...]):
     return tuple(acc.items())
 
 
-def _components_at(terms: Terms, pts: np.ndarray, k: int) -> np.ndarray:
-    """Values of the dt_I components of degree-k terms at the rows of pts
-    (reduced coordinates, shape (npts, m)), one column per ascending k-subset
-    I of 1..m in `itertools.combinations` order: prod(pts ** E) @ C."""
-    n, m = len(terms), pts.shape[1]
+def _by_dimension(keys) -> list[list[SimplexKey]]:
+    return [list(g) for _, g in itertools.groupby(sorted(keys, key=len), key=len)]
+
+
+def _dense(pieces: Sequence[Terms]) -> tuple[Terms, np.ndarray]:
+    """The union of the pieces' term keys and their coefficients over it."""
+    union: Terms = {}
+    for terms in pieces:
+        union.update(terms)
+    union = dict.fromkeys(union, 0.0)  # a piece merged into it lists values in union order
+    values = itertools.chain.from_iterable([{**union, **terms}.values() for terms in pieces])
+    dense = np.fromiter(values, float, count=len(pieces) * len(union))
+    return union, dense.reshape(len(pieces), len(union))
+
+
+def _coefficients(pieces: Sequence[Terms], m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """E and A of the module docstring; column j of A is the j-th ascending
+    k-subset I of 1..m in `itertools.combinations` order."""
+    union, dense = _dense(pieces)
     col = _columns(m, k)
-    E = np.array([e for e, _ in terms], dtype=int).reshape(n, m)
-    C = np.zeros((n, len(col)))
-    C[np.arange(n), [col[I] for _, I in terms]] = list(terms.values())
-    return np.prod(pts[:, None, :] ** E, axis=2) @ C
+    A = np.zeros((len(pieces), len(union), len(col)))
+    A[:, np.arange(len(union)), [col[I] for _, I in union]] = dense
+    return np.array([e for e, _ in union], dtype=int).reshape(len(union), m), A
+
+
+def _components_at(terms: Terms, pts: np.ndarray, k: int) -> np.ndarray:
+    """The dt_I components of degree-k terms at the rows of pts, one column per I."""
+    E, A = _coefficients([terms], pts.shape[1], k)
+    return np.prod(pts[:, None, :] ** E, axis=2) @ A[0]
+
+
+def _norm_sq(V: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """|omega|^2 = V G V^T per point of components V with Gram matrices G."""
+    return np.maximum(np.einsum("...j,...j->...", V @ G, V), 0.0)
 
 
 def _columns(m: int, k: int) -> dict[tuple[int, ...], int]:
     return {I: j for j, I in enumerate(itertools.combinations(range(1, m + 1), k))}
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _face_table(key: TermKey) -> tuple[float, ...]:
+    """Integral of one unit term over each k-face (k = len(key[1])) of the
+    reference m-simplex (m = len(key[0])), faces in combinations order, each
+    relative to the face's normalized measure."""
+    m, k = len(key[0]), len(key[1])
+    ref, full = tuple(range(m + 1)), tuple(range(1, k + 1))
+    return tuple(sum((v * monomial_integral(e, k) for (e, I), v in
+                      _unit_pullback(key, selection(ref, f)) if I == full), 0.0)
+                 for f in itertools.combinations(ref, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +343,6 @@ class PolyForm:
     def piece(self, T: SimplexKey) -> Terms:
         return self.pieces.get(T, {})
 
-    def poly_degree(self) -> int:
-        return max(
-            (sum(exps) for p in self.pieces.values() for (exps, _idx) in p),
-            default=0,
-        )
-
     # -- calculus -----------------------------------------------------------
 
     def d(self) -> "PolyForm":
@@ -369,92 +402,83 @@ class PolyForm:
         The orientation is that of ascending vertex order; an odd
         permutation of tau flips the sign.  weighted=True applies the
         volume-weighted monomial formula; weighted=False is the metric-free
-        form integral (Stokes-exact).
+        form integral (Stokes-exact).  The piece is the one `trace_on` picks.
         """
         tau = tuple(tau)
         k = self.degree
         if len(tau) - 1 != k:
             raise BadDimension(f"cannot integrate a {k}-form over {tau}")
-        sign = _permutation_sign(tau)
         key = tuple(sorted(tau))
-        tr = self.trace_on(key)
-        if not tr:
-            return 0.0
-        full_idx = tuple(range(1, k + 1))
-        total = 0.0
-        for (exps, idx), c in tr.items():
-            if idx != full_idx:
-                continue
-            total += c * monomial_integral(exps, k)
-        if weighted:
-            return sign * total * self.complex.volume(key)
-        return sign * total / math.factorial(k) if k > 0 else sign * total
+        for T in self.complex.carriers.get(key, ()):
+            if T in self.pieces:
+                return _permutation_sign(tau) * self.face_integrals([T], weighted)[key]
+        return 0.0
+
+    def face_integrals(self, tops: Sequence[SimplexKey],
+                       weighted: bool = True) -> dict[SimplexKey, float]:
+        """Integrals, weighted as in `integrate`, over the k-faces of the
+        pieces on tops, keyed in ascending vertex order; a face shared by
+        several takes the first one's value."""
+        k = self.degree
+        rows: dict[SimplexKey, list[float]] = {}
+        for group in _by_dimension(tops):
+            union, dense = _dense([self.pieces[T] for T in group])
+            tables = np.array([_face_table(key) for key in union])
+            rows.update(zip(group, (dense @ tables).tolist()))
+        out: dict[SimplexKey, float] = {}
+        for T in reversed(tops):  # so that the first piece's value is the one kept
+            out.update(zip(itertools.combinations(T, k + 1), rows[T]))
+        return {s: v * self.complex.volume(s) if weighted else v / math.factorial(k)
+                for s, v in out.items()}
 
     # -- norms --------------------------------------------------------------
-
-    def _norm_sq_at(self, T: SimplexKey, pts: np.ndarray) -> np.ndarray:
-        """|omega|^2 in the simplex metric at the rows of pts (reduced
-        coordinates on piece T)."""
-        if T not in self.pieces:
-            return np.zeros(len(pts))
-        V = _components_at(self.pieces[T], pts, self.degree)
-        G = self.complex.covector_gram(T, self.degree)
-        return np.maximum(np.sum((V @ G) * V, axis=1), 0.0)
-
-    def norm_at(self, T: SimplexKey, t: np.ndarray) -> float:
-        """Pointwise Euclidean norm |omega(x)| in the simplex metric."""
-        pts = np.asarray(t, dtype=float).reshape(1, len(T) - 1)
-        return math.sqrt(self._norm_sq_at(tuple(T), pts)[0])
 
     def lp_norm(self, p: float) -> float:
         """||omega||_{Omega_p}: per-simplex integral of |omega|^p, p-th root.
 
         Exact (up to the rule's polynomial exactness) for even integer p;
-        otherwise the quadrature order is raised until two consecutive
-        conical rules agree to 1e-10 relative.
+        otherwise each piece raises its quadrature order until two
+        consecutive conical rules agree to 1e-10 relative.  The coefficients
+        are divided by a power of two near a bound of |omega|, multiplied back
+        after the root, so that |omega|^p stays in range.
         """
         if not (math.isfinite(p) and p >= 1):
             raise BadExponent(f"p = {p} is not a finite number >= 1")
+        k, K = self.degree, self.complex
+        layouts = [(tops, *_coefficients([self.pieces[T] for T in tops], len(tops[0]) - 1, k),
+                    np.array([K.covector_gram(T, k) for T in tops]))
+                   for tops in _by_dimension(self.pieces) if len(tops[0]) > k]
+        if not layouts:
+            return 0.0
+        e = math.frexp(max(float((np.abs(A).max(axis=(1, 2)) * np.sqrt(G.max(axis=(1, 2)))).max())
+                           for _, _, A, G in layouts))[1]
+        degrees = _ADAPTIVE_DEGREES
         if float(p).is_integer() and int(p) % 2 == 0:
-            deg = int(p) * (self.poly_degree() + 1)
-        else:
-            deg = None
+            degrees = (int(p) * (max(int(E.sum(axis=1).max()) for _, E, _, _ in layouts) + 1),)
+        # the 1 of the convergence test 1e-10 (1 + |acc|), in scaled units
+        floor = math.exp(min(-e * p * math.log(2.0), 700.0))
         total = 0.0
-        for T in self.pieces:
-            m = len(T) - 1
-            if m < self.degree:
-                continue
-            if deg is not None:
-                acc = self._rule_sum(T, simplex_rule(m, deg), p)
-            else:
-                acc = self._adaptive_piece(T, m, p)
-            total += self.complex.volume(T) * acc
-        return total ** (1.0 / p)
-
-    def _rule_sum(self, T, rule, p) -> float:
-        """Quadrature of |omega|^p on T, relative to unit volume."""
-        pts, wts = rule
-        return float(wts @ self._norm_sq_at(T, pts) ** (p / 2.0))
-
-    def _adaptive_piece(self, T, m, p) -> float:
-        prev = None
-        for deg in _ADAPTIVE_DEGREES:
-            acc = self._rule_sum(T, simplex_rule(m, deg), p)
-            if prev is not None and abs(acc - prev) <= 1e-10 * (1.0 + abs(acc)):
-                return acc
-            prev = acc
-        return prev
+        for tops, E, A, G in layouts:
+            A *= math.ldexp(1.0, -e)
+            acc, live = np.full(len(tops), np.nan), np.arange(len(tops))
+            for deg in degrees:
+                cur = _power_sums(A[live], G[live], E, *simplex_rule(E.shape[1], deg), p)
+                # a piece goes on until its last two rules agree (NaN never does)
+                keep = ~(np.abs(cur - acc[live]) <= 1e-10 * (floor + np.abs(cur)))
+                acc[live], live = cur, live[keep]
+                if not live.size:
+                    break
+            total += float(np.array([K.volume(T) for T in tops]) @ acc)
+        return total ** (1.0 / p) * math.ldexp(1.0, e)
 
     def sup_norm(self, T: SimplexKey, resolution: int = 8) -> float:
         """Lattice lower bound of ess-sup |omega| on T."""
         T = tuple(T)
-        if T not in self.pieces:
-            tr = self.trace_on(T)
-            if not tr:
-                return 0.0
-            sub = PolyForm(self.degree, self.complex, {T: tr})
-            return sub.sup_norm(T, resolution)
-        return math.sqrt(float(self._norm_sq_at(T, _lattice(len(T) - 1, resolution)).max()))
+        terms = self.pieces.get(T) or self.trace_on(T)
+        if not terms:
+            return 0.0
+        V = _components_at(terms, _lattice(len(T) - 1, resolution), self.degree)
+        return math.sqrt(float(_norm_sq(V, self.complex.covector_gram(T, self.degree)).max()))
 
     def sl_pi_norm(self, pi: PiSequence) -> float:
         """Per-simplex sup-norm Sobolev norm; the second sum runs over d(omega)."""
@@ -493,6 +517,15 @@ class PolyForm:
             ])
             worst = max(worst, float((vals.max(axis=0) - vals.min(axis=0)).max()))
         return worst
+
+
+def _power_sums(A: np.ndarray, G: np.ndarray, E: np.ndarray, pts: np.ndarray, wts: np.ndarray,
+                p: float) -> np.ndarray:
+    """Per piece of A and G, the sum of |omega|^p over the rule (pts, wts)."""
+    P = np.prod(pts[:, None, :] ** E, axis=2)
+    step = max(1, _BLOCK // len(pts))
+    return np.concatenate([_norm_sq(P @ A[i:i + step], G[i:i + step]) ** (p / 2.0) @ wts
+                           for i in range(0, len(A), step)])
 
 
 def _lattice(m: int, r: int) -> np.ndarray:

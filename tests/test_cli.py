@@ -133,6 +133,16 @@ def test_norm_command(triangle_file, tmp_path, capsys):
     assert main(["norm", str(p), str(cf), "--pi", "2,4"]) == 0
 
 
+def test_norm_at_a_large_exponent_exits_0(triangle_file, tmp_path, capsys):
+    # |v|^400 of 7 overflows a float; the norm itself is about 7
+    path, K = triangle_file
+    cf = tmp_path / "c.txt"
+    cf.write_text(write_cochain(Cochain(1, {(0, 1): 5.0, (1, 2): -7.0}, K)))
+    assert main(["norm", str(path), str(cf), "--p", "400"]) == 0
+    value = float(re.search(r"lp_norm: (\S+)", capsys.readouterr().out).group(1))
+    assert value == pytest.approx(7.0, rel=1e-14)
+
+
 @pytest.mark.parametrize("p", ["inf", "nan", "0.5"])
 def test_norm_rejects_an_exponent_outside_the_range(triangle_file, tmp_path, capsys, p):
     path, K = triangle_file

@@ -90,6 +90,17 @@ def test_lp_norms():
     assert lp_norm(two, 2.0) == pytest.approx(5.0)
 
 
+def test_lp_norm_neither_overflows_nor_underflows():
+    K = ray_complex(1, 3)
+    big = Cochain(1, {(0, 1): 5.0, (1, 2): -7.0}, K)
+    want = 7.0 * (1.0 + (5.0 / 7.0) ** 400) ** (1.0 / 400)
+    assert lp_norm(big, 400.0) == pytest.approx(want, rel=1e-14)
+    tiny = Cochain(1, {(0, 1): 1e-200, (1, 2): -1e-200}, K)
+    assert lp_norm(tiny, 4.0) == pytest.approx(2.0 ** 0.25 * 1e-200, rel=1e-14)
+    huge = Cochain(1, {(0, 1): 1e200, (1, 2): -1e200}, K)
+    assert lp_norm(huge, 3.0) == pytest.approx(2.0 ** (1 / 3) * 1e200, rel=1e-14)
+
+
 @pytest.mark.parametrize("p", [math.inf, math.nan], ids=["inf", "nan"])
 def test_lp_norm_rejects_an_exponent_that_is_not_finite(p):
     c = Cochain(1, {(0, 1): 5.0, (0, 2): -7.0}, simplex_complex(2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpiforms.cochains import Cochain, coboundary, indicator
-from lpiforms.complexes import barycentric_subdivide
+from lpiforms.complexes import barycentric_subdivide, build_complex
 from lpiforms.derham import (
     derham_map,
     verify_split,
@@ -14,8 +14,15 @@ from lpiforms.derham import (
     whitney_factor,
     whitney_normalized,
 )
-from lpiforms.errors import BadDimension
-from lpiforms.polyform import PolyForm
+from lpiforms.errors import BadDegree, BadDimension
+from lpiforms.polyform import (
+    PolyForm,
+    monomial_integral,
+    pullback,
+    selection,
+    t_add,
+    t_scale,
+)
 
 from conftest import regular_simplex, simplex_complex
 
@@ -118,3 +125,83 @@ def test_stokes_via_whitney_on_subdivision(subdivided_triangle):
         rhs = coboundary(c)
         for s in K.simplices_of_dim(k + 1):
             assert lhs(s) == pytest.approx(rhs(s), abs=1e-12)
+
+
+def _random_pieces(rng, tops, k):
+    pieces = {}
+    for T in tops:
+        m = len(T) - 1
+        terms = {}
+        for _ in range(3):
+            exps = tuple(int(rng.integers(0, 3)) for _ in range(m))
+            idx = tuple(sorted(int(i) + 1 for i in rng.choice(m, size=k, replace=False)))
+            terms[(exps, idx)] = float(rng.normal())
+        pieces[T] = terms
+    return pieces
+
+
+def test_face_integrals_match_the_trace_of_the_first_carrier(subdivided_triangle):
+    # a non-conforming form: each face takes trace_on's piece, the first
+    # carrier that has one, and integrates its dt_1..dt_k terms
+    S = subdivided_triangle
+    # S plus a triangle on new vertices, whose simplices the form never sees
+    verts = dict(S.vertices)
+    verts.update({100: (3.0, 0.0), 101: (4.0, 0.0), 102: (3.5, 1.0)})
+    big = build_complex(verts, list(S.maximal_simplices()) + [(100, 101, 102)])
+    rng = np.random.default_rng(41)
+    for k in (0, 1, 2):
+        # every triangle but the last has a piece, so some faces have two
+        # pieces to choose from and some only one
+        om = PolyForm(k, S, _random_pieces(rng, S.maximal_simplices()[:-1], k))
+        full = tuple(range(1, k + 1))
+        for weighted in (False, True):
+            image = derham_map(om, big, k, weighted=weighted)
+            for sigma in big.simplices_of_dim(k):
+                want = 0.0
+                if S.has_simplex(sigma):
+                    plain = sum(c * monomial_integral(e, k)
+                                for (e, I), c in om.trace_on(sigma).items() if I == full)
+                    want = plain * S.volume(sigma) if weighted else plain / math.factorial(k)
+                assert image(sigma) == pytest.approx(want, rel=1e-13, abs=1e-15), sigma
+                flipped = sigma[::-1]
+                sign = -1.0 if k % 4 in (1, 2) else 1.0  # the reversal's parity
+                assert om.integrate(flipped, weighted=weighted) == pytest.approx(
+                    sign * want, rel=1e-13, abs=1e-15)
+
+
+def test_whitney_is_the_pulled_back_reference_form():
+    K = barycentric_subdivide(simplex_complex(3))
+    rng = np.random.default_rng(43)
+    for k in range(4):
+        fact = float(math.factorial(k))
+        reference = {}
+        for i in range(k + 1):
+            exps = tuple(int(q == i) for q in range(k + 1))
+            reference[(exps, tuple(q for q in range(k + 1) if q != i))] = (-1) ** i * fact
+        c = Cochain(k, {s: float(rng.normal()) for s in K.simplices_of_dim(k)}, K)
+        want = {}
+        for sigma, val in c.values.items():
+            for T in K.carriers[sigma]:
+                want[T] = t_add(want.get(T, {}), t_scale(pullback(reference, selection(sigma, T)), val))
+        got = whitney(c)
+        assert set(got.pieces) == {T for T, p in want.items() if p}
+        for T, terms in got.pieces.items():
+            assert set(terms) == set(want[T])
+            for key, v in terms.items():
+                assert v == pytest.approx(want[T][key], rel=1e-14, abs=1e-15)
+
+
+def test_verify_stokes_rejects_a_form_of_top_degree():
+    # the 1-form on one edge has no 2-simplex to check against
+    K = simplex_complex(1)
+    om = PolyForm(1, K, {(0, 1): {((0,), (1,)): 1.0}})
+    with pytest.raises(BadDegree):
+        verify_stokes(om, K)
+
+
+def test_derham_map_rejects_a_degree_other_than_the_form_degree():
+    K = simplex_complex(1)
+    om = PolyForm(1, K, {(0, 1): {((0,), (1,)): 1.0}})
+    for k in (0, 2):
+        with pytest.raises(BadDimension):
+            derham_map(om, K, k)

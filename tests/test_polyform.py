@@ -195,13 +195,87 @@ def test_lp_norm_constant():
             one.lp_norm(p)
 
 
-def test_norm_at_one_form():
-    # f dt1 on an edge of length 2: |omega| = |f| / 2
-    from lpiforms.complexes import build_complex
+def test_lp_norm_neither_overflows_nor_underflows():
+    edge = build_complex({0: (0.0,), 1: (1.0,)}, [(0, 1)])
+    assert PolyForm.constant(edge, 7.0).lp_norm(400.0) == pytest.approx(7.0, rel=1e-13)
+    for p in (4.0, 2.5):
+        tiny = PolyForm.constant(edge, 1e-200).lp_norm(p)
+        assert tiny == pytest.approx(1e-200, rel=1e-12)
+    assert PolyForm.constant(edge, 1e200).lp_norm(3.0) == pytest.approx(1e200, rel=1e-12)
+    # |dt_1| = 100 on an edge of length 0.01: the metric alone would overflow
+    short = build_complex({0: (0.0,), 1: (0.01,)}, [(0, 1)])
+    dt = PolyForm(1, short, {(0, 1): {((0,), (1,)): 1.0}})
+    assert dt.lp_norm(400.0) == pytest.approx(100.0 * 0.01 ** (1 / 400), rel=1e-13)
 
+
+def _per_piece_lp_norm(om, p):
+    """lp_norm by a plain loop: per piece and rule point, the components from
+    the terms and |omega|^2 from the Gram-inverse minors; a p that is not an
+    even integer raises each piece's rule until two in a row agree.  Returns
+    the norm and the rule degree each piece stopped at."""
+    K, k = om.complex, om.degree
+    top = max(sum(e) for terms in om.pieces.values() for e, _ in terms)
+    even = float(p).is_integer() and int(p) % 2 == 0
+    degrees = (int(p) * (top + 1),) if even else _ADAPTIVE_DEGREES
+    total, stops = 0.0, {}
+    for T, terms in om.pieces.items():
+        edges = K.coords(T)[1:] - K.coords(T)[0]
+        ginv = np.linalg.inv(edges @ edges.T)
+        prev = None
+        for deg in degrees:
+            pts, wts = simplex_rule(len(T) - 1, deg)
+            acc = 0.0
+            for x, w in zip(pts, wts):
+                comp = {}
+                for (e, I), c in terms.items():
+                    comp[I] = comp.get(I, 0.0) + c * float(np.prod(x ** np.array(e)))
+                sq = sum(comp[I] * comp[J] * np.linalg.det(ginv[np.ix_([i - 1 for i in I],
+                                                                       [j - 1 for j in J])])
+                         for I in comp for J in comp)
+                acc += w * max(sq, 0.0) ** (p / 2.0)
+            stops[T] = deg
+            if prev is not None and abs(acc - prev) <= 1e-10 * (1.0 + abs(acc)):
+                break
+            prev = acc
+        total += K.volume(T) * acc
+    return total ** (1.0 / p), stops
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 2.5, 4.0])
+def test_batched_lp_norm_matches_a_per_piece_loop(p):
+    # maximal simplices of two dimensions (triangles and dangling edges),
+    # and a triangle without a piece
+    K = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.2, 0.9), 3: (2.0, 0.5),
+                       4: (1.1, 1.3), 5: (-0.8, 0.6), 6: (2.5, 1.5)},
+                      [(0, 1, 2), (1, 2, 4), (0, 2, 5), (1, 3), (3, 6)])
+    # per dimension, one piece vanishes nowhere and one changes sign, so
+    # that |omega|^p is smooth on one and not on the other
+    forms = [
+        PolyForm(0, K, {(0, 1, 2): {((0, 0), ()): 1.0, ((1, 0), ()): 0.1},
+                        (1, 2, 4): {((1, 0), ()): 1.0, ((0, 1), ()): 0.5, ((0, 0), ()): -0.3},
+                        (1, 3): {((1,), ()): 1.0, ((0,), ()): -0.3},
+                        (3, 6): {((0,), ()): 2.0, ((1,), ()): 0.5}}),
+        PolyForm(1, K, {(0, 1, 2): {((0, 0), (1,)): 1.5, ((0, 1), (2,)): -0.7},
+                        (1, 2, 4): {((1, 0), (1,)): 1.0, ((0, 0), (1,)): -0.4,
+                                    ((0, 0), (2,)): 0.3},
+                        (1, 3): {((1,), (1,)): 2.0, ((0,), (1,)): -0.5},
+                        (3, 6): {((0,), (1,)): -1.0}}),
+    ]
+    for om in forms:
+        want, stops = _per_piece_lp_norm(om, p)
+        assert om.lp_norm(p) == pytest.approx(want, rel=1e-12)
+        if p == 2.5:
+            # pieces of one dimension stop at different rules
+            for pair in ([(0, 1, 2), (1, 2, 4)], [(1, 3), (3, 6)]):
+                assert stops[pair[0]] != stops[pair[1]], stops
+
+
+def test_one_form_norm_in_the_edge_metric():
+    # f dt1 on an edge of length 2: |omega| = |f| / 2
     K = build_complex({0: (0.0,), 1: (2.0,)}, [(0, 1)])
     om = PolyForm(1, K, {(0, 1): {((0,), (1,)): 3.0}})
-    assert om.norm_at((0, 1), np.array([0.5])) == pytest.approx(1.5)
+    assert om.sup_norm((0, 1)) == pytest.approx(1.5)
+    assert om.lp_norm(2.0) == pytest.approx(1.5 * math.sqrt(2.0))
 
 
 def test_sup_and_sl_pi_norms():
@@ -458,7 +532,7 @@ def test_pullback_results_do_not_share_state():
 
 
 def test_pointwise_values_match_a_per_term_loop():
-    # evaluate, norm_at and sup_norm against a plain loop over the terms and
+    # evaluate and sup_norm against a plain loop over the terms and
     # the Gram-inverse minors of a non-regular tetrahedron
     K = build_complex({0: (0.0, 0.0, 0.0), 1: (2.0, 0.0, 0.0), 2: (0.5, 1.5, 0.0),
                        3: (0.3, 0.2, 1.25)}, [(0, 1, 2, 3)])
@@ -481,7 +555,6 @@ def test_pointwise_values_match_a_per_term_loop():
             sq = max(0.0, sum(
                 comp[I] * comp[J] * np.linalg.det(ginv[np.ix_([i - 1 for i in I], [j - 1 for j in J])])
                 for I in comp for J in comp))
-            assert om.norm_at(T, x) == pytest.approx(math.sqrt(sq), rel=1e-12, abs=1e-14)
             squares.append(sq)
         best = max(squares[: len(lattice)])
         assert om.sup_norm(T, resolution=3) == pytest.approx(math.sqrt(best), rel=1e-12)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,26 @@ def test_import_pulls_in_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]", out
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer wraps these names by lookup (a method through
+    # the class __dict__), so a rename breaks `--trace 1` with a KeyError;
+    # perfbench/tracing.py is parsed, not imported
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    tables = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.AnnAssign | ast.Assign) and isinstance(node.value, ast.Dict):
+            target = node.target if isinstance(node, ast.AnnAssign) else node.targets[0]
+            tables[target.id] = node.value
+    refs = {ref for group in ast.literal_eval(tables["GROUPS"]).values() for ref in group}
+    refs |= {ast.literal_eval(key) for key in tables["COUNTERS"].keys}
+    assert refs
+    missing = []
+    for module, name in sorted(refs):
+        mod = importlib.import_module(f"lpiforms.{module}")
+        owner, _, attr = name.rpartition(".")
+        found = attr in vars(getattr(mod, owner)) if owner else hasattr(mod, attr)
+        if not found:
+            missing.append(f"{module}.{name}")
+    assert not missing, missing
