@@ -30,7 +30,7 @@ from .contract import (
 from .cochains import Cochain, lp_norm, pi_norm, read_cochain
 from .complexes import PiSequence, read_complex
 from .derham import derham_map, verify_split, verify_stokes, whitney
-from .errors import LpiFormsError, TooLarge
+from .errors import BadDegree, LpiFormsError, TooLarge
 from .mollify import GridForm, MollifierConfig, verify_homotopy
 from .nontrivial import verify_nontriviality
 from .polyform import PolyForm
@@ -159,6 +159,8 @@ def _verify_split(args) -> tuple[bool, list]:
 
 def _verify_stokes(args) -> tuple[bool, list]:
     K = _load_complex(args.complex) if args.complex else _default_split_complex()
+    if K.dim < 1:
+        raise BadDegree("the complex has no 1-simplices to check Stokes' theorem on")
     rng = np.random.default_rng(args.seed)
     tops = K.maximal_simplices()
     worst = 0.0

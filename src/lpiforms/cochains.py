@@ -117,9 +117,3 @@ def read_cochain(text: str, K: MetricComplex) -> Cochain:
             raise DuplicateSimplex(f"simplex {key} listed twice")
         values[key] = float(parts[-1])
     return Cochain(k, values, K)
-
-
-def coboundary_norm_bound(K: MetricComplex, p: float, N: int) -> float:
-    """The crude bounded-geometry operator bound (n+1) * N^(1/p) for the
-    coboundary in l_p."""
-    return (K.dim + 1) * N ** (1.0 / p)

@@ -13,8 +13,8 @@ The contraction is the paper's descending induction
 
 with eta^i = D_{i-1}^+, the Moore-Penrose pseudo-inverse.  D_{i-1} D_{i-2} = 0
 gives D_{i-2}^+ D_{i-1}^+ = 0, so eta^{i-1} alpha^{i-1} = eta^{i-1}: h^i = D_{i-1}^+.
-Each degree from the top is still checked, by the defect and by the closure
-d^{i-1} alpha^{i-1} = 0, i.e. D D^+ D = D; the first failing one carries cohomology.
+Each degree from the top is still checked by its defect; the first failing
+one carries cohomology.
 
 D^+ = V_k L_k^-1 V_k^T A^T, from eigh of the smaller Gram matrix A^T A (A = D
 or D^T, whichever is tall); eigenvalues <= RANK_RTOL w_max count as zero, i.e.
@@ -172,14 +172,10 @@ def contract(M: MatrixComplex) -> Contraction | ContractionFailure:
     d eta = 1 is unsolvable on the cycles, i.e. where cohomology is present."""
     h: dict[int, np.ndarray] = {}
     for i in range(M.top, 0, -1):
-        Dm = M.matrix(i - 1)  # degree i-1 -> i
-        h[i] = _pinv(Dm)
+        h[i] = _pinv(M.matrix(i - 1))  # D_{i-1}: degree i-1 -> i
         residual = _defect(M, h, i)
         if residual > STEP_TOL:
             return ContractionFailure(degree=i, residual=residual)
-        closure = float(np.abs(np.linalg.multi_dot([Dm, h[i], Dm]) - Dm).max(initial=0.0))
-        if closure > STEP_TOL:
-            return ContractionFailure(degree=i - 1, residual=closure)
     return Contraction(h)
 
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadCarrier, BadDegree, BadDimension, OutsideDomain
+from .polyform import simplex_rule
 
 AxisSet = tuple[int, ...]
 
@@ -152,11 +153,7 @@ class GridForm:
     @staticmethod
     def from_function(n: int, h: float, degree: int,
                       fns: dict[AxisSet, "callable"]) -> "GridForm":
-        xs = grid_axis(h)
-        if n == 1:
-            pts = (xs,)
-        else:
-            pts = np.meshgrid(xs, xs, indexing="ij")
+        pts = np.moveaxis(_grid_points(n, h), -1, 0)
         comps = {tuple(a): np.asarray(f(*pts), dtype=float) * np.ones_like(pts[0])
                  for a, f in fns.items()}
         return GridForm(n, h, degree, comps)
@@ -393,15 +390,13 @@ def cone_S(omega: GridForm) -> GridForm:
     n, k = omega.n, omega.degree
     if k < 1:
         raise BadDegree("cone operator needs degree >= 1")
-    t, wt = np.polynomial.legendre.leggauss(24)
-    t = (t + 1.0) / 2.0
-    wt = wt / 2.0
+    t, wt = simplex_rule(1, 47)  # the 24-point Gauss-Legendre rule on [0, 1]
     mask, xs = _active_nodes(omega)
     comps = [omega.component(a).ravel() for a in _axis_sets(n, k)]
     ray = np.zeros(xs.shape[1])
     for b in _blocks(xs.shape[1]):
         xb = xs[:, b]
-        for ti, wi in zip(t, wt):
+        for ti, wi in zip(t[:, 0], wt):
             st = _stencil(ti * xb, omega.h, mask.shape[0])
             if k == 1:
                 for j in range(n):

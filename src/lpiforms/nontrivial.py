@@ -16,8 +16,8 @@ form up to the full truncation length (10^6 by default) while the
 subdivided ray is only built up to a geometry cap, since the per-bump
 geometry is identical beyond it.
 
-Every edge integral of the family is a Gauss-Legendre sum on one rule,
-built once per node count by `_gauss` and shared by all callers.  The
+Every edge integral of the family is a 96-point Gauss-Legendre sum on
+the library's one Gauss rule, `polyform.simplex_rule(1, 191)`.  The
 kernel check integrates all bumps on their carrier edges as one
 (bumps, nodes) array, and the subdivision image all half-edges as one
 (bumps, 2, nodes) array, so the cost per bump is array arithmetic only.
@@ -25,7 +25,6 @@ kernel check integrates all bumps on their carrier edges as one
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,19 +33,18 @@ import numpy as np
 from .cochains import Cochain
 from .complexes import MetricComplex, PiSequence, barycentric_subdivide, ray_complex
 from .errors import BadEpsilon, NotACounterexample
+from .polyform import simplex_rule
 
 GEOMETRY_CAP = 1000
 
 
-def bump_profile(x, n: int = 1):
-    """Psi(x) = exp(1/(|x|^2 - 1)) inside the unit ball, 0 outside.  With
-    n = 1 each element of x is a point, with n = 2 each row of the last axis;
-    an array of points gives an array, a single point a float."""
+def bump_profile(x):
+    """Psi(x) = exp(1/(x^2 - 1)) inside (-1, 1), 0 outside; an array of
+    points gives an array, a single point a float."""
     x = np.asarray(x, dtype=float)
-    r2 = x**2 if n == 1 else (x**2).sum(axis=-1)
-    out = np.zeros_like(r2, dtype=float)
-    inside = r2 < 1.0
-    out[inside] = np.exp(1.0 / (r2[inside] - 1.0))
+    out = np.zeros_like(x)
+    inside = x**2 < 1.0
+    out[inside] = np.exp(1.0 / (x[inside] ** 2 - 1.0))
     if out.ndim == 0:
         return float(out)
     return out
@@ -60,16 +58,6 @@ def bump_profile_deriv(u):
     ui = u[inside]
     out[inside] = np.exp(1.0 / (ui**2 - 1.0)) * (-2.0 * ui / (ui**2 - 1.0) ** 2)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per node
-    count; the arrays are read-only because every caller shares them."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
 
 
 @dataclass(frozen=True)
@@ -130,26 +118,11 @@ class BumpFamily:
     geometry_cap: int = GEOMETRY_CAP
 
     @property
-    def n(self) -> int:
-        return self.k + 1
-
-    @property
     def decay(self) -> float:
         return 1.0 / (self.pi[self.k + 1] - self.eps)
 
     def weight(self, i) -> float:
         return np.asarray(i, dtype=float) ** (-self.decay)
-
-    def sup_omega(self, i) -> float:
-        """sup |omega_i| = sqrt(binom(n,k)) * w_i * max Psi, max Psi = 1/e."""
-        return math.sqrt(math.comb(self.n, self.k)) * self.weight(i) * math.exp(-1.0)
-
-    def series_exponent(self, p: float) -> float:
-        return p * self.decay
-
-    def evaluate(self, i: int, x: float) -> float:
-        """The scalar coefficient of omega_i at a point of the 1-D ray."""
-        return float(self.weight(i)) * float(bump_profile(2.0 * x - (2.0 * i - 1.0)))
 
 
 def build_family(k: int, pi: PiSequence, eps: float, M: int) -> BumpFamily:
@@ -171,7 +144,7 @@ def family_norm_series(fam: BumpFamily, p: float) -> SeriesVerdict:
     """The raw series sum_{i <= M} i^(-p * decay) behind every L_p and l_p
     norm of the family (omega, d omega and the image cochain alike): those
     norms differ from it only by constant factors, which leave the verdict."""
-    return p_series(fam.series_exponent(p), _checkpoints(fam.M))
+    return p_series(p * fam.decay, _checkpoints(fam.M))
 
 
 def _edge_quad(fn, x0, x1) -> np.ndarray:
@@ -179,11 +152,10 @@ def _edge_quad(fn, x0, x1) -> np.ndarray:
     Gauss-Legendre rule, one per element of the broadcast endpoint arrays.
     fn receives the quadrature points with the node axis last and returns
     values of the same shape."""
-    t, w = _gauss(96)
-    x0 = np.asarray(x0, dtype=float)[..., None]
-    x1 = np.asarray(x1, dtype=float)[..., None]
-    x = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * t
-    return 0.5 * (x1 - x0)[..., 0] * np.sum(w * fn(x), axis=-1)
+    t, w = simplex_rule(1, 191)  # the 96-point rule on [0, 1], weights summing to 1
+    x0 = np.asarray(x0, dtype=float)
+    L = np.asarray(x1, dtype=float) - x0
+    return L * (fn(x0[..., None] + L[..., None] * t[:, 0]) @ w)
 
 
 def _domega(fam: BumpFamily, i: np.ndarray):
@@ -220,7 +192,6 @@ def derham_kernel_check(fam: BumpFamily) -> KernelReport:
 @dataclass(frozen=True)
 class ImageReport:
     cochain: Cochain
-    magnitude_constant: float  # C with |entries| = C * w_i; C = 1/e
     max_constant_error: float
     opposite_signs: bool
     lp_high: SeriesVerdict  # l_{p_{k+1}} of the image entries (converges)
@@ -242,7 +213,6 @@ def subdivision_image(fam: BumpFamily) -> ImageReport:
 def _subdivision_image(fam: BumpFamily, high: SeriesVerdict, low: SeriesVerdict) -> ImageReport:
     Kp = fam.subdivided
     geo = fam.geometry_cap
-    C = math.exp(-1.0)
     # the two half-edges of carrier i, from vertex i-1 and from vertex i; the
     # subdivision numbers the barycenter of edge (i-1, i) as vertex geo + i
     keys = [(v0, geo + i) for i in range(1, geo + 1) for v0 in (i - 1, i)]
@@ -250,12 +220,12 @@ def _subdivision_image(fam: BumpFamily, high: SeriesVerdict, low: SeriesVerdict)
     ends = ends.reshape(geo, 2, 2)
     i = np.arange(1, geo + 1, dtype=float)[:, None]
     vals = _edge_quad(_domega(fam, i), ends[..., 0], ends[..., 1])
-    worst = float(np.max(np.abs(np.abs(vals) - C * fam.weight(i))))
+    worst = float(np.max(np.abs(np.abs(vals) - fam.weight(i) / math.e)))
     # re-orient by increasing coordinate for the sign pattern
     oriented = np.where(ends[..., 1] > ends[..., 0], vals, -vals)
     signs_ok = bool(np.all(oriented[:, 0] * oriented[:, 1] < 0.0))
-    c = Cochain(1 if fam.k == 0 else fam.k + 1, dict(zip(keys, vals.ravel().tolist())), Kp)
-    return ImageReport(c, C, worst, signs_ok, high, low)
+    c = Cochain(fam.k + 1, dict(zip(keys, vals.ravel().tolist())), Kp)
+    return ImageReport(c, worst, signs_ok, high, low)
 
 
 @dataclass(frozen=True)

@@ -248,7 +248,11 @@ def simplex_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     degree <= degree: a tensor product of Golub-Welsch Gauss-Jacobi rules
     collapsed onto the simplex.  Returns (points in reduced coords (npts, m),
     weights summing to 1); the integral of f dV is vol * sum w_i f(x_i).
-    Both arrays are cached and read-only, since every caller shares them."""
+    Both arrays are cached and read-only, since every caller shares them.
+
+    This is the library's one Gauss rule: at m = 1, simplex_rule(1, 2q - 1)
+    is the q-point Gauss-Legendre rule on [0, 1], which the edge integrals of
+    `nontrivial` and the ray integrals of `mollify.cone_S` use."""
     q = max(1, (degree + 2) // 2)
     if m == 0:
         pts, wts = np.zeros((1, 0)), np.ones(1)
@@ -454,7 +458,8 @@ class PolyForm:
                            for _, _, A, G in layouts))[1]
         degrees = _ADAPTIVE_DEGREES
         if float(p).is_integer() and int(p) % 2 == 0:
-            degrees = (int(p) * (max(int(E.sum(axis=1).max()) for _, E, _, _ in layouts) + 1),)
+            # |omega|^p = (V G V^T)^(p/2) has degree p * d for components of degree d
+            degrees = (int(p) * max(int(E.sum(axis=1).max()) for _, E, _, _ in layouts),)
         # the 1 of the convergence test 1e-10 (1 + |acc|), in scaled units
         floor = math.exp(min(-e * p * math.log(2.0), 700.0))
         total = 0.0

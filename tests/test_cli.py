@@ -161,6 +161,16 @@ def test_contract_of_isolated_points_is_usage_error(tmp_path, capsys):
     assert "contraction: ok" not in capsys.readouterr().out
 
 
+def test_verify_stokes_on_isolated_points_is_usage_error(tmp_path, capsys):
+    # no 1-simplex carries a form to differentiate: a library error names
+    # that, instead of numpy's message from drawing a degree in [0, 0)
+    pf = tmp_path / "points.txt"
+    pf.write_text(write_complex(build_complex({0: (0.0,), 1: (1.0,)}, [(0,), (1,)])))
+    assert main(["verify", "stokes", "--complex", str(pf)]) == 2
+    err = capsys.readouterr().err
+    assert "no 1-simplices" in err and "high <= 0" not in err
+
+
 def test_whitney_and_derham_commands(triangle_file, tmp_path, capsys):
     p, K = triangle_file
     c = Cochain(1, {(0, 1): 2.0, (1, 2): -1.0}, K)

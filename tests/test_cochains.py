@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from lpiforms.cochains import (
     Cochain,
     coboundary,
-    coboundary_norm_bound,
     indicator,
     lp_norm,
     pi_norm,
@@ -130,14 +129,6 @@ def test_read_cochain_rejects_duplicate_lines():
     # the same value twice is still a malformed file
     with pytest.raises(DuplicateSimplex):
         read_cochain("degree 1\n0 1 1.0\n1 2 3.0\n0 1 1.0\n", K)
-
-
-def test_coboundary_norm_bound_holds():
-    K = barycentric_subdivide(simplex_complex(2))
-    bound = coboundary_norm_bound(K, 2.0, N=12)
-    for sigma in K.simplices_of_dim(1):
-        c = indicator(K, sigma)
-        assert lp_norm(coboundary(c), 2.0) <= bound * lp_norm(c, 2.0)
 
 
 @st.composite

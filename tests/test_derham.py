@@ -63,6 +63,23 @@ def test_weighted_integral_constant(k):
     assert whitney_factor(k) * expected == pytest.approx(1.0)
 
 
+def test_whitney_diagonal_is_factorial_times_volume():
+    # verify_split rescales by k! vol(sigma) in closed form; the weighted
+    # integral of each Whitney indicator is the reference, on criterion 2's
+    # complexes and on a non-regular tetrahedron
+    tri2 = barycentric_subdivide(barycentric_subdivide(build_complex(
+        {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, math.sqrt(3) / 2)}, [(0, 1, 2)])))
+    tet1 = barycentric_subdivide(simplex_complex(3))
+    tet = build_complex({0: (0.0, 0.0, 0.0), 1: (2.0, 0.0, 0.0), 2: (0.5, 1.5, 0.0),
+                         3: (1 / 3, 1 / 4, 5 / 4)}, [(0, 1, 2, 3)])
+    for K in (tri2, tet1, tet):
+        for k in range(K.dim + 1):
+            for s in K.simplices_of_dim(k):
+                want = math.factorial(k) * K.volume(s)
+                assert whitney(indicator(K, s)).integrate(s) == pytest.approx(
+                    want, rel=1e-14, abs=0.0), (k, s)
+
+
 def test_retraction_on_irregular_complex(subdivided_triangle):
     # metric-free integral splits on non-regular geometry too
     K = subdivided_triangle

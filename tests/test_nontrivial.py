@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpiforms import nontrivial
+from lpiforms import nontrivial, polyform
 from lpiforms.complexes import PiSequence
 from lpiforms.errors import BadEpsilon, NotACounterexample
+from lpiforms.mollify import GridForm, cone_S
 from lpiforms.nontrivial import (
     SeriesVerdict,
     build_family,
@@ -30,9 +31,6 @@ def test_bump_profile_values():
     assert bump_profile(1.0) == 0.0
     assert bump_profile(-2.5) == 0.0
     assert bump_profile(0.37) == pytest.approx(bump_profile(-0.37))
-    # 2-D
-    assert bump_profile(np.array([0.0, 0.0]), n=2) == pytest.approx(math.exp(-1.0))
-    assert bump_profile(np.array([0.8, 0.8]), n=2) == 0.0
 
 
 def test_build_family_preconditions():
@@ -50,18 +48,6 @@ def test_weights_decreasing_and_values():
     assert np.all(np.diff(ws) < 0)
     assert fam.weight(1) == pytest.approx(1.0)
     assert fam.weight(8) == pytest.approx(0.5)  # (1/8)^(1/3)
-    assert fam.sup_omega(1) == pytest.approx(math.exp(-1.0))
-
-
-def test_support_disjointness():
-    fam = build_family(0, PI, 1.0, 20)
-    # bump i vanishes outside the open edge (i-1, i)
-    for i in (1, 5, 20):
-        assert fam.evaluate(i, i - 1.0) == 0.0
-        assert fam.evaluate(i, float(i)) == 0.0
-        assert fam.evaluate(i, i - 0.5) == pytest.approx(
-            float(fam.weight(i)) * math.exp(-1.0)
-        )
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,7 +87,6 @@ def test_kernel_check():
 def test_subdivision_image_entries():
     fam = build_family(0, PI, 1.0, 50)
     rep = subdivision_image(fam)
-    assert rep.magnitude_constant == pytest.approx(math.exp(-1.0))
     assert rep.max_constant_error <= 1e-12
     assert rep.opposite_signs
     assert rep.lp_high.verdict == "converges"
@@ -134,20 +119,28 @@ def test_batched_quadrature_matches_closed_form(M):
 
 
 def test_gauss_rule_built_once_per_node_count(monkeypatch):
+    # the edge integrals and cone_S share polyform.simplex_rule: each
+    # Gauss-Jacobi rule is built once, and the shared arrays are read-only
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
+    real = polyform._gauss_jacobi
 
-    def counting(nodes):
-        calls.append(nodes)
-        return leggauss(nodes)
+    def counting(q, a):
+        calls.append((q, a))
+        return real(q, a)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    nontrivial._gauss.cache_clear()
+    monkeypatch.setattr(polyform, "_gauss_jacobi", counting)
+    polyform.simplex_rule.cache_clear()
     for _ in range(2):
         assert verify_nontriviality(PI, 1.0, [1000]).passed
-    assert calls and len(calls) == len(set(calls))
-    t, w = nontrivial._gauss(96)
-    assert not t.flags.writeable and not w.flags.writeable
+    cone_S(GridForm.from_function(1, 1 / 16, 1, {(0,): lambda x: x}))
+    assert sorted(calls) == [(24, 0), (96, 0)]
+    for q in (24, 96):
+        t, w = polyform.simplex_rule(1, 2 * q - 1)
+        assert not t.flags.writeable and not w.flags.writeable
+        # the q-point Gauss-Legendre rule, moved from [-1, 1] to [0, 1]
+        x, v = np.polynomial.legendre.leggauss(q)
+        assert np.abs(t[:, 0] - (x + 1.0) / 2.0).max() <= 1e-15
+        assert np.abs(w - v / 2.0).max() <= 1e-14
 
 
 def test_p_series_runs_once_per_exponent(monkeypatch):

@@ -8,6 +8,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpiforms import polyform
 from lpiforms.cochains import Cochain
 from lpiforms.complexes import (
     PiSequence,
@@ -83,6 +84,26 @@ def test_cached_rule_is_read_only():
     K = build_complex({0: (0.0,), 1: (1.0,)}, [(0, 1)])
     t1 = PolyForm(0, K, {(0, 1): {((1,), ()): 1.0}})
     assert t1.lp_norm(2.0) == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("p, degree", [(2.0, 2), (4.0, 4)])
+def test_even_p_rule_has_degree_p_times_d(monkeypatch, p, degree):
+    # |omega|^p = (V G V^T)^(p/2) has degree p * d for components of degree
+    # d, and a Whitney 1-form on a triangle has d = 1
+    K = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.3, 0.8)}, [(0, 1, 2)])
+    om = whitney(Cochain(1, {(0, 1): 1.0, (0, 2): 0.25, (1, 2): -0.5}, K))
+    asked, real = [], polyform.simplex_rule
+
+    def recording(m, deg):
+        asked.append(deg)
+        return real(m, deg)
+
+    monkeypatch.setattr(polyform, "simplex_rule", recording)
+    value = om.lp_norm(p)
+    assert asked == [degree]
+    # a rule of higher degree gives the same norm: the lower one is exact
+    monkeypatch.setattr(polyform, "simplex_rule", lambda m, deg: real(m, deg + 6))
+    assert om.lp_norm(p) == pytest.approx(value, rel=1e-14)
 
 
 def test_exterior_derivative_known():

@@ -1,8 +1,11 @@
 import ast
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lpiforms"
 
@@ -52,3 +55,22 @@ def test_traced_names_exist():
         if not found:
             missing.append(f"{module}.{name}")
     assert not missing, missing
+
+
+def test_benchmark_workloads_pass_at_quick_size(tmp_path):
+    # the workloads read attributes that the tracer's name tables do not
+    # list (BumpFamily.subdivided, ImageReport.cochain, ...), so each one runs
+    # here once at its smallest size; perfbench/workloads.py is loaded by path
+    path = SRC.parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, (setup, run) in workloads.WORKLOADS.items():
+        inp = setup(np.random.default_rng(0), True)
+        if "csv" in inp:
+            inp["csv"] = str(tmp_path / f"{name}.csv")
+        checks = workloads.Checks()
+        run(inp, checks)
+        assert checks.attempted > 0, name
+        assert not checks.failures, (name, checks.failures)
