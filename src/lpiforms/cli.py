@@ -190,7 +190,7 @@ def _verify_stokes(args) -> tuple[bool, list]:
 
 
 def _verify_mollify(args) -> tuple[bool, list]:
-    h = 1.0 / args.grid
+    h = 1 / args.grid  # int / int: past the float range, 0.0 and not OverflowError
     if args.n == 1:
         omega = GridForm.from_function(
             1, h, 0, {(): lambda x: np.sin(3 * x) * (1 - x**2)}

@@ -22,14 +22,23 @@ with determinants s2^{-2} and r2^{-2} in 2-D.  So the kernel loop computes
 h^{-1}(x) once per call, accumulates w^T Dh(z) (or det Dh(z)) over the
 kernel nodes, and applies Dh^{-1}(x) once at the end.
 
-The loop walks the active nodes in blocks of `_BLOCK` nodes, so that its
+The kernel loop runs only at the nodes its caller reads: `regularize`
+passes the whole ball, `verify_homotopy` its interior region grown by the
+one node that central differences read along each axis, and
+`verify_support_control` its inner disc.  Every other node of the output
+is 0.  The loop walks those nodes in blocks of `_BLOCK` nodes, so that its
 per-node index, weight and shift arrays stay cache-sized instead of spanning
-the grid.  Within a block, each kernel node gets one shift and one
-interpolation stencil, and every component of every form averaged in that
-call is gathered through them: `regularize` passes one form, and
-`verify_homotopy` passes omega, S omega and S d omega together.  `cone_S`
-and `displacement_bound` walk the same blocks.  Each node's arithmetic is
-the same whatever the blocks, so the results do not depend on `_BLOCK`.
+the grid.  Within a block, each kernel node gets one shift, one factor
+s2^{3/2} and one interpolation stencil, and every component of every form
+averaged in that call is gathered through them: `regularize` passes one
+form, and `verify_homotopy` passes omega, S omega and S d omega together.
+`cone_S` and `displacement_bound` walk the same blocks over the whole ball.
+Each node's arithmetic is the same whatever the blocks and whatever the
+other nodes computed, so the results do not depend on `_BLOCK` or on the
+node set.
+
+A grid of more than `_MAX_NODES` nodes is refused with `TooLarge` before
+any grid-sized array is allocated.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadCarrier, BadDegree, BadDimension, OutsideDomain
+from .errors import BadCarrier, BadDegree, BadDimension, OutsideDomain, TooLarge
 from .polyform import simplex_rule
 
 AxisSet = tuple[int, ...]
@@ -48,6 +57,11 @@ AxisSet = tuple[int, ...]
 # Where omega vanishes at every shifted node, R omega is a sum of exact zeros,
 # so the support check needs only a rounding-level threshold.
 SUPPORT_TOL = 1e-12
+
+# The most nodes a grid may have: 8.4 million, so that a 2-D grid of 1,024
+# (h = 1/1024, 4.2 million nodes) passes.  One component of such a grid takes
+# 34 MB, and `verify_homotopy` holds several grid arrays at once.
+_MAX_NODES = 2**23
 
 
 def grid_axis(h: float) -> np.ndarray:
@@ -60,6 +74,8 @@ def grid_axis(h: float) -> np.ndarray:
 
 
 def _grid_points(n: int, h: float) -> np.ndarray:
+    if h > 0 and 2.0 / h + 1.0 > _MAX_NODES ** (1.0 / n):  # before any allocation
+        raise TooLarge(f"a {n}-D grid of step {h!r} has more than {_MAX_NODES} nodes")
     xs = grid_axis(h)
     if n == 1:
         return xs[:, None]
@@ -320,29 +336,37 @@ def _blocks(N: int) -> list[slice]:
 # the operators
 # ---------------------------------------------------------------------------
 
-def _regularize_all(forms: list[GridForm], cfg: MollifierConfig) -> list[GridForm]:
+def _regularize_all(forms: list[GridForm], cfg: MollifierConfig,
+                    nodes: np.ndarray) -> list[GridForm]:
     """R of each of `forms`, which share one grid but may differ in degree,
-    in one kernel loop: per block and kernel node, one shift and one stencil
-    serve every component of every form."""
-    if cfg.epsilon == 0.0:
-        return list(forms)
+    at the grid nodes where the boolean array `nodes` is true, and 0 at every
+    other node, in one kernel loop: per block and kernel node, one shift and
+    one stencil serve every component of every form."""
     n, h = forms[0].n, forms[0].h
+    if cfg.epsilon == 0.0:  # R is the identity
+        return [GridForm(n, h, f.degree, {a: np.where(nodes, c, 0.0)
+                                          for a, c in f.components.items()})
+                for f in forms]
     mask, xs = _active_nodes(forms[0])
+    nodes = nodes & mask  # R is 0 outside the ball
+    xs = np.ascontiguousarray(xs[:, nodes[mask]])
     r2 = np.maximum(1.0 - (xs**2).sum(axis=0), 1e-300)
     y = xs / np.sqrt(r2)  # h^{-1}(x), as in `_h_inv`
     axes = [_axis_sets(n, f.degree) for f in forms]
     comps = [[f.component(a).ravel() for a in ax] for f, ax in zip(forms, axes)]
     accs = [np.zeros((len(ax), xs.shape[1])) for ax in axes]
     kernel = [(cfg.epsilon * v, w) for v, w in zip(*_kernel(cfg.kernel_grid, n))]
+    one_forms = any(f.degree == 1 for f in forms)
     for b in _blocks(xs.shape[1]):
         xb, yb = xs[:, b], y[:, b]
         for ev, w in kernel:
             z, s2, ys = _shift(yb, xb, ev)
+            s32 = s2**1.5 if one_forms else None  # shared by every 1-form
             st = _stencil(ys, h, mask.shape[0])
             for f, cs, acc in zip(forms, comps, accs):
                 vals = np.array([_gather(c, st) for c in cs])
                 if f.degree == 1:  # the row vector vals^T Dh(z)
-                    vals = (s2 * vals - z * (vals * z).sum(axis=0)) / s2**1.5
+                    vals = (s2 * vals - z * (vals * z).sum(axis=0)) / s32
                 elif f.degree == 2:  # det Dh(z)
                     vals = vals / s2**2
                 acc[:, b] += w * vals
@@ -353,7 +377,7 @@ def _regularize_all(forms: list[GridForm], cfg: MollifierConfig) -> list[GridFor
         elif f.degree == 2:
             acc = acc / r2**2
         grid = np.zeros((len(ax),) + mask.shape)
-        grid[:, mask] = acc
+        grid[:, nodes] = acc
         out.append(GridForm(n, h, f.degree, dict(zip(ax, grid))))
     return out
 
@@ -361,7 +385,7 @@ def _regularize_all(forms: list[GridForm], cfg: MollifierConfig) -> list[GridFor
 def regularize(omega: GridForm, cfg: MollifierConfig) -> GridForm:
     """Kernel-averaged pullback R; exact identity at epsilon = 0 and on
     constant 0-forms."""
-    return _regularize_all([omega], cfg)[0]
+    return _regularize_all([omega], cfg, omega.mask())[0]
 
 
 def grid_d(omega: GridForm) -> GridForm:
@@ -436,6 +460,7 @@ def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> Mollif
     For 0-forms the d A term is absent and the identity reads
     A(d omega) = R omega - omega.  An interior region without a grid node
     raises ValueError: a residual over no node would pass vacuously.
+    `detail["checked"]` is the number of grid nodes in the region.
     """
     collar = cfg.epsilon + 2.0 * omega.h
     region = interior_region(omega, collar)
@@ -444,7 +469,12 @@ def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> Mollif
     k = omega.degree
     sources = ([omega] if k > 0 else []) + ([grid_d(omega)] if k < omega.n else [])
     cones = [cone_S(f) for f in sources]  # S omega and S d omega, where defined
-    r_omega, *r_cones = _regularize_all([omega, *cones], cfg)
+    # grid_d's central differences at the region read one node further along
+    # each axis; the collar keeps the region off the grid edges np.roll wraps
+    nodes = region.copy()
+    for axis in range(omega.n):
+        nodes |= np.roll(region, 1, axis) | np.roll(region, -1, axis)
+    r_omega, *r_cones = _regularize_all([omega, *cones], cfg, nodes)
     a = [r - s for r, s in zip(r_cones, cones)]  # A = (R - 1) S
     rhs = r_omega - omega
     if k == 0:
@@ -456,7 +486,8 @@ def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> Mollif
     residual = (lhs - rhs).max_norm(region)
     return MollifyReport(
         residual=residual, tol=tol, passed=residual <= tol,
-        detail={"collar": collar, "epsilon": cfg.epsilon, "h": omega.h},
+        detail={"collar": collar, "epsilon": cfg.epsilon, "h": omega.h,
+                "checked": int(region.sum())},
     )
 
 
@@ -482,7 +513,8 @@ def verify_support_control(
     (to SUPPORT_TOL) on the disc shrunk by the computed displacement bound
     delta(eps).  Raises ValueError when omega is nonzero at a node of |x| < r
     (the premise fails) or when no node lies in |x| < r - delta (a max over
-    no node would pass vacuously)."""
+    no node would pass vacuously).  `detail["checked"]` is the number of
+    grid nodes in |x| < r - delta."""
     rad = omega.radius()
     if omega.max_norm(rad < r) != 0.0:
         raise ValueError(f"omega is nonzero at a grid node of |x| < {r!r}")
@@ -490,8 +522,9 @@ def verify_support_control(
     inner = rad < r - delta
     if not inner.any():
         raise ValueError(f"no grid node lies in |x| < r - delta = {r - delta!r}")
-    worst = regularize(omega, cfg).max_norm(inner)
+    worst = _regularize_all([omega], cfg, inner)[0].max_norm(inner)
     return MollifyReport(
         residual=worst, tol=SUPPORT_TOL, passed=worst <= SUPPORT_TOL,
-        detail={"delta": delta, "r": r, "epsilon": cfg.epsilon},
+        detail={"delta": delta, "r": r, "epsilon": cfg.epsilon,
+                "checked": int(inner.sum())},
     )

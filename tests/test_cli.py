@@ -113,6 +113,15 @@ def test_verify_mollify_empty_region_is_usage_error(argv, capsys):
     assert "error: no grid node" in captured.err
 
 
+@pytest.mark.parametrize("argv", ["--n 2 --grid 100000", "--grid 10000000"])
+def test_verify_mollify_refuses_a_huge_grid(argv, capsys):
+    # a size refusal before any grid array is allocated, not a MemoryError
+    assert main(["verify", "mollify", *argv.split()]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nodes" in captured.err and "more than 8388608" in captured.err
+
+
 def test_subdivide_round_trip(triangle_file, tmp_path, capsys):
     p, K = triangle_file
     out = tmp_path / "sub.txt"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpiforms import mollify
-from lpiforms.errors import BadCarrier, BadDegree, BadDimension, OutsideDomain
+from lpiforms.errors import BadCarrier, BadDegree, BadDimension, OutsideDomain, TooLarge
 from lpiforms.mollify import (
     GridForm,
     MollifierConfig,
@@ -137,13 +137,16 @@ def test_homotopy_rejects_an_empty_interior_region(n, h, degree, eps):
         verify_homotopy(om, MollifierConfig(eps, n=n), tol=1.0)
 
 
-def test_support_control():
+def _criterion_5_form():
     def cut(x, y):
         r = np.sqrt(x**2 + y**2)
         return np.where(r > 0.4, (r - 0.4) ** 2, 0.0)
 
-    g = GridForm.from_function(2, 1 / 64, 0, {(): cut})
-    rep = verify_support_control(g, MollifierConfig(0.1, n=2), r=0.4)
+    return GridForm.from_function(2, 1 / 64, 0, {(): cut})
+
+
+def test_support_control():
+    rep = verify_support_control(_criterion_5_form(), MollifierConfig(0.1, n=2), r=0.4)
     assert rep.passed
     assert rep.detail["delta"] < 0.11
 
@@ -175,6 +178,27 @@ def test_grid_step_must_divide_the_interval(h):
 def test_grid_steps_in_use_are_accepted():
     for grid in (1, 2, 3, 7, 64, 100, 256):
         assert len(mollify.grid_axis(1 / grid)) == 2 * grid + 1
+
+
+class _Allocated(Exception):
+    pass
+
+
+def test_grid_size_is_checked_before_allocation(monkeypatch):
+    def allocate(h):
+        raise _Allocated
+
+    monkeypatch.setattr(mollify, "grid_axis", allocate)
+    # 2-D grids up to 1,447 (2,895^2 nodes) and 1-D ones up to 2^22 - 1
+    # (2^23 - 1 nodes) reach the allocation; one more cell does not
+    for n, grid in ((2, 1024), (2, 1447), (1, 2**22 - 1)):
+        with pytest.raises(_Allocated):
+            mollify._grid_points(n, 1 / grid)
+    for n, grid in ((2, 1448), (1, 2**22), (2, 1e300)):
+        with pytest.raises(TooLarge, match="more than"):
+            mollify._grid_points(n, 1 / grid)
+    with pytest.raises(TooLarge):
+        GridForm(2, 1 / 4096, 0, {})
 
 
 def test_grid_form_rejects_a_component_of_another_shape():
@@ -332,13 +356,72 @@ def _public_residual(omega, cfg):
 
 
 @pytest.mark.parametrize("n,k", CASES)
-@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2])
 def test_shared_loop_matches_public_operators(n, k, eps):
-    omega = _sample(n, 1 / 32 if n == 1 else 1 / 16, k, seed=20 + 10 * n + k)
+    # verify_homotopy runs R only on its region and the one-node halo that
+    # grid_d reads; the public operators run it on the whole ball
+    for h in (1 / 32,) if n == 1 else (1 / 16, 1 / 32):
+        omega = _sample(n, h, k, seed=20 + 10 * n + k)
+        cfg = MollifierConfig(eps, n=n)
+        rep = verify_homotopy(omega, cfg, tol=1.0)
+        assert rep.residual == _public_residual(omega, cfg)
+        assert rep.detail["collar"] == eps + 2.0 * h
+        assert rep.detail["checked"] == interior_region(omega, eps + 2.0 * h).sum()
+
+
+def _ring(omega):
+    r = omega.radius()
+    return (r > 0.3) & (r < 0.7)
+
+
+def _half(omega):  # reaches past the ball into the grid corners
+    return omega.points()[..., 0] < 0.25
+
+
+def _empty(omega):
+    return np.zeros(omega.mask().shape, dtype=bool)
+
+
+@pytest.mark.parametrize("n,k", CASES)
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+@pytest.mark.parametrize("select,block", [(_ring, None), (_half, 7), (_empty, None)],
+                         ids=["ring", "block-edge", "empty"])
+def test_restricted_loop_is_exact(monkeypatch, n, k, eps, select, block):
+    omega = _sample(n, 1 / 32 if n == 1 else 1 / 16, k, seed=40 + 10 * n + k)
     cfg = MollifierConfig(eps, n=n)
-    rep = verify_homotopy(omega, cfg, tol=1.0)
-    assert rep.residual == _public_residual(omega, cfg)
-    assert rep.detail["collar"] == eps + 2.0 * omega.h
+    full = regularize(omega, cfg)
+    nodes = select(omega)
+    if block is not None:  # blocks of the node subset end mid-row
+        assert (nodes & omega.mask()).sum() > 2 * block
+        monkeypatch.setattr(mollify, "_BLOCK", block)
+    got, = mollify._regularize_all([omega], cfg, nodes)
+    assert got.degree == k and got.components.keys() == full.components.keys()
+    for a, arr in full.components.items():
+        assert np.array_equal(got.component(a)[nodes], arr[nodes])
+        assert np.all(got.component(a)[~nodes] == 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+def test_support_residual_is_the_public_operator_on_the_inner_disc(eps):
+    g, cfg = _criterion_5_form(), MollifierConfig(eps, n=2)
+    rep = verify_support_control(g, cfg, r=0.4)
+    inner = g.radius() < 0.4 - rep.detail["delta"]
+    assert rep.detail["checked"] == inner.sum() > 0
+    assert rep.residual == regularize(g, cfg).max_norm(inner)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_support_control_interpolates_only_at_the_inner_disc(monkeypatch, eps):
+    real, points = mollify._stencil, []
+
+    def counting_stencil(pts, h, npts):
+        points.append(pts.shape[1])
+        return real(pts, h, npts)
+
+    monkeypatch.setattr(mollify, "_stencil", counting_stencil)
+    g, cfg = _criterion_5_form(), MollifierConfig(eps, n=2)
+    rep = verify_support_control(g, cfg, r=0.4)
+    assert 0 < sum(points) <= len(cfg.nodes) * rep.detail["checked"]
 
 
 def _blocked_outputs():
