@@ -31,7 +31,7 @@ from .cochains import Cochain, lp_norm, pi_norm, read_cochain
 from .complexes import PiSequence, read_complex
 from .derham import derham_map, verify_split, verify_stokes, whitney
 from .errors import BadDegree, LpiFormsError, TooLarge
-from .mollify import GridForm, MollifierConfig, verify_homotopy
+from .mollify import _MAX_NODES, GridForm, MollifierConfig, verify_homotopy
 from .nontrivial import verify_nontriviality
 from .polyform import PolyForm
 
@@ -190,7 +190,9 @@ def _verify_stokes(args) -> tuple[bool, list]:
 
 
 def _verify_mollify(args) -> tuple[bool, list]:
-    h = 1 / args.grid  # int / int: past the float range, 0.0 and not OverflowError
+    if (2 * args.grid + 1) ** args.n > _MAX_NODES:  # in integers: 1 / grid may round to 0.0
+        raise TooLarge(f"a {args.n}-D grid of h = 1/{args.grid} has more than {_MAX_NODES} nodes")
+    h = 1 / args.grid
     if args.n == 1:
         omega = GridForm.from_function(
             1, h, 0, {(): lambda x: np.sin(3 * x) * (1 - x**2)}

@@ -7,26 +7,20 @@ pivots (Edelsbrunner-Letscher-Zomorodian 2002): each column, a dict of its
 nonzero Fraction entries, is reduced against the pivot columns, keyed by
 their lowest row, until it is empty or has a new lowest row.
 
-The contraction is the paper's descending induction
-
-    h^n = eta^n,   alpha^{i-1} = 1 - h^i d^{i-1},   h^{i-1} = eta^{i-1} alpha^{i-1}
-
-with eta^i = D_{i-1}^+, the Moore-Penrose pseudo-inverse.  D_{i-1} D_{i-2} = 0
-gives D_{i-2}^+ D_{i-1}^+ = 0, so eta^{i-1} alpha^{i-1} = eta^{i-1}: h^i = D_{i-1}^+.
-Each degree from the top is still checked by its defect; the first failing
-one carries cohomology.
-
-D^+ = V_k L_k^-1 V_k^T A^T, from eigh of the smaller Gram matrix A^T A (A = D
-or D^T, whichever is tall); eigenvalues <= RANK_RTOL w_max count as zero, i.e.
-singular values below 1e-5 s_max.  The smallest kept is 1.4e-4 w_max on the
-subdivided 2 x 48 strip and 2.5e-6 w_max on the 999-edge path, the longest
-path under SIZE_LIMIT; those dropped are at most 3e-16.  The squared
-condition number costs accuracy: the residual on that path is 2.4e-12 (SVD:
-1.2e-14).
+The contraction is the paper's descending induction h^i = eta^i (1 - h^{i+1}
+D_i), with eta from a coreduction matching on the nonzero pattern of the D_i
+(Mrozek-Batko 2009; Forman 1998): a cell with one unpaired facet is paired
+with it, and when none is left the lowest unpaired cell is critical.  In
+removal order D_{i-1}[U, L] (upper by lower partners) is triangular, so eta^i
+is a forward substitution, integer for +-1 pivots, that reads U and writes L:
+h^i = eta^i.  As D D = 0, D eta + eta D = 1 - g f for the chain maps f, g to
+and from the Morse complex on the critical cells; h^i += g pinv(f D g) f
+contracts its block too.  Each degree is checked, from the top, by its defect.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -145,57 +139,85 @@ def rational_cohomology_dims(M: MatrixComplex) -> list[int]:
     return _cohomology(M, _exact_rank)
 
 
-def _defect(M: MatrixComplex, h: dict[int, np.ndarray], i: int) -> float:
-    """max |D_{i-1} h^i + h^{i+1} D_i - 1|, the h^{i+1} term where h has one."""
+def _defect(M: MatrixComplex, h: dict[int, np.ndarray], i: int) -> np.ndarray:
+    """|D_{i-1} h^i + h^{i+1} D_i - 1|, the h^{i+1} term where h has one."""
     acc = M.matrix(i - 1) @ h[i] - np.eye(M.dims[i])
     if i + 1 in h:
-        acc = acc + h[i + 1] @ M.matrix(i)
-    return float(np.abs(acc).max()) if acc.size else 0.0
+        acc += h[i + 1] @ M.matrix(i)
+    return np.abs(acc)
 
 
-def _pinv(D: np.ndarray) -> np.ndarray:
-    """D^+ from eigh of the smaller Gram matrix (see the module docstring)."""
-    wide = D.shape[0] < D.shape[1]
-    A = D.T if wide else D
-    if A.size == 0:
-        return np.zeros(D.shape[::-1])
-    w, V = np.linalg.eigh(A.T @ A)
-    keep = w > RANK_RTOL * w[-1]
-    P = (V[:, keep] / w[keep]) @ (V[:, keep].T @ A.T)
-    return P.T if wide else P
+def _coreduce(M: MatrixComplex):
+    """eta^i per degree i >= 1 and the critical cells, from the matching."""
+    facets = [[[]] * M.dims[0]] + [[r.nonzero()[0].tolist() for r in D] for D in M.matrices]
+    cofaces = [[c.nonzero()[0].tolist() for c in D.T] for D in M.matrices] + [[[]] * M.dims[-1]]
+    alive, critical = [[True] * d for d in M.dims], [[] for _ in M.dims]
+    eta = {i: np.zeros((M.dims[i - 1], M.dims[i])) for i in range(1, len(M.dims))}
+    cells = [(i, c) for i, d in enumerate(M.dims) for c in range(d)]
+    queue = deque(cells)
+
+    def remove(i, c):  # its cofaces may now have one unpaired facet
+        alive[i][c] = False
+        queue.extend((i + 1, r) for r in cofaces[i][c])
+
+    for low in cells:
+        while queue:
+            i, u = queue.popleft()
+            live = [j for j in facets[i][u] if alive[i - 1][j]]
+            if alive[i][u] and len(live) == 1:  # pair u with l, its one unpaired facet
+                l, D, fs = live[0], M.matrices[i - 1], facets[i][u]  # eta[i][l] is 0 so far
+                eta[i][l] = (np.eye(1, M.dims[i], u)[0] - D[u, fs] @ eta[i][fs]) / D[u, l]
+                remove(i, u)
+                remove(i - 1, l)
+        if alive[low[0]][low[1]]:  # the lowest cell left, so its facets are gone
+            critical[low[0]].append(low[1])
+            remove(*low)
+    return eta, critical
 
 
 def contract(M: MatrixComplex) -> Contraction | ContractionFailure:
-    """h^i = D_{i-1}^+ for i = top..1, so that D h + h D = 1 in degrees >= 1.
-    Fails (with the degree and residual) on the first degree, from the top,
-    where a residual exceeds STEP_TOL: where the right-inverse equation
+    """h^i for i = top..1 from the matching, so that D h + h D = 1 in degrees
+    >= 1.  Fails (with the degree and residual) on the first degree, from the
+    top, where a residual exceeds STEP_TOL: where the right-inverse equation
     d eta = 1 is unsolvable on the cycles, i.e. where cohomology is present."""
-    h: dict[int, np.ndarray] = {}
-    for i in range(M.top, 0, -1):
-        h[i] = _pinv(M.matrix(i - 1))  # D_{i-1}: degree i-1 -> i
-        residual = _defect(M, h, i)
-        if residual > STEP_TOL:
+    h, K = _coreduce(M)
+    for i, D in reversed([*enumerate(M.matrices, 1)]):  # D = D_{i-1}
+        if K[i] and K[i - 1]:  # the Morse correction (see the module docstring)
+            f = np.eye(M.dims[i])[K[i]] - D[K[i]] @ h[i]
+            g = np.eye(M.dims[i - 1])[:, K[i - 1]] - h[i] @ D[:, K[i - 1]]
+            h[i] = h[i] + g @ np.linalg.pinv(f @ D @ g, rcond=RANK_RTOL) @ f
+        residual = float(_defect(M, h, i).max(initial=0.0))
+        if not residual <= STEP_TOL:  # NaN fails too
             return ContractionFailure(degree=i, residual=residual)
     return Contraction(h)
 
 
 @dataclass(frozen=True)
 class ContractionReport:
+    """`checked` entries compared; `worst` = (degree, row, column) of the largest."""
+
     residuals: dict[int, float]
     max_residual: float
     passed: bool
+    checked: int
+    worst: tuple[int, int, int] | None
 
 
 def verify_contraction(
     M: MatrixComplex, h: Contraction, tol: float = 1e-8
 ) -> ContractionReport:
-    """Entrywise residual of D_{i-1} h^i + h^{i+1} D_i - 1 per degree >= 1;
-    h must hold a map h^i for every degree 1 <= i <= top."""
+    """Entrywise residual of D_{i-1} h^i + h^{i+1} D_i - 1 per degree >= 1; h
+    must hold h^i for every degree 1 <= i <= top, and some entry must be compared."""
     if M.top < 1:
         raise BadDegree("the complex has no degree >= 1 to contract")
     missing = [i for i in range(1, M.top + 1) if i not in h.maps]
     if missing:
         raise BadDegree(f"the contraction has no h^i for degrees {missing}")
-    residuals = {i: _defect(M, h.maps, i) for i in range(1, M.top + 1)}
-    worst = max(residuals.values(), default=0.0)
-    return ContractionReport(residuals, worst, worst <= tol)
+    defects = {i: _defect(M, h.maps, i) for i in range(1, M.top + 1)}
+    residuals = {i: float(a.max(initial=0.0)) for i, a in defects.items()}
+    checked = sum(a.size for a in defects.values())
+    i = 1 + int(np.argmax([a.max(initial=-1.0) for a in defects.values()]))  # NaN wins
+    a = defects[i]
+    worst = (i, *map(int, np.unravel_index(a.argmax(), a.shape))) if a.size else None
+    return ContractionReport(residuals, residuals[i], checked > 0 and residuals[i] <= tol,
+                             checked, worst)

@@ -113,7 +113,10 @@ def test_verify_mollify_empty_region_is_usage_error(argv, capsys):
     assert "error: no grid node" in captured.err
 
 
-@pytest.mark.parametrize("argv", ["--n 2 --grid 100000", "--grid 10000000"])
+@pytest.mark.parametrize("argv", [
+    "--n 2 --grid 100000", "--grid 10000000",
+    pytest.param("--n 2 --grid 1" + "0" * 400, id="400-digit grid"),  # 1 / grid is 0.0
+])
 def test_verify_mollify_refuses_a_huge_grid(argv, capsys):
     # a size refusal before any grid array is allocated, not a MemoryError
     assert main(["verify", "mollify", *argv.split()]) == 1
@@ -204,6 +207,18 @@ def test_cohomology_and_contract_commands(tmp_path, capsys):
     assert "cohomology_dims: 1 0 1" in capsys.readouterr().out
     assert main(["contract", str(sf)]) == 1
     assert "failure_degree: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", [False, True], ids=["default", "999-edge path"])
+def test_contract_commands_report_an_exact_residual(tmp_path, capsys, path):
+    pf = tmp_path / "path.txt"
+    pf.write_text(write_complex(ray_complex(1, 999)))
+    suffix = ["--complex", str(pf)] if path else []
+    assert main(["verify", "contract", *suffix]) == 0
+    assert "max_residual: 0.0\n" in capsys.readouterr().out
+    if path:
+        assert main(["contract", str(pf), "--augmented"]) == 0
+        assert capsys.readouterr().out == "contraction: ok\nmax_residual: 0.0\n"
 
 
 def test_numerical_failure_is_exit_1(monkeypatch, capsys):

@@ -10,8 +10,8 @@ from lpiforms.contract import (
     Contraction,
     ContractionFailure,
     MatrixComplex,
+    _coreduce,
     _exact_rank,
-    _pinv,
     assemble,
     cohomology_dims,
     contract,
@@ -79,13 +79,13 @@ def test_contract_fails_on_spheres():
     res1 = contract(assemble(sphere_complex(1)))
     assert isinstance(res1, ContractionFailure)
     assert res1.degree == 1
-    # the largest entry of the harmonic projector: 1/3 on the triangle's
-    # three edges, 1/4 on the tetrahedron boundary's four faces
-    assert res1.residual == pytest.approx(1 / 3, rel=1e-12)
+    # the defect is g f, the projection onto the critical cell that carries the
+    # cohomology; its largest entry is the 1 on that cell's own diagonal
+    assert res1.residual == 1.0
     res2 = contract(assemble(sphere_complex(2)))
     assert isinstance(res2, ContractionFailure)
     assert res2.degree == 2
-    assert res2.residual == pytest.approx(1 / 4, rel=1e-12)
+    assert res2.residual == 1.0
 
 
 @pytest.mark.parametrize("make", [
@@ -98,40 +98,100 @@ def test_contract_fails_on_spheres():
     lambda: assemble(barycentric_subdivide(ray_complex(2, 48)), augmented=True),
 ], ids=["edge", "tri", "tet", "sd-tri", "tri-plain", "identity", "strip-48"])
 def test_contract_matches_the_svd_pseudo_inverse(make):
+    # h is an exact integer inner inverse of D, not D^+; it agrees with the SVD
+    # pseudo-inverse D^+ between the row and column spaces of D, the only part
+    # that D h D = D fixes: D^+ D h D D^+ = D^+
     M = make()
     h = contract(M)
     assert isinstance(h, Contraction)
+    assert verify_contraction(M, h).max_residual == 0.0
     for i in range(1, M.top + 1):
-        ref = np.linalg.pinv(M.matrix(i - 1), rcond=RANK_RTOL)
-        assert np.abs(h.maps[i] - ref).max() <= 1e-10
-
-
-def test_pinv_matches_svd_on_rank_deficient_integer_matrices():
-    rng = np.random.default_rng(12)
-    shapes = set()
-    for _ in range(300):
-        m, n = (int(x) for x in rng.integers(1, 16, size=2))
-        r = int(rng.integers(0, min(m, n) + 1))
-        A = rng.integers(-2, 3, size=(m, r)) @ rng.integers(-2, 3, size=(r, n))
-        D = A.astype(float)
-        shapes.add("tall" if m > n else "wide" if m < n else "square")
+        D, hi = M.matrix(i - 1), h.maps[i]
+        assert np.array_equal(hi, np.round(hi))
+        assert np.array_equal(D @ hi @ D, D)
+        if i < M.top:
+            assert not (hi @ h.maps[i + 1]).any()
         ref = np.linalg.pinv(D, rcond=RANK_RTOL)
-        assert np.abs(_pinv(D) - ref).max() <= 1e-10
-    assert shapes == {"tall", "wide", "square"}
-    for shape in ((4, 2), (2, 5), (0, 0), (0, 3), (3, 0)):  # all-zero and empty
-        P = _pinv(np.zeros(shape))
-        assert P.shape == shape[::-1] and not P.any()
+        assert np.abs(ref @ D @ hi @ D @ ref - ref).max(initial=0.0) <= 1e-10
+
+
+def _random_integer_complex(rng) -> MatrixComplex:
+    """A direct sum of pieces R -p-> R (p in {1, -1, 2}) and of free cells, in
+    bases changed by random unimodular integer matrices."""
+    top = int(rng.integers(1, 4))
+    n = [0, *(int(k) for k in rng.integers(1, 3, size=top)), 0]  # n[i + 1]: pieces i -> i + 1
+    dims = [n[i] + n[i + 1] + int(rng.random() < 0.3) for i in range(top + 1)]  # + a free cell
+    mats = [np.zeros((dims[i + 1], dims[i]), dtype=np.int64) for i in range(top)]
+    for i, D in enumerate(mats):  # piece k enters degree i + 1 at row k
+        for k in range(n[i + 1]):
+            D[k, n[i] + k] = rng.choice((1, 1, -1, 2))
+    bases = []
+    for d in dims:
+        P = np.eye(d, dtype=np.int64)
+        for _ in range(2 * d):
+            a, b = rng.integers(0, d, size=2)
+            if a != b:
+                P[b] += int(rng.choice((-1, 1))) * P[a]
+        bases.append(P[rng.permutation(d)])
+    inverses = [np.rint(np.linalg.inv(P)).astype(np.int64) for P in bases]
+    mats = [bases[i + 1] @ D @ inverses[i] for i, D in enumerate(mats)]
+    return MatrixComplex(tuple(dims), tuple(D.astype(float) for D in mats))
+
+
+def test_contract_on_random_integer_complexes():
+    rng = np.random.default_rng(16)
+    outcomes = set()
+    for _ in range(300):
+        M = _random_integer_complex(rng)
+        assert all(not (E @ D).any() for D, E in zip(M.matrices, M.matrices[1:]))
+        H = cohomology_dims(M)
+        result = contract(M)
+        carrying = [i for i in range(1, M.top + 1) if H[i]]
+        if carrying:
+            assert isinstance(result, ContractionFailure), (M.dims, H)
+            assert result.degree == max(carrying)
+            outcomes.add("fails")
+        else:
+            assert isinstance(result, Contraction), (M.dims, H, result)
+            assert verify_contraction(M, result).passed
+            stalled = any(_coreduce(M)[1][i] for i in range(1, M.top + 1))
+            outcomes.add("stalled" if stalled else "matched")
+    assert outcomes == {"fails", "stalled", "matched"}
+
+
+@pytest.mark.parametrize("D, ref, critical", [
+    # no cell has a single facet, so the matching stalls with one critical cell in
+    # each degree, and the Morse block is 1 - (-1) * 1 * 1 = 2
+    (np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([[0.5, 0.5], [0.5, -0.5]]), [[0], [1]]),
+    (np.array([[2.0]]), np.array([[0.5]]), [[], []]),  # a pivot that is not +-1
+], ids=["stalled", "pivot-2"])
+def test_contract_without_a_unit_matching(D, ref, critical):
+    M = MatrixComplex(D.shape[::-1], (D,))
+    assert _coreduce(M)[1] == critical
+    h = contract(M)
+    assert isinstance(h, Contraction)
+    assert np.array_equal(h.maps[1], ref)
+    assert verify_contraction(M, h).max_residual == 0.0
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 5), (3, 0), (0, 3)])
+def test_contract_on_a_zero_matrix(shape):
+    # every cell is critical and the Morse block is 0, so H^1 is all of degree 1
+    M = MatrixComplex(shape[::-1], (np.zeros(shape),))
+    result = contract(M)
+    if shape[0]:
+        assert result == ContractionFailure(degree=1, residual=1.0)
+    else:
+        assert result.maps[1].shape == (shape[1], 0)
 
 
 def test_contract_on_a_999_edge_path():
-    # the longest path under SIZE_LIMIT, and the closest to the Gram cutoff of
-    # the complexes tested: the smallest eigenvalue kept for D_1 is 2.5e-6 w_max
     K = ray_complex(1, 999)
     assert K.simplex_count() == 1999
     M = assemble(K, augmented=True)
     h = contract(M)
     assert isinstance(h, Contraction)
-    assert verify_contraction(M, h).max_residual <= 1e-10
+    assert verify_contraction(M, h).max_residual == 0.0
 
 
 def test_identity_two_term_complex():
@@ -155,7 +215,29 @@ def test_zero_homotopy_has_unit_residual():
     M = assemble(simplex_complex(2), augmented=True)
     h = Contraction({i: np.zeros((M.dims[i - 1], M.dims[i]))
                      for i in range(1, M.top + 1)})
-    assert verify_contraction(M, h).max_residual == pytest.approx(1.0)
+    rep = verify_contraction(M, h)
+    assert rep.max_residual == pytest.approx(1.0)
+    assert rep.checked == sum(d * d for d in M.dims[1:]) == 19
+    assert rep.worst == (1, 0, 0) and not rep.passed
+
+
+def test_report_locates_the_worst_residual():
+    M = assemble(simplex_complex(2), augmented=True)
+    maps = {i: m.copy() for i, m in contract(M).maps.items()}
+    maps[2][1, 2] += 0.25  # h^2 from edge (1, 2) to vertex 1
+    rep = verify_contraction(M, Contraction(maps))
+    assert rep.max_residual == 0.25 and not rep.passed
+    assert rep.residuals == {1: 0.25, 2: 0.25, 3: 0.0}
+    # the first largest entry: in degree 1, h^2 D_1 at (vertex 1, vertex 1)
+    assert rep.worst == (1, 1, 1)
+
+
+def test_report_with_nothing_compared_fails():
+    # D_0 maps one cell to none: there is a degree 1, but it has no entries
+    M = MatrixComplex((1, 0), (np.zeros((0, 1)),))
+    rep = verify_contraction(M, Contraction({1: np.zeros((1, 0))}))
+    assert rep.checked == 0 and rep.worst is None
+    assert rep.max_residual == 0.0 and not rep.passed
 
 
 def test_verification_rejects_a_contraction_with_missing_maps():
