@@ -6,7 +6,9 @@ chain contractions, and the convergence diagnostics of the weighted bump
 family that obstructs splitting for non-monotone exponent sequences.
 """
 
-from .cochains import Cochain, coboundary, indicator, lp_norm, pi_norm, zero_cochain
+from types import ModuleType as _ModuleType
+
+from .cochains import Cochain, coboundary, indicator, lp_norm, pi_norm
 from .complexes import (
     MetricComplex,
     PiSequence,
@@ -28,7 +30,7 @@ from .contract import (
     contract,
     verify_contraction,
 )
-from .derham import derham_map, verify_split, verify_stokes, whitney, whitney_normalized
+from .derham import derham_map, verify_split, verify_stokes, whitney
 from .errors import LpiFormsError
 from .mollify import (
     GridForm,
@@ -51,8 +53,10 @@ from .nontrivial import (
     subdivision_image,
     verify_nontriviality,
 )
-from .polyform import PolyForm, prism_complex, prism_extend
+from .polyform import PolyForm, prism_extend
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above, but are not exported names
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

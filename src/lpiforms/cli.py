@@ -123,20 +123,21 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
-def cmd_contract(args) -> int:
-    K = _load_complex(args.path)
-    M = assemble(K, augmented=args.augmented)
+def _run_contraction(K: complexes.MetricComplex, augmented: bool, tol: float) -> tuple[bool, list]:
+    """Assemble, contract and verify: the failure lines, or `contraction: ok` and the residual."""
+    M = assemble(K, augmented=augmented)
     result = contract(M)
     if isinstance(result, ContractionFailure):
-        _emit([
-            ("contraction", "failed"),
-            ("failure_degree", result.degree),
-            ("residual", repr(result.residual)),
-        ])
-        return 1
-    rep = verify_contraction(M, result, tol=args.tol)
-    _emit([("contraction", "ok"), ("max_residual", repr(rep.max_residual))])
-    return 0 if rep.passed else 1
+        return False, [("contraction", "failed"), ("failure_degree", result.degree),
+                       ("residual", repr(result.residual))]
+    rep = verify_contraction(M, result, tol=tol)
+    return rep.passed, [("contraction", "ok"), ("max_residual", repr(rep.max_residual))]
+
+
+def cmd_contract(args) -> int:
+    ok, pairs = _run_contraction(_load_complex(args.path), args.augmented, args.tol)
+    _emit(pairs)
+    return 0 if ok else 1
 
 
 def _default_split_complex():
@@ -213,16 +214,8 @@ def _verify_mollify(args) -> tuple[bool, list]:
 
 def _verify_contract(args) -> tuple[bool, list]:
     K = _load_complex(args.complex) if args.complex else _default_split_complex()
-    M = assemble(K, augmented=True)
-    result = contract(M)
-    if isinstance(result, ContractionFailure):
-        return False, [
-            ("contraction", "failed"),
-            ("failure_degree", result.degree),
-            ("residual", repr(result.residual)),
-        ]
-    rep = verify_contraction(M, result, tol=args.tol)
-    return rep.passed, [("max_residual", repr(rep.max_residual)), ("tol", args.tol)]
+    ok, pairs = _run_contraction(K, True, args.tol)
+    return ok, pairs + [("tol", args.tol)]
 
 
 def _verify_nontrivial(args) -> tuple[bool, list]:

@@ -64,10 +64,6 @@ def indicator(K: MetricComplex, sigma: SimplexKey) -> Cochain:
     return Cochain(len(sigma) - 1, {sigma: 1.0}, K)
 
 
-def zero_cochain(K: MetricComplex, k: int) -> Cochain:
-    return Cochain(k, {}, K)
-
-
 def coboundary(c: Cochain) -> Cochain:
     """Alternating-sum coboundary; degree k -> k+1."""
     K = c.complex
@@ -116,4 +112,6 @@ def read_cochain(text: str, K: MetricComplex) -> Cochain:
         if key in values:
             raise DuplicateSimplex(f"simplex {key} listed twice")
         values[key] = float(parts[-1])
+        if not math.isfinite(values[key]):
+            raise ValueError(f"simplex {key} has the non-finite value {parts[-1]}")
     return Cochain(k, values, K)

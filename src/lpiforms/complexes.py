@@ -60,9 +60,6 @@ class MetricComplex:
     def simplex_count(self) -> int:
         return sum(len(v) for v in self.simplices.values())
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(keys) for k, keys in self.simplices.items())
-
     def edge_length(self, edge: SimplexKey) -> float:
         a, b = edge
         return float(
@@ -263,12 +260,6 @@ def star(K: MetricComplex, v: int) -> MetricComplex:
     return build_complex({w: K.vertices[w] for key in tops for w in key}, tops)
 
 
-def is_subcomplex(S: MetricComplex, K: MetricComplex) -> bool:
-    """Every simplex of S is one of K, on the same vertex coordinates."""
-    return (all(K.vertices.get(v) == xs for v, xs in S.vertices.items())
-            and all(K.has_simplex(key) for key in S.cofaces))
-
-
 def barycentric_subdivide(K: MetricComplex) -> MetricComplex:
     """First barycentric subdivision; new vertices at arithmetic barycenters.
 
@@ -362,8 +353,13 @@ def read_complex(text: str) -> MetricComplex:
         if v in vertices:
             raise DuplicateVertex(f"vertex id {v} listed twice")
         vertices[v] = tuple(float(x) for x in parts[1:])
+        if not all(map(math.isfinite, vertices[v])):
+            raise DegenerateSimplex(f"vertex {v} has a non-finite coordinate")
     tops = [tuple(int(x) for x in ln.split()) for ln in lines[idx_s + 1 :]]
     K = build_complex(vertices, tops)
+    for T in K.maximal_simplices():  # the listed simplices not inside another
+        if K.volume(T) == 0.0:
+            raise DegenerateSimplex(f"simplex {T} has zero volume")
     dim = int(lines[0].split()[1])
     if dim != K.dim:
         raise BadDimension(f"header says dim {dim}, but the simplices span dim {K.dim}")

@@ -11,9 +11,9 @@ selection matrix that sends vertex i to w_i's position in T; that pullback
 is cached per position tuple and added, times c(sigma), into T's piece.
 
 With the metric-free form integral the composite I o W is the identity on
-cochains, on any complex; with the volume-weighted integral the diagonal
-value on a regular unit k-simplex is sqrt(k+1)/sqrt(2^k), and the
-normalized map W~ = sqrt(2^k)/sqrt(k+1) * W makes I o W~ the identity there.
+cochains, on any complex; with the volume-weighted integral I o W is
+diagonal, with weight k! * vol(sigma) on sigma (sqrt(k+1)/sqrt(2^k) on a
+regular unit k-simplex), which `verify_split` divides out.
 
 `derham_map` walks the pieces of the form, not the simplices of K, through
 `PolyForm.face_integrals`.  A shared face takes the value of the piece
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochains import Cochain, coboundary, lp_norm
+from .cochains import Cochain, coboundary
 from .complexes import MetricComplex, SimplexKey
 from .errors import BadDegree, BadDimension
 from .polyform import PolyForm, Terms, pullback, selection
@@ -38,19 +38,12 @@ from .polyform import PolyForm, Terms, pullback, selection
 class SplitReport:
     max_identity_error: float
     sample_count: int
-    bound_ratios: dict[str, float]
 
 
 @dataclass(frozen=True)
 class StokesReport:
     max_stokes_error: float
     sample_count: int
-
-
-def whitney_factor(k: int) -> float:
-    """Normalization sqrt(2^k)/sqrt(k+1) turning W into a section of the
-    volume-weighted integration map on regular unit simplices."""
-    return math.sqrt(2.0**k) / math.sqrt(k + 1.0)
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -74,10 +67,6 @@ def whitney(c: Cochain) -> PolyForm:
             for key, v in _local_whitney(tuple(map(T.index, sigma)), len(T) - 1):
                 piece[key] = piece.get(key, 0.0) + val * v
     return PolyForm(c.degree, K, pieces)
-
-
-def whitney_normalized(c: Cochain) -> PolyForm:
-    return whitney(c).scale(whitney_factor(c.degree))
 
 
 def derham_map(
@@ -104,7 +93,7 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
     weighted integral, which is k! * vol(sigma) in closed form: the
     metric-free integral of W(chi_sigma) over sigma is 1 (I o W = id), and
     the weighted one is k! * vol times it.  So the identity holds exactly on
-    non-regular complexes too.  Boundedness ratios of both maps are recorded.
+    non-regular complexes too.
     """
     if not 0 <= k <= K.dim:
         raise BadDimension(f"no {k}-cochains on a complex of dimension {K.dim}")
@@ -114,28 +103,15 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
     sigmas = K.simplices_of_dim(k)
     diag = {s: math.factorial(k) * K.volume(s) for s in sigmas}
     max_err = 0.0
-    ratio_i = 0.0
-    ratio_w = 0.0
     for _ in range(samples):
         support = rng.choice(len(sigmas), size=min(4, len(sigmas)), replace=False)
         vals = {sigmas[i]: float(rng.normal()) for i in support}
         c = Cochain(k, vals, K)
         scaled = Cochain(k, {s: v / diag[s] for s, v in c.values.items()}, K)
-        form = whitney(scaled)
-        image = derham_map(form, K, k, weighted=True)
+        image = derham_map(whitney(scaled), K, k, weighted=True)
         err = max(abs(image(s) - c(s)) for s in sigmas)
         max_err = max(max_err, err)
-        nf = form.lp_norm(2.0)
-        nc = lp_norm(c, 2.0)
-        if nf > 0:
-            ratio_i = max(ratio_i, lp_norm(image, 2.0) / nf)
-        if nc > 0:
-            ratio_w = max(ratio_w, nf / nc)
-    return SplitReport(
-        max_identity_error=max_err,
-        sample_count=samples,
-        bound_ratios={"derham_over_form": ratio_i, "whitney_over_cochain": ratio_w},
-    )
+    return SplitReport(max_identity_error=max_err, sample_count=samples)
 
 
 def verify_stokes(omega: PolyForm, K: MetricComplex) -> StokesReport:

@@ -6,7 +6,7 @@ class LpiFormsError(Exception):
 
 
 class DegenerateSimplex(LpiFormsError):
-    """A simplex repeats a vertex id."""
+    """A simplex repeats a vertex id, has zero volume or a non-finite vertex."""
 
 
 class MissingVertex(LpiFormsError):
@@ -31,10 +31,6 @@ class BadDimension(LpiFormsError):
 
 class BadExponent(LpiFormsError):
     """Integrability exponent outside [1, inf)."""
-
-
-class BadSubcomplex(LpiFormsError):
-    """The given complex is not a subcomplex of the carrier."""
 
 
 class BadCarrier(LpiFormsError):

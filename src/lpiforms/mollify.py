@@ -114,10 +114,10 @@ class GridForm:
             if tuple(axes) not in valid:
                 raise BadDegree(f"component {axes} is not a sorted "
                                 f"{self.degree}-subset of range({self.n})")
-            arr = np.asarray(arr, dtype=float).copy()
+            arr = np.asarray(arr, dtype=float)
             if arr.shape != mask.shape:
                 raise ValueError(f"component {axes} has shape {arr.shape}, grid {mask.shape}")
-            arr[~mask] = 0.0
+            arr = np.where(mask, arr, 0.0)
             arr.setflags(write=False)
             comps[tuple(axes)] = arr
         object.__setattr__(self, "components", comps)
@@ -144,7 +144,7 @@ class GridForm:
             raise BadDimension("degree mismatch in grid form sum")
         if (other.n, other.h) != (self.n, self.h):
             raise BadCarrier("grid mismatch in grid form sum")
-        comps = {a: arr.copy() for a, arr in self.components.items()}
+        comps = dict(self.components)  # read-only arrays; `+` below builds new ones
         for a, arr in other.components.items():
             comps[a] = comps.get(a, 0.0) + arr
         return GridForm(self.n, self.h, self.degree, comps)

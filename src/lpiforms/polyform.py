@@ -51,14 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (
-    MetricComplex,
-    PiSequence,
-    SimplexKey,
-    build_complex,
-    is_subcomplex,
-)
-from .errors import BadCarrier, BadDimension, BadExponent, BadSubcomplex
+from .complexes import MetricComplex, PiSequence, SimplexKey, build_complex
+from .errors import BadCarrier, BadDimension, BadExponent
 
 # the rule degrees lp_norm tries in turn for a p that is not an even integer
 _ADAPTIVE_DEGREES = (8, 14, 20, 28, 38)
@@ -307,14 +301,6 @@ class PolyForm:
         return PolyForm(k, K, {})
 
     @staticmethod
-    def from_barycentric(
-        K: MetricComplex, k: int, pieces_full: dict[SimplexKey, Terms]
-    ) -> "PolyForm":
-        """Build from terms over full barycentric variables t_0..t_m."""
-        pieces = {T: pullback(full, selection(T, T)) for T, full in pieces_full.items()}
-        return PolyForm(k, K, pieces)
-
-    @staticmethod
     def constant(K: MetricComplex, value: float) -> "PolyForm":
         pieces = {
             T: {((0,) * (len(T) - 1), ()): value} for T in K.maximal_simplices()
@@ -376,17 +362,6 @@ class PolyForm:
                     return self.pieces[T]
                 return pullback(self.pieces[T], selection(T, sigma))
         return {}
-
-    def restrict(self, S: MetricComplex) -> "PolyForm":
-        """Pullback along the inclusion of a subcomplex."""
-        if not is_subcomplex(S, self.complex):
-            raise BadSubcomplex("restriction target is not a subcomplex")
-        pieces = {}
-        for T in S.maximal_simplices():
-            tr = self.trace_on(T)
-            if tr:
-                pieces[T] = tr
-        return PolyForm(self.degree, S, pieces)
 
     def evaluate(self, T: SimplexKey, t: np.ndarray) -> dict[tuple[int, ...], float]:
         """Components at reduced barycentric coordinates t on piece T."""
@@ -485,20 +460,6 @@ class PolyForm:
         V = _components_at(terms, _lattice(len(T) - 1, resolution), self.degree)
         return math.sqrt(float(_norm_sq(V, self.complex.covector_gram(T, self.degree)).max()))
 
-    def sl_pi_norm(self, pi: PiSequence) -> float:
-        """Per-simplex sup-norm Sobolev norm; the second sum runs over d(omega)."""
-        k = self.degree
-        first = sum(
-            self.sup_norm(T) ** pi[k] for T in self.pieces
-        ) ** (1.0 / pi[k])
-        if k >= self.complex.dim:
-            return first
-        dw = self.d()
-        second = sum(
-            dw.sup_norm(T) ** pi[k + 1] for T in dw.pieces
-        )
-        return first + second ** (1.0 / pi[k + 1]) if second else first
-
     def omega_pi_norm(self, pi: PiSequence) -> float:
         k = self.degree
         total = self.lp_norm(pi[k])
@@ -551,7 +512,7 @@ def _check_cube_boundary(K: MetricComplex, n: int) -> None:
         raise BadCarrier("carrier has the wrong dimension for a cube boundary")
 
 
-def prism_complex(K: MetricComplex, n: int) -> tuple[MetricComplex, dict[int, tuple[int, int]]]:
+def _prism_complex(K: MetricComplex, n: int) -> tuple[MetricComplex, dict[int, tuple[int, int]]]:
     """Triangulated prism (cube boundary) x [0,1]; returns the complex and a
     map prism-vertex-id -> (base vertex id, level)."""
     base = sorted(K.vertices)
@@ -587,7 +548,7 @@ def prism_extend(omega: PolyForm, n: int) -> PolyForm:
         raise BadDimension("prism extension supports n in {1, 2}")
     K = omega.complex
     _check_cube_boundary(K, n)
-    P, reverse = prism_complex(K, n)
+    P, reverse = _prism_complex(K, n)
     pieces: dict[SimplexKey, Terms] = {}
     for T in P.maximal_simplices():
         base, level = zip(*(reverse[v] for v in T))

@@ -9,6 +9,8 @@ from lpiforms.cli import main
 from lpiforms.cochains import Cochain, write_cochain
 from lpiforms.complexes import build_complex, ray_complex, read_complex, write_complex
 
+from conftest import simplex_complex, sphere_complex
+
 
 @pytest.fixture
 def triangle_file(tmp_path):
@@ -44,6 +46,39 @@ def test_duplicate_cochain_line_is_usage_error(triangle_file, tmp_path, capsys):
     cf.write_text("degree 1\n0 1 1.0\n0 1 2.0\n")
     assert main(["norm", str(p), str(cf), "--p", "2"]) == 2
     assert "listed twice" in capsys.readouterr().err
+
+
+# vertex lines of a listed triangle that has no finite, positive area
+DEGENERATE = {
+    "coincident": ("0 0.0 0.0\n1 0.0 0.0\n2 0.5 0.8", "zero volume"),
+    "collinear": ("0 0.0 0.0\n1 1.0 0.0\n2 2.0 0.0", "zero volume"),
+    "nan": ("0 0.0 0.0\n1 nan 0.0\n2 0.5 0.8", "non-finite coordinate"),
+    "inf": ("0 0.0 0.0\n1 inf 0.0\n2 0.5 0.8", "non-finite coordinate"),
+}
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_complex_file_is_usage_error(tmp_path, capsys, case, k):
+    # once a ZeroDivisionError, a "Singular matrix" exit 1 or, with inf, a pass
+    vertices, message = DEGENERATE[case]
+    pf = tmp_path / "bad.txt"
+    pf.write_text(f"dim 2\nvertices\n{vertices}\nsimplices\n0 1 2\n")
+    assert main(["verify", "split", "--complex", str(pf), "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_cochain_value_is_usage_error(triangle_file, tmp_path, capsys, value):
+    path, _ = triangle_file
+    cf = tmp_path / "c.txt"
+    cf.write_text(f"degree 1\n0 1 {value}\n")
+    assert main(["norm", str(path), str(cf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "non-finite value" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -219,6 +254,27 @@ def test_contract_commands_report_an_exact_residual(tmp_path, capsys, path):
     if path:
         assert main(["contract", str(pf), "--augmented"]) == 0
         assert capsys.readouterr().out == "contraction: ok\nmax_residual: 0.0\n"
+
+
+@pytest.mark.parametrize("argv, code, keys", [
+    (["contract", "simplex", "--augmented"], 0, ["contraction", "max_residual"]),
+    (["contract", "sphere"], 1, ["contraction", "failure_degree", "residual"]),
+    (["verify", "contract"], 0,
+     ["suite", "contraction", "max_residual", "tol", "elapsed", "pass"]),
+    (["verify", "contract", "--complex", "sphere"], 1,
+     ["suite", "contraction", "failure_degree", "residual", "tol", "elapsed", "pass"]),
+], ids=["contract ok", "contract failed", "verify ok", "verify failed"])
+def test_contraction_report_keys(tmp_path, capsys, argv, code, keys):
+    # both commands print one runner's lines; `verify contract` adds its frame and tol
+    files = {"simplex": simplex_complex(2), "sphere": sphere_complex(2)}
+    for name, K in files.items():
+        (tmp_path / name).write_text(write_complex(K))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(": ")[0] for ln in lines] == keys
+    assert lines[keys.index("contraction")] == ("contraction: ok" if code == 0
+                                               else "contraction: failed")
 
 
 def test_numerical_failure_is_exit_1(monkeypatch, capsys):

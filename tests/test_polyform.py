@@ -14,11 +14,10 @@ from lpiforms.complexes import (
     PiSequence,
     build_complex,
     cube_boundary_complex,
-    is_subcomplex,
     ray_complex,
 )
 from lpiforms.derham import whitney
-from lpiforms.errors import BadCarrier, BadDimension, BadExponent, BadSubcomplex
+from lpiforms.errors import BadCarrier, BadDimension, BadExponent
 from lpiforms.polyform import (
     _ADAPTIVE_DEGREES,
     PolyForm,
@@ -187,23 +186,6 @@ def test_trace_and_restrict(triangle):
     # on edge (0,1), t_1 restricts to the edge coordinate
     assert tr == {((1,), ()): 1.0}
     assert om.trace_on((0, 2)) == {}  # t_1 = 0 there
-    from lpiforms.complexes import skeleton
-
-    rest = om.restrict(skeleton(triangle, 1))
-    assert rest.trace_on((0, 1)) == {((1,), ()): 1.0}
-
-
-def test_restrict_rejects_moved_geometry():
-    K = ray_complex(1, 2)
-    om = PolyForm.constant(K, 1.0)
-    same = build_complex({0: K.vertices[0], 1: K.vertices[1]}, [(0, 1)])
-    assert is_subcomplex(same, K)
-    assert om.restrict(same).lp_norm(2.0) == pytest.approx(1.0)
-    # the same keys on other coordinates are not a subcomplex
-    moved = build_complex({0: (0.0,), 1: (5.0,)}, [(0, 1)])
-    assert not is_subcomplex(moved, K)
-    with pytest.raises(BadSubcomplex):
-        om.restrict(moved)
 
 
 def test_lp_norm_constant():
@@ -304,8 +286,6 @@ def test_sup_and_sl_pi_norms():
     om = PolyForm(0, K, {(0, 1): {((1,), ()): 1.0}})  # t_1 on the edge
     assert om.sup_norm((0, 1)) == pytest.approx(1.0)
     pi = PiSequence((2.0, 2.0), 1)
-    # sup|t_1| = 1 and sup|dt_1| = 1
-    assert om.sl_pi_norm(pi) == pytest.approx(2.0)
     assert om.omega_pi_norm(pi) == pytest.approx(1.0 / math.sqrt(3) + 1.0)
 
 
@@ -425,11 +405,10 @@ def test_from_barycentric_hand_expansion(triangle):
         ((0, 1), (1,)): -2.0,
         ((0, 1), (2,)): -2.0,
     }
-    om = PolyForm.from_barycentric(triangle, 1, {(0, 1, 2): full})
-    assert om.piece((0, 1, 2)) == want
+    T = (0, 1, 2)
+    assert pullback(full, selection(T, T)) == want
     # l0^2 = 1 - 2 t1 - 2 t2 + t1^2 + 2 t1 t2 + t2^2
-    sq = PolyForm.from_barycentric(triangle, 0, {(0, 1, 2): {((2, 0, 0), ()): 1.0}})
-    assert sq.piece((0, 1, 2)) == {
+    assert pullback({((2, 0, 0), ()): 1.0}, selection(T, T)) == {
         ((0, 0), ()): 1.0, ((1, 0), ()): -2.0, ((0, 1), ()): -2.0,
         ((2, 0), ()): 1.0, ((1, 1), ()): 2.0, ((0, 2), ()): 1.0,
     }

@@ -57,6 +57,24 @@ def test_traced_names_exist():
     assert not missing, missing
 
 
+def test_public_names_are_pinned():
+    # an addition to or a removal from the package's exports shows in this list
+    import lpiforms
+
+    assert sorted(lpiforms.__all__) == [
+        "BumpFamily", "Cochain", "Contraction", "ContractionFailure", "GridForm",
+        "LpiFormsError", "MatrixComplex", "MetricComplex", "MollifierConfig", "PiSequence",
+        "PolyForm", "SeriesVerdict", "assemble", "ball_diffeo", "barycentric_subdivide",
+        "build_complex", "build_family", "bump_profile", "coboundary", "cohomology_dims",
+        "cone_S", "contract", "derham_kernel_check", "derham_map", "family_norm_series",
+        "grid_d", "homotopy_A", "indicator", "lp_norm", "pi_norm", "prism_extend",
+        "ray_complex", "read_complex", "regularize", "skeleton", "star",
+        "subdivision_image", "validate_bounded_geometry", "verify_contraction",
+        "verify_homotopy", "verify_nontriviality", "verify_split", "verify_stokes",
+        "verify_support_control", "whitney", "write_complex",
+    ]
+
+
 def test_benchmark_workloads_pass_at_quick_size(tmp_path):
     # the workloads read attributes that the tracer's name tables do not
     # list (BumpFamily.subdivided, ImageReport.cochain, ...), so each one runs
