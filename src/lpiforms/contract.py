@@ -1,11 +1,11 @@
 """Finite-dimensional chain-complex utilities: cohomology dimensions and
 an inductively constructed contracting homotopy on acyclic complexes.
 
-Each D_i is ranked once, by SVD and, as the exact oracle the SVD is checked
-against, by sparse column elimination over the rationals with lowest-row
-pivots (Edelsbrunner-Letscher-Zomorodian 2002): each column, a dict of its
-nonzero Fraction entries, is reduced against the pivot columns, keyed by
-their lowest row, until it is empty or has a new lowest row.
+A MatrixComplex holds its dense, read-only D_i (so `assemble` is capped at
+SIZE_LIMIT simplices) and their nonzero pattern, built once: the (row, column,
+value) triples of each D_i, reachable by row and by column.  Each D_i is ranked
+once, by SVD and, as the exact oracle, by sparse column elimination over the
+rationals with lowest-row pivots (Edelsbrunner-Letscher-Zomorodian 2002).
 
 The contraction is the paper's descending induction h^i = eta^i (1 - h^{i+1}
 D_i), with eta from a coreduction matching on the nonzero pattern of the D_i
@@ -15,13 +15,14 @@ removal order D_{i-1}[U, L] (upper by lower partners) is triangular, so eta^i
 is a forward substitution, integer for +-1 pivots, that reads U and writes L:
 h^i = eta^i.  As D D = 0, D eta + eta D = 1 - g f for the chain maps f, g to
 and from the Morse complex on the critical cells; h^i += g pinv(f D g) f
-contracts its block too.  Each degree is checked, from the top, by its defect.
+contracts its block too.  Each degree is checked, from the top, by its defect
+|D h + h D - 1|, summed from the nonzero products over the pattern.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,20 +35,45 @@ RANK_RTOL = 1e-10
 STEP_TOL = 1e-8
 
 
+def _incidence(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
+    """The nonzero triples (r, c, v) of one matrix, grouped by row and by column
+    as (ptr, other index, value, other index per group as a list): group g is
+    the slice ptr[g]:ptr[g + 1]."""
+    out = []
+    for key, other, size in ((r, c, shape[0]), (c, r, shape[1])):
+        order = np.argsort(key, kind="stable")
+        ptr, idx = np.searchsorted(key[order], np.arange(size + 1)), other[order]
+        flat, bounds = idx.tolist(), ptr.tolist()
+        out.append((ptr, idx, v[order], [flat[a:b] for a, b in zip(bounds, bounds[1:])]))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class MatrixComplex:
-    """Coboundary matrices D_i: R^{dims[i]} -> R^{dims[i+1]}, i = 0..n-1."""
+    """Coboundary matrices D_i: R^{dims[i]} -> R^{dims[i+1]}, i = 0..n-1, stored
+    as read-only copies with their nonzero pattern (`_incidence`, built once;
+    `assemble` passes it as `_pattern`, which `dataclasses.replace` drops)."""
 
     dims: tuple[int, ...]
     matrices: tuple[np.ndarray, ...] = field(repr=False)
+    _pattern: InitVar[tuple | None] = None
+    _incidence: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _pattern):
         if len(self.matrices) != max(len(self.dims) - 1, 0):
             raise BadDimension(f"{len(self.matrices)} matrices for {len(self.dims)} degrees")
         for i, D in enumerate(self.matrices):
             if D.shape != (self.dims[i + 1], self.dims[i]):
                 raise BadDimension(f"D_{i} has shape {D.shape}, "
                                    f"expected {(self.dims[i + 1], self.dims[i])}")
+        mats = tuple(np.array(D) for D in self.matrices)
+        for D in mats:
+            D.setflags(write=False)
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "_incidence", _pattern or tuple(  # else one scan per matrix
+            _incidence(*(nz := np.nonzero(D)), D[nz], D.shape) for D in mats))
+        if not all(np.isfinite(by_row[2]).all() for by_row, _ in self._incidence):
+            raise ValueError("a coboundary matrix has a non-finite entry")
 
     @property
     def top(self) -> int:
@@ -81,20 +107,18 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
         raise TooLarge(f"complex has {K.simplex_count()} simplices; "
                        f"dense limit is {SIZE_LIMIT}")
     dims = [len(K.simplices_of_dim(k)) for k in range(K.dim + 1)]
-    mats = []
-    for k in range(K.dim):
-        rows = K.simplices_of_dim(k + 1)
-        row_ix = {s: i for i, s in enumerate(rows)}
-        D = np.zeros((len(rows), dims[k]))
-        for j, sigma in enumerate(K.simplices_of_dim(k)):
-            for tau, sign in K.cofaces[sigma]:
-                D[row_ix[tau], j] = sign
-        mats.append(D)
+    index = {s: j for k in range(K.dim + 1) for j, s in enumerate(K.simplices_of_dim(k))}
+    triples = [[(index[tau], index[sigma], sign) for sigma in K.simplices_of_dim(k)
+                for tau, sign in K.cofaces[sigma]] for k in range(K.dim)]
     if augmented:
-        ones = np.ones((dims[0], 1))
-        dims = [1] + dims
-        mats = [ones] + mats
-    return MatrixComplex(tuple(dims), tuple(mats))
+        dims, triples = [1, *dims], [[(j, 0, 1) for j in range(dims[0])], *triples]
+    mats, incidence = [], []
+    for t, shape in zip(triples, zip(dims[1:], dims)):
+        (r, c, v), D = np.array(t, dtype=np.intp).reshape(-1, 3).T, np.zeros(shape)
+        D[r, c] = v
+        mats.append(D)
+        incidence.append(_incidence(r, c, v.astype(float), shape))
+    return MatrixComplex(tuple(dims), tuple(mats), tuple(incidence))
 
 
 def _rank(D: np.ndarray) -> int:
@@ -139,18 +163,41 @@ def rational_cohomology_dims(M: MatrixComplex) -> list[int]:
     return _cohomology(M, _exact_rank)
 
 
+def _products(by_col, D: np.ndarray, h: np.ndarray):
+    """(row, column, value) of each product of a nonzero D[r, j] and a nonzero
+    h[j, c] in D @ h, with D grouped by column.  A non-finite h[j, c] also meets
+    the zeros of column j, as in D @ h (0 * inf is NaN); its other products then
+    count twice, which changes no IEEE sum."""
+    (ptr, rows, vals, _), (j, c) = by_col, np.nonzero(h)
+    v, n = h[j, c], ptr[j + 1] - ptr[j]
+    at = np.arange(n.sum()) + np.repeat(ptr[j] - np.cumsum(n) + n, n)
+    out = [rows[at], np.repeat(c, n), vals[at] * np.repeat(v, n)]
+    if (bad := ~np.isfinite(v)).any():
+        m = D.shape[0]
+        full = (np.repeat(np.arange(m), bad.sum()), np.tile(c[bad], m),
+                (D[:, j[bad]] * v[bad]).ravel())
+        out = [np.concatenate(p) for p in zip(out, full)]
+    return out
+
+
 def _defect(M: MatrixComplex, h: dict[int, np.ndarray], i: int) -> np.ndarray:
-    """|D_{i-1} h^i + h^{i+1} D_i - 1|, the h^{i+1} term where h has one."""
-    acc = M.matrix(i - 1) @ h[i] - np.eye(M.dims[i])
-    if i + 1 in h:
-        acc += h[i + 1] @ M.matrix(i)
-    return np.abs(acc)
+    """|D_{i-1} h^i + h^{i+1} D_i - 1|, the h^{i+1} term where h has one, summed
+    from the nonzero products over M's incidence."""
+    n = M.dims[i]
+    terms = [_products(M._incidence[i - 1][1], M.matrix(i - 1), h[i]),
+             (np.arange(n), np.arange(n), -np.ones(n))]
+    if i + 1 in h:  # h' D = (D^T h'^T)^T, and D^T by column is D by row
+        c, r, v = _products(M._incidence[i][0], M.matrix(i).T, h[i + 1].T)
+        terms.append((r, c, v))
+    r, c, v = map(np.concatenate, zip(*terms))
+    a = np.bincount(r * n + c, v, minlength=n * n)
+    return np.abs(a, out=a).reshape(n, n)
 
 
 def _coreduce(M: MatrixComplex):
     """eta^i per degree i >= 1 and the critical cells, from the matching."""
-    facets = [[[]] * M.dims[0]] + [[r.nonzero()[0].tolist() for r in D] for D in M.matrices]
-    cofaces = [[c.nonzero()[0].tolist() for c in D.T] for D in M.matrices] + [[[]] * M.dims[-1]]
+    facets = [[[]] * M.dims[0]] + [by_row[3] for by_row, _ in M._incidence]
+    cofaces = [by_col[3] for _, by_col in M._incidence] + [[[]] * M.dims[-1]]
     alive, critical = [[True] * d for d in M.dims], [[] for _ in M.dims]
     eta = {i: np.zeros((M.dims[i - 1], M.dims[i])) for i in range(1, len(M.dims))}
     cells = [(i, c) for i, d in enumerate(M.dims) for c in range(d)]
@@ -210,9 +257,11 @@ def verify_contraction(
     must hold h^i for every degree 1 <= i <= top, and some entry must be compared."""
     if M.top < 1:
         raise BadDegree("the complex has no degree >= 1 to contract")
-    missing = [i for i in range(1, M.top + 1) if i not in h.maps]
-    if missing:
+    if missing := [i for i in range(1, M.top + 1) if i not in h.maps]:
         raise BadDegree(f"the contraction has no h^i for degrees {missing}")
+    if wrong := {i: m.shape for i, m in h.maps.items()  # products would miss extra rows
+                 if not 0 < i <= M.top or m.shape != (M.dims[i - 1], M.dims[i])}:
+        raise BadDimension(f"shapes {wrong} are not (dims[i - 1], dims[i]) for dims {M.dims}")
     defects = {i: _defect(M, h.maps, i) for i in range(1, M.top + 1)}
     residuals = {i: float(a.max(initial=0.0)) for i, a in defects.items()}
     checked = sum(a.size for a in defects.values())

@@ -1,10 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 import sympy
 
-from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex
+from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex, star
 from lpiforms.contract import (
     RANK_RTOL,
     Contraction,
@@ -232,12 +233,152 @@ def test_report_locates_the_worst_residual():
     assert rep.worst == (1, 1, 1)
 
 
+def _dense_report(M, maps):
+    """The dense formula |D_{i-1} h^i + h^{i+1} D_i - 1|: its per-degree maxima,
+    entry count and first largest entry in row-major order, NaN the largest."""
+    defects = {}
+    for i in range(1, M.top + 1):
+        acc = M.matrix(i - 1) @ maps[i] - np.eye(M.dims[i])
+        defects[i] = np.abs(acc + maps[i + 1] @ M.matrix(i) if i < M.top else acc)
+    entries = [(i, *ix) for i, a in defects.items() for ix in np.ndindex(a.shape)]
+    worst = max(entries, key=lambda e: (np.isnan(defects[e[0]][e[1:]]), defects[e[0]][e[1:]]),
+                default=None)
+    return ({i: float(a.max(initial=0.0)) for i, a in defects.items()},
+            sum(a.size for a in defects.values()), worst)
+
+
+def _assert_matches_dense(M, maps, rel=0.0):
+    rep = verify_contraction(M, Contraction(maps))
+    residuals, checked, worst = _dense_report(M, maps)
+    largest = max(residuals.values(), key=lambda r: (np.isnan(r), r))
+    assert rep.residuals == pytest.approx(residuals, rel=rel, nan_ok=True)
+    assert rep.max_residual == pytest.approx(largest, rel=rel, nan_ok=True)
+    assert (rep.checked, rep.worst) == (checked, worst)
+    return rep
+
+
+def _sparse(rng, shape, values):
+    return values * (rng.random(shape) < 0.4)
+
+
+def _free_cells():
+    # D_0 = (1, 0)^T and D_1 = ((0, 3), (0, 0)): column 0 and row 1 of D_1 are zero
+    return MatrixComplex((1, 2, 2), (np.array([[1.0], [0.0]]), np.array([[0.0, 3.0], [0.0, 0.0]])))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble(simplex_complex(2), augmented=True),
+    lambda: assemble(simplex_complex(3), augmented=True),
+    lambda: assemble(sphere_complex(1)),
+    lambda: MatrixComplex((2, 2), (np.array([[1.0, 1.0], [1.0, -1.0]]),)),
+    lambda: MatrixComplex((2, 4), (np.zeros((4, 2)),)),
+    _free_cells,
+], ids=["tri", "tet", "circle", "stalled", "zero", "free-cells"])
+def test_sparse_defect_matches_the_dense_formula(make):
+    # float h sums its products in another order than BLAS, so it gets a relative
+    # tolerance of about 50 float64 ulps; integer h is exact
+    M, rng = make(), np.random.default_rng(18)
+    shapes = {i: (M.dims[i - 1], M.dims[i]) for i in range(1, M.top + 1)}
+    for _ in range(20):
+        _assert_matches_dense(M, {i: _sparse(rng, s, rng.integers(-3, 4, s).astype(float))
+                                  for i, s in shapes.items()})
+        _assert_matches_dense(M, {i: _sparse(rng, s, rng.normal(size=s))
+                                  for i, s in shapes.items()}, rel=1e-14)
+    if isinstance(h := contract(M), Contraction):
+        assert _assert_matches_dense(M, h.maps).max_residual == 0.0
+
+
+def test_sparse_defect_breaks_ties_in_row_major_order():
+    M = assemble(simplex_complex(2), augmented=True)
+    h = contract(M).maps
+    # h^3 = 0 leaves |h^3 D_2| = 1 on all of row 2 in degree 2, and 1 at (0, 0) in degree 3
+    rep = _assert_matches_dense(M, {**h, 3: np.zeros_like(h[3])})
+    assert rep.residuals == {1: 0.0, 2: 1.0, 3: 1.0} and rep.worst == (2, 2, 0)
+    # h^2 = 0 leaves 1 at (1, 0), (1, 1), (2, 0) and (2, 2) in degree 1, and 1s in degree 2
+    rep = _assert_matches_dense(M, {**h, 2: np.zeros_like(h[2])})
+    assert rep.residuals == {1: 1.0, 2: 1.0, 3: 0.0} and rep.worst == (1, 1, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparse_defect_fails_on_non_finite_entries(bad):
+    # every line of D that a bad entry meets holds a zero, and column 0 and row 1
+    # of D_1 hold nothing else: there only 0 * bad, as in a dense product, shows it
+    M = _free_cells()
+    base = {1: np.array([[1.0, 0.0]]), 2: np.zeros((2, 2))}
+    for i, ix in [(1, (0, 0)), (1, (0, 1)), (2, (0, 0)), (2, (1, 0)), (2, (1, 1))]:
+        maps = {k: m.copy() for k, m in base.items()}
+        maps[i][ix] = bad
+        with np.errstate(invalid="ignore"):
+            rep = _assert_matches_dense(M, maps)
+        assert not rep.passed and not rep.max_residual <= 1e-8
+
+
 def test_report_with_nothing_compared_fails():
     # D_0 maps one cell to none: there is a degree 1, but it has no entries
     M = MatrixComplex((1, 0), (np.zeros((0, 1)),))
     rep = verify_contraction(M, Contraction({1: np.zeros((1, 0))}))
     assert rep.checked == 0 and rep.worst is None
     assert rep.max_residual == 0.0 and not rep.passed
+
+
+@pytest.mark.parametrize("maps", [
+    {1: np.zeros((1, 1))},  # once broadcast against the identity
+    {1: np.zeros((2, 2))},  # once numpy's matmul ValueError
+    {1: np.zeros((2, 1))},
+    {1: np.zeros((1, 2)), 2: np.zeros((2, 1))},  # no degree 2
+    {0: np.zeros((1, 1)), 1: np.zeros((1, 2))},
+])
+def test_verification_rejects_wrong_shaped_maps(maps):
+    M = MatrixComplex((1, 2), (np.ones((2, 1)),))
+    with pytest.raises(BadDimension):
+        verify_contraction(M, Contraction(maps))
+
+
+def test_contraction_on_a_star_is_the_cone_operator():
+    # with the apex a the star's lowest vertex, the matching pairs each sigma
+    # without a with a * sigma, so h^i[sigma, a * sigma] = D_{i-1}[a * sigma, sigma]
+    # and h is 0 elsewhere
+    K = barycentric_subdivide(ray_complex(2, 2))
+    S = star(K, 0)
+    assert min(S.vertices) == 0
+    M = assemble(S, augmented=True)
+    h = contract(M)
+    assert isinstance(h, Contraction)
+    cells = [[()]] + [list(S.simplices_of_dim(k)) for k in range(S.dim + 1)]
+    for i in range(1, M.top + 1):
+        index = {s: n for n, s in enumerate(cells[i])}
+        cone = np.zeros((M.dims[i - 1], M.dims[i]))
+        for r, sigma in enumerate(cells[i - 1]):
+            if 0 not in sigma:
+                c = index[tuple(sorted((0, *sigma)))]
+                cone[r, c] = M.matrix(i - 1)[c, r]
+        assert np.array_equal(h.maps[i], cone)
+    # with the apex at the highest vertex the greedy order gives another valid h
+    S = star(K, max(K.vertices))
+    M = assemble(S, augmented=True)
+    assert verify_contraction(M, contract(M)).max_residual == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrix_complex_rejects_non_finite_entries(bad):
+    # the defect meets D only where D is nonzero, so a NaN in D must not get that far
+    with pytest.raises(ValueError):
+        MatrixComplex((1, 2), (np.array([[1.0], [bad]]),))
+
+
+def test_matrix_complex_keeps_read_only_copies():
+    D = np.array([[1.0, -1.0]])
+    M = MatrixComplex((2, 1), (D,))
+    D[0, 0] = 5.0
+    assert np.array_equal(M.matrix(0), [[1.0, -1.0]])
+    with pytest.raises(ValueError):
+        M.matrix(0)[0, 0] = 5.0
+    M = assemble(simplex_complex(1))
+    assert np.array_equal(M.matrix(0), [[-1.0, 1.0]])
+    # a replaced matrix gets its own pattern, not the one assemble passed
+    M = dataclasses.replace(M, matrices=(np.array([[1.0, 0.0]]),))
+    h = Contraction({1: np.array([[1.0], [0.0]])})
+    assert verify_contraction(M, h).max_residual == 0.0
 
 
 def test_verification_rejects_a_contraction_with_missing_maps():
