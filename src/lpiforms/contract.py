@@ -22,7 +22,7 @@ contracts its block too.  Each degree is checked, from the top, by its defect
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -51,15 +51,14 @@ def _incidence(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, in
 @dataclass(frozen=True)
 class MatrixComplex:
     """Coboundary matrices D_i: R^{dims[i]} -> R^{dims[i+1]}, i = 0..n-1, stored
-    as read-only copies with their nonzero pattern (`_incidence`, built once;
-    `assemble` passes it as `_pattern`, which `dataclasses.replace` drops)."""
+    as read-only copies with their nonzero pattern (`_incidence`, one scan per
+    matrix, built once)."""
 
     dims: tuple[int, ...]
     matrices: tuple[np.ndarray, ...] = field(repr=False)
-    _pattern: InitVar[tuple | None] = None
     _incidence: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, _pattern):
+    def __post_init__(self):
         if len(self.matrices) != max(len(self.dims) - 1, 0):
             raise BadDimension(f"{len(self.matrices)} matrices for {len(self.dims)} degrees")
         for i, D in enumerate(self.matrices):
@@ -70,7 +69,7 @@ class MatrixComplex:
         for D in mats:
             D.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "_incidence", _pattern or tuple(  # else one scan per matrix
+        object.__setattr__(self, "_incidence", tuple(
             _incidence(*(nz := np.nonzero(D)), D[nz], D.shape) for D in mats))
         if not all(np.isfinite(by_row[2]).all() for by_row, _ in self._incidence):
             raise ValueError("a coboundary matrix has a non-finite entry")
@@ -107,18 +106,20 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
         raise TooLarge(f"complex has {K.simplex_count()} simplices; "
                        f"dense limit is {SIZE_LIMIT}")
     dims = [len(K.simplices_of_dim(k)) for k in range(K.dim + 1)]
-    index = {s: j for k in range(K.dim + 1) for j, s in enumerate(K.simplices_of_dim(k))}
-    triples = [[(index[tau], index[sigma], sign) for sigma in K.simplices_of_dim(k)
-                for tau, sign in K.cofaces[sigma]] for k in range(K.dim)]
-    if augmented:
-        dims, triples = [1, *dims], [[(j, 0, 1) for j in range(dims[0])], *triples]
-    mats, incidence = [], []
-    for t, shape in zip(triples, zip(dims[1:], dims)):
-        (r, c, v), D = np.array(t, dtype=np.intp).reshape(-1, 3).T, np.zeros(shape)
-        D[r, c] = v
+    mats = []
+    for k in range(K.dim):
+        rows = K.simplices_of_dim(k + 1)
+        row_ix = {s: i for i, s in enumerate(rows)}
+        D = np.zeros((len(rows), dims[k]))
+        for j, sigma in enumerate(K.simplices_of_dim(k)):
+            for tau, sign in K.cofaces[sigma]:
+                D[row_ix[tau], j] = sign
         mats.append(D)
-        incidence.append(_incidence(r, c, v.astype(float), shape))
-    return MatrixComplex(tuple(dims), tuple(mats), tuple(incidence))
+    if augmented:
+        ones = np.ones((dims[0], 1))
+        dims = [1] + dims
+        mats = [ones] + mats
+    return MatrixComplex(tuple(dims), tuple(mats))
 
 
 def _rank(D: np.ndarray) -> int:

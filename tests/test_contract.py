@@ -375,7 +375,7 @@ def test_matrix_complex_keeps_read_only_copies():
         M.matrix(0)[0, 0] = 5.0
     M = assemble(simplex_complex(1))
     assert np.array_equal(M.matrix(0), [[-1.0, 1.0]])
-    # a replaced matrix gets its own pattern, not the one assemble passed
+    # a replaced matrix gets its own pattern, not the one built for assemble's
     M = dataclasses.replace(M, matrices=(np.array([[1.0, 0.0]]),))
     h = Contraction({1: np.array([[1.0], [0.0]])})
     assert verify_contraction(M, h).max_residual == 0.0
