@@ -12,8 +12,9 @@ sigma = tau minus v_i: the coboundary sign, (dc)(tau) = sum_i (-1)^i
 c(tau \\ v_i).  `carriers[sigma]` holds the maximal simplices containing
 sigma (sigma itself if it is maximal), in ascending key order.
 
-Per-simplex geometry (`volume`, `covector_gram`) is computed once per
-complex and kept in a private memo, which takes no part in equality or repr.
+Geometry (`volume`, `covector_gram`) is built per dimension on first use, by
+one stacked pass over the Gram matrices of its simplices (batched det, inverse
+and minors), and kept in a private memo, which takes no part in equality or repr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimension, DegenerateSimplex, DuplicateVertex, MissingVertex
+from .errors import BadDimension, DegenerateSimplex, DuplicateVertex, MissingSimplex, MissingVertex
 
 SimplexKey = tuple[int, ...]
 
@@ -60,43 +61,44 @@ class MetricComplex:
     def simplex_count(self) -> int:
         return sum(len(v) for v in self.simplices.values())
 
-    def edge_length(self, edge: SimplexKey) -> float:
-        a, b = edge
-        return float(
-            np.linalg.norm(
-                np.asarray(self.vertices[a]) - np.asarray(self.vertices[b])
-            )
-        )
-
     def volume(self, key: SimplexKey) -> float:
-        """Riemannian k-volume from the Gram determinant of edge vectors."""
-        memo = ("volume", key)
-        if memo not in self._memo:
-            det = float(np.linalg.det(self._gram(key)))  # 1.0 for a vertex
-            self._memo[memo] = math.sqrt(det) / math.factorial(len(key) - 1) if det > 0.0 else 0.0
-        return self._memo[memo]
+        """Riemannian k-volume from the Gram determinant of edge vectors (0.0 if not positive)."""
+        vol, _, (i,) = self._geometry((key,))
+        return float(vol[i])
 
     def covector_gram(self, key: SimplexKey, k: int) -> np.ndarray:
-        """Inner products <dt_I, dt_J> of the coordinate k-covectors of a
-        simplex, over the ascending k-subsets I, J of 1..dim in
-        `itertools.combinations` order: the minors det(G^-1)[I, J] of the
-        inverse Gram matrix G of its edge vectors.  Read-only, since callers
-        share it."""
-        memo = ("covector_gram", key, k)
-        if memo not in self._memo:
-            out = np.ones((1, 1))
-            if k:
-                rows = np.array(list(itertools.combinations(range(len(key) - 1), k)))
-                ginv = np.linalg.inv(self._gram(key))
-                out = np.linalg.det(ginv[rows[:, None, :, None], rows[None, :, None, :]])
-            out.setflags(write=False)
-            self._memo[memo] = out
-        return self._memo[memo]
+        """Inner products <dt_I, dt_J> of a simplex's coordinate k-covectors, over the
+        ascending k-subsets I, J of 1..dim in `itertools.combinations` order: the minors
+        det(G^-1)[I, J] of its edge vectors' Gram matrix G.  Read-only: callers share it."""
+        _, grams, (i,) = self._geometry((key,), k)
+        return grams[i]
 
-    def _gram(self, key: SimplexKey) -> np.ndarray:
-        pts = self.coords(key)
-        edges = pts[1:] - pts[0]
-        return edges @ edges.T
+    def _geometry(self, keys, k: int = 0):
+        """(volumes, covector Grams of degree k, the row of each key): read-only
+        arrays over all simplices of the dimension the keys share."""
+        if missing := [s for s in keys if s not in self.cofaces]:
+            raise MissingSimplex(f"{missing[0]} is not a simplex of the complex")
+        m = len(keys[0]) - 1
+        if m not in self._memo:
+            sims = self.simplices_of_dim(m)
+            pts = np.array([[self.vertices[v] for v in s] for s in sims], dtype=float)
+            edges = pts[:, 1:] - pts[:, :1]
+            gram = edges @ edges.transpose(0, 2, 1)
+            det = np.linalg.det(gram)  # 1.0 for a vertex
+            vol = np.sqrt(np.where(det > 0.0, det, 0.0)) / math.factorial(m)
+            ginv = np.zeros_like(gram)  # a simplex of zero volume has no inverse metric
+            ginv[vol > 0.0] = np.linalg.inv(gram[vol > 0.0])
+            vol.setflags(write=False)
+            self._memo[m] = ({s: i for i, s in enumerate(sims)}, vol, ginv, {})
+        index, vol, ginv, grams = self._memo[m]
+        rows = [index[s] for s in keys]
+        if k and not vol[rows].all():
+            raise DegenerateSimplex(f"{keys[int(np.argmin(vol[rows]))]} has zero volume")
+        if k not in grams:
+            sub = np.array([*itertools.combinations(range(m), k)], dtype=int)
+            grams[k] = np.linalg.det(ginv[:, sub[:, None, :, None], sub[None, :, None, :]])
+            grams[k].setflags(write=False)
+        return vol, grams[k], rows
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,7 @@ class PiSequence:
             return False
         if any(not (1.0 < p < math.inf) for p in ps):
             return False
-        if self.n == 0:
-            return True
-        return all(
+        return all(  # vacuous for n = 0
             1.0 / ps[i + 1] - 1.0 / ps[i] <= 1.0 / self.n + 1e-15
             for i in range(self.n)
         )
@@ -202,37 +202,26 @@ def build_complex(
     return _close_and_index(vertices, tops)
 
 
-def _vertex_degrees(K: MetricComplex) -> dict[int, int]:
-    return {v: len(K.cofaces[(v,)]) for v in K.vertices}
-
-
 def _is_connected(K: MetricComplex) -> bool:
-    verts = list(K.vertices)
-    seen = set(verts[:1])
-    stack = verts[:1]
+    seen = set(stack := list(K.vertices)[:1])
     while stack:
-        v = stack.pop()
-        for edge, _sign in K.cofaces[(v,)]:
-            for w in edge:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return len(seen) == len(verts)
+        new = {w for edge, _sign in K.cofaces[(stack.pop(),)] for w in edge} - seen
+        seen |= new
+        stack.extend(new)
+    return len(seen) == len(K.vertices)
 
 
 def validate_bounded_geometry(K: MetricComplex, L: float, N: int) -> GeometryReport:
     """Check the star bound N, the edge-length window [1/L, L], and connectivity."""
     if L < 1 or N < 1:
         raise ValueError("require L >= 1 and N >= 1")
-    violations: list[tuple[SimplexKey, str]] = []
-    lengths = [K.edge_length(e) for e in K.simplices_of_dim(1)]
-    for e, ell in zip(K.simplices_of_dim(1), lengths):
-        if not (1.0 / L - 1e-12 <= ell <= L + 1e-12):
-            violations.append((e, f"edge length {ell:.6g} outside [{1/L:.6g}, {L:.6g}]"))
-    degrees = _vertex_degrees(K)
-    for v, d in sorted(degrees.items()):
-        if d > N:
-            violations.append(((v,), f"vertex degree {d} exceeds {N}"))
+    edges = K.simplices_of_dim(1)
+    lengths = K._geometry(edges)[0].tolist() if edges else []  # in edges order
+    violations = [(e, f"edge length {ell:.6g} outside [{1/L:.6g}, {L:.6g}]")
+                  for e, ell in zip(edges, lengths) if not (1.0 / L - 1e-12 <= ell <= L + 1e-12)]
+    degrees = {v: len(K.cofaces[(v,)]) for v in K.vertices}
+    violations += [((v,), f"vertex degree {d} exceeds {N}")
+                   for v, d in sorted(degrees.items()) if d > N]
     if not _is_connected(K):
         violations.append(((), "complex is disconnected"))
     return GeometryReport(

@@ -35,6 +35,12 @@ RANK_RTOL = 1e-10
 STEP_TOL = 1e-8
 
 
+def _scan(h: np.ndarray):
+    """The nonzero (row, column, value) triples of h, row-major; NaN counts."""
+    j, c = np.nonzero(h != 0)  # a bool scan, faster than np.nonzero(h)
+    return j, c, h[j, c]
+
+
 def _incidence(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
     """The nonzero triples (r, c, v) of one matrix, grouped by row and by column
     as (ptr, other index, value, other index per group as a list): group g is
@@ -70,7 +76,7 @@ class MatrixComplex:
             D.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_incidence", tuple(
-            _incidence(*(nz := np.nonzero(D)), D[nz], D.shape) for D in mats))
+            _incidence(*_scan(D), D.shape) for D in mats))
         if not all(np.isfinite(by_row[2]).all() for by_row, _ in self._incidence):
             raise ValueError("a coboundary matrix has a non-finite entry")
 
@@ -116,9 +122,7 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
                 D[row_ix[tau], j] = sign
         mats.append(D)
     if augmented:
-        ones = np.ones((dims[0], 1))
-        dims = [1] + dims
-        mats = [ones] + mats
+        dims, mats = [1] + dims, [np.ones((dims[0], 1))] + mats
     return MatrixComplex(tuple(dims), tuple(mats))
 
 
@@ -164,13 +168,13 @@ def rational_cohomology_dims(M: MatrixComplex) -> list[int]:
     return _cohomology(M, _exact_rank)
 
 
-def _products(by_col, D: np.ndarray, h: np.ndarray):
+def _products(by_col, D: np.ndarray, j: np.ndarray, c: np.ndarray, v: np.ndarray):
     """(row, column, value) of each product of a nonzero D[r, j] and a nonzero
-    h[j, c] in D @ h, with D grouped by column.  A non-finite h[j, c] also meets
-    the zeros of column j, as in D @ h (0 * inf is NaN); its other products then
-    count twice, which changes no IEEE sum."""
-    (ptr, rows, vals, _), (j, c) = by_col, np.nonzero(h)
-    v, n = h[j, c], ptr[j + 1] - ptr[j]
+    h[j, c] = v in D @ h, with D grouped by column.  A non-finite h[j, c] also
+    meets the zeros of column j, as in D @ h (0 * inf is NaN); its other
+    products then count twice, which changes no IEEE sum."""
+    ptr, rows, vals, _ = by_col
+    n = ptr[j + 1] - ptr[j]
     at = np.arange(n.sum()) + np.repeat(ptr[j] - np.cumsum(n) + n, n)
     out = [rows[at], np.repeat(c, n), vals[at] * np.repeat(v, n)]
     if (bad := ~np.isfinite(v)).any():
@@ -181,18 +185,21 @@ def _products(by_col, D: np.ndarray, h: np.ndarray):
     return out
 
 
-def _defect(M: MatrixComplex, h: dict[int, np.ndarray], i: int) -> np.ndarray:
-    """|D_{i-1} h^i + h^{i+1} D_i - 1|, the h^{i+1} term where h has one, summed
-    from the nonzero products over M's incidence."""
+def _defect(M: MatrixComplex, nz: dict, i: int):
+    """(max or -1.0 if empty, size, first (row, column) of the max) of |D_{i-1} h^i + h^{i+1}
+    D_i - 1| (no h^{i+1} term at the top), summed from the nonzero products over M's incidence
+    from nz[i] = `_scan(h^i)`; reduced here, so callers hold one dense n x n array at a time."""
     n = M.dims[i]
-    terms = [_products(M._incidence[i - 1][1], M.matrix(i - 1), h[i]),
+    terms = [_products(M._incidence[i - 1][1], M.matrix(i - 1), *nz[i]),
              (np.arange(n), np.arange(n), -np.ones(n))]
-    if i + 1 in h:  # h' D = (D^T h'^T)^T, and D^T by column is D by row
-        c, r, v = _products(M._incidence[i][0], M.matrix(i).T, h[i + 1].T)
-        terms.append((r, c, v))
+    if i + 1 in nz:  # h' D = (D^T h'^T)^T, and D^T by column is D by row
+        a, r, v = nz[i + 1]  # row-major, so each bin (a, b) sums its products in ascending r
+        b, a, v = _products(M._incidence[i][0], M.matrix(i).T, r, a, v)
+        terms.append((a, b, v))
     r, c, v = map(np.concatenate, zip(*terms))
     a = np.bincount(r * n + c, v, minlength=n * n)
-    return np.abs(a, out=a).reshape(n, n)
+    np.abs(a, out=a)
+    return a.max(initial=-1.0), a.size, divmod(int(a.argmax()), n) if a.size else None
 
 
 def _coreduce(M: MatrixComplex):
@@ -229,12 +236,14 @@ def contract(M: MatrixComplex) -> Contraction | ContractionFailure:
     top, where a residual exceeds STEP_TOL: where the right-inverse equation
     d eta = 1 is unsolvable on the cycles, i.e. where cohomology is present."""
     h, K = _coreduce(M)
+    nz = {}
     for i, D in reversed([*enumerate(M.matrices, 1)]):  # D = D_{i-1}
         if K[i] and K[i - 1]:  # the Morse correction (see the module docstring)
             f = np.eye(M.dims[i])[K[i]] - D[K[i]] @ h[i]
             g = np.eye(M.dims[i - 1])[:, K[i - 1]] - h[i] @ D[:, K[i - 1]]
             h[i] = h[i] + g @ np.linalg.pinv(f @ D @ g, rcond=RANK_RTOL) @ f
-        residual = float(_defect(M, h, i).max(initial=0.0))
+        nz[i] = _scan(h[i])
+        residual = float(max(_defect(M, nz, i)[0], 0.0))  # a NaN max stays NaN
         if not residual <= STEP_TOL:  # NaN fails too
             return ContractionFailure(degree=i, residual=residual)
     return Contraction(h)
@@ -263,11 +272,11 @@ def verify_contraction(
     if wrong := {i: m.shape for i, m in h.maps.items()  # products would miss extra rows
                  if not 0 < i <= M.top or m.shape != (M.dims[i - 1], M.dims[i])}:
         raise BadDimension(f"shapes {wrong} are not (dims[i - 1], dims[i]) for dims {M.dims}")
-    defects = {i: _defect(M, h.maps, i) for i in range(1, M.top + 1)}
-    residuals = {i: float(a.max(initial=0.0)) for i, a in defects.items()}
-    checked = sum(a.size for a in defects.values())
-    i = 1 + int(np.argmax([a.max(initial=-1.0) for a in defects.values()]))  # NaN wins
-    a = defects[i]
-    worst = (i, *map(int, np.unravel_index(a.argmax(), a.shape))) if a.size else None
+    nz = {i: _scan(m) for i, m in h.maps.items()}
+    peaks = {i: _defect(M, nz, i) for i in range(1, M.top + 1)}
+    residuals = {i: float(max(m, 0.0)) for i, (m, _, _) in peaks.items()}  # a NaN m stays
+    checked = sum(size for _, size, _ in peaks.values())
+    i = 1 + int(np.argmax([m for m, _, _ in peaks.values()]))  # NaN wins
+    worst = (i, *peaks[i][2]) if peaks[i][1] else None
     return ContractionReport(residuals, residuals[i], checked > 0 and residuals[i] <= tol,
                              checked, worst)

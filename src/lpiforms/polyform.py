@@ -37,8 +37,8 @@ LRU caches keyed by reference data, never by a complex, serve the hot
 paths: `_unit_pullback` (one term key pulled back along B, almost always a
 0/1 matrix), `_face_table` (one term's integrals over the faces of its
 reference simplex, so a piece's face integrals are one product) and, in
-`derham`, the Whitney form of each face position.  The complex keeps each
-simplex's volume and covector Gram matrix once computed.
+`derham`, the Whitney form of each face position.  The complex keeps the
+volumes and covector Gram matrices of each dimension once computed.
 """
 
 from __future__ import annotations
@@ -407,8 +407,10 @@ class PolyForm:
         out: dict[SimplexKey, float] = {}
         for T in reversed(tops):  # so that the first piece's value is the one kept
             out.update(zip(itertools.combinations(T, k + 1), rows[T]))
-        return {s: v * self.complex.volume(s) if weighted else v / math.factorial(k)
-                for s, v in out.items()}
+        if weighted and out:  # the faces share dimension k
+            vol, _, at = self.complex._geometry(list(out))
+            return dict(zip(out, (np.fromiter(out.values(), float) * vol[at]).tolist()))
+        return {s: v / math.factorial(k) for s, v in out.items()}
 
     # -- norms --------------------------------------------------------------
 
@@ -424,9 +426,9 @@ class PolyForm:
         if not (math.isfinite(p) and p >= 1):
             raise BadExponent(f"p = {p} is not a finite number >= 1")
         k, K = self.degree, self.complex
-        layouts = [(tops, *_coefficients([self.pieces[T] for T in tops], len(tops[0]) - 1, k),
-                    np.array([K.covector_gram(T, k) for T in tops]))
-                   for tops in _by_dimension(self.pieces) if len(tops[0]) > k]
+        layouts = [(vol[rows], *_coefficients([self.pieces[T] for T in tops], len(tops[0]) - 1, k),
+                    G[rows]) for tops in _by_dimension(self.pieces) if len(tops[0]) > k
+                   for vol, G, rows in [K._geometry(tops, k)]]
         if not layouts:
             return 0.0
         e = math.frexp(max(float((np.abs(A).max(axis=(1, 2)) * np.sqrt(G.max(axis=(1, 2)))).max())
@@ -438,9 +440,9 @@ class PolyForm:
         # the 1 of the convergence test 1e-10 (1 + |acc|), in scaled units
         floor = math.exp(min(-e * p * math.log(2.0), 700.0))
         total = 0.0
-        for tops, E, A, G in layouts:
+        for vol, E, A, G in layouts:
             A *= math.ldexp(1.0, -e)
-            acc, live = np.full(len(tops), np.nan), np.arange(len(tops))
+            acc, live = np.full(len(vol), np.nan), np.arange(len(vol))
             for deg in degrees:
                 cur = _power_sums(A[live], G[live], E, *simplex_rule(E.shape[1], deg), p)
                 # a piece goes on until its last two rules agree (NaN never does)
@@ -448,7 +450,7 @@ class PolyForm:
                 acc[live], live = cur, live[keep]
                 if not live.size:
                     break
-            total += float(np.array([K.volume(T) for T in tops]) @ acc)
+            total += float(vol @ acc)
         return total ** (1.0 / p) * math.ldexp(1.0, e)
 
     def sup_norm(self, T: SimplexKey, resolution: int = 8) -> float:

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,13 @@ from lpiforms.complexes import (
     validate_bounded_geometry,
     write_complex,
 )
-from lpiforms.errors import BadDimension, DegenerateSimplex, DuplicateVertex, MissingVertex
+from lpiforms.errors import (
+    BadDimension,
+    DegenerateSimplex,
+    DuplicateVertex,
+    MissingSimplex,
+    MissingVertex,
+)
 
 from conftest import simplex_complex, sphere_complex
 
@@ -183,6 +191,66 @@ def test_volumes(triangle):
     K3 = sphere_complex(2)
     # faces of the unit-coordinate 3-simplex boundary: side lengths sqrt 2
     assert K3.volume((0, 1, 2)) == pytest.approx(math.sqrt(3) / 2)
+
+
+GEOMETRY_CASES = {
+    "sd_strip": lambda: barycentric_subdivide(ray_complex(2, 3)),
+    "sd_tetrahedron": lambda: barycentric_subdivide(simplex_complex(3)),
+    "tetrahedron": lambda: build_complex(
+        {0: (0.0, 0.0, 0.0), 1: (2.0, 0.0, 0.0), 2: (0.5, 1.5, 0.0), 3: (1 / 3, 0.25, 1.25)},
+        [(0, 1, 2, 3)]),
+    # a triangle, a dangling edge and an isolated vertex
+    "mixed": lambda: build_complex({0: (0.0, 0.0), 1: (1.0, 0.2), 2: (0.3, 0.9),
+                                    3: (2.0, 1.5), 4: (-1.0, -1.0)},
+                                   [(0, 1, 2), (2, 3), (4,)]),
+}
+
+
+@pytest.mark.parametrize("case", GEOMETRY_CASES)
+def test_stacked_geometry_equals_a_per_simplex_reference(case):
+    K = GEOMETRY_CASES[case]()
+    for m, keys in K.simplices.items():
+        for key in keys:
+            edges = K.coords(key)[1:] - K.coords(key)[0]
+            det = np.linalg.det(edges @ edges.T)
+            assert K.volume(key) == (math.sqrt(det) / math.factorial(m) if det > 0.0 else 0.0)
+            ginv = np.linalg.inv(edges @ edges.T)
+            for k in range(m + 1):
+                subsets = list(itertools.combinations(range(m), k))
+                want = [[np.linalg.det(ginv[np.ix_(I, J)]) for J in subsets] for I in subsets]
+                assert K.covector_gram(key, k).tolist() == want, (key, k)
+
+
+def test_geometry_arrays_are_read_only():
+    K = GEOMETRY_CASES["mixed"]()
+    for key, k in (((0, 1, 2), 1), ((2, 3), 1), ((4,), 0)):
+        vol, grams, _ = K._geometry((key,), k)
+        for a in (vol, grams, K.covector_gram(key, k)):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+def test_geometry_rejects_keys_that_are_not_simplices():
+    K = ray_complex(1, 3)
+    for key in ((0, 3), (1, 0), (7,), ()):
+        with pytest.raises(MissingSimplex):
+            K.volume(key)
+        with pytest.raises(MissingSimplex):
+            K.covector_gram(key, 1)
+    assert K.volume((0, 1)) == 1.0
+
+
+def test_a_degenerate_simplex_leaves_its_dimension_intact():
+    verts = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.3, 0.8), 3: (2.0, 0.0)}
+    good = build_complex(verts, [(0, 1, 2)])
+    K = build_complex(verts, [(0, 1, 2), (0, 1, 3)])  # (0, 1, 3) is collinear
+    assert K.volume((0, 1, 3)) == 0.0
+    assert K.volume((0, 1, 2)) == good.volume((0, 1, 2))
+    for k in (1, 2):
+        assert K.covector_gram((0, 1, 2), k).tolist() == good.covector_gram((0, 1, 2), k).tolist()
+        with pytest.raises(DegenerateSimplex):
+            K.covector_gram((0, 1, 3), k)
+    assert K.covector_gram((0, 1, 3), 0).tolist() == [[1.0]]  # no metric needed
 
 
 def test_io_round_trip(subdivided_triangle):

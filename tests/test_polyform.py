@@ -17,7 +17,7 @@ from lpiforms.complexes import (
     ray_complex,
 )
 from lpiforms.derham import whitney
-from lpiforms.errors import BadCarrier, BadDimension, BadExponent
+from lpiforms.errors import BadCarrier, BadDimension, BadExponent, DegenerateSimplex
 from lpiforms.polyform import (
     _ADAPTIVE_DEGREES,
     PolyForm,
@@ -271,6 +271,34 @@ def test_batched_lp_norm_matches_a_per_piece_loop(p):
             # pieces of one dimension stop at different rules
             for pair in ([(0, 1, 2), (1, 2, 4)], [(1, 3), (3, 6)]):
                 assert stops[pair[0]] != stops[pair[1]], stops
+
+
+def test_geometry_is_built_once_per_dimension(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    K = ray_complex(2, 4)
+    edges, tris = K.simplices_of_dim(1), K.simplices_of_dim(2)
+    om = whitney(Cochain(1, {e: float(i) for i, e in enumerate(edges)}, K))
+    first = om.lp_norm(2.0)
+    for _ in range(3):
+        assert om.lp_norm(2.0) == first
+        om.lp_norm(3.0)
+        for T in tris:
+            K.volume(T)
+            for k in (0, 1, 2):
+                K.covector_gram(T, k)
+    assert calls == [(len(tris), 2, 2)]
+    K.volume(edges[0])
+    K.covector_gram(edges[-1], 1)
+    assert calls == [(len(tris), 2, 2), (len(edges), 1, 1)]
+
+
+def test_lp_norm_on_a_zero_volume_simplex():
+    K = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}, [(0, 1, 2)])
+    with pytest.raises(DegenerateSimplex):
+        PolyForm(1, K, {(0, 1, 2): {((0, 0), (1,)): 1.0}}).lp_norm(2.0)
+    assert PolyForm.constant(K, 1.0).lp_norm(2.0) == 0.0  # a 0-form needs no metric
 
 
 def test_one_form_norm_in_the_edge_metric():
