@@ -79,6 +79,8 @@ class MetricComplex:
         if missing := [s for s in keys if s not in self.cofaces]:
             raise MissingSimplex(f"{missing[0]} is not a simplex of the complex")
         m = len(keys[0]) - 1
+        if not 0 <= k <= m:
+            raise BadDimension(f"no {k}-covectors on a {m}-simplex")
         if m not in self._memo:
             sims = self.simplices_of_dim(m)
             pts = np.array([[self.vertices[v] for v in s] for s in sims], dtype=float)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import MetricComplex, PiSequence, SimplexKey, build_complex
-from .errors import BadCarrier, BadDimension, BadExponent
+from .errors import BadCarrier, BadDimension, BadExponent, MissingSimplex
 
 # the rule degrees lp_norm tries in turn for a p that is not an even integer
 _ADAPTIVE_DEGREES = (8, 14, 20, 28, 38)
@@ -291,6 +291,8 @@ class PolyForm:
     pieces: dict[SimplexKey, Terms]
 
     def __post_init__(self):
+        if missing := [T for T in self.pieces if not self.complex.has_simplex(T)]:
+            raise MissingSimplex(f"piece on {missing[0]}, which is not a simplex of the complex")
         clean = {T: t_clean(p) for T, p in self.pieces.items()}
         object.__setattr__(self, "pieces", {T: p for T, p in clean.items() if p})
 

@@ -240,6 +240,15 @@ def test_geometry_rejects_keys_that_are_not_simplices():
     assert K.volume((0, 1)) == 1.0
 
 
+def test_covector_gram_rejects_a_degree_outside_the_simplex():
+    K = ray_complex(1, 3)
+    for key, k in (((0, 1), 2), ((0, 1), -1), ((2,), 1), ((2,), -1)):
+        with pytest.raises(BadDimension):
+            K.covector_gram(key, k)
+    assert not K._memo  # raised before any geometry was built
+    assert K.covector_gram((0, 1), 1).tolist() == [[1.0]]
+
+
 def test_a_degenerate_simplex_leaves_its_dimension_intact():
     verts = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.3, 0.8), 3: (2.0, 0.0)}
     good = build_complex(verts, [(0, 1, 2)])

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from lpiforms import derham
 from lpiforms.cochains import Cochain, coboundary, indicator
 from lpiforms.complexes import barycentric_subdivide, build_complex
 from lpiforms.derham import (
@@ -95,6 +96,119 @@ def test_verify_split_report(subdivided_triangle):
     K = subdivided_triangle
     stokes = verify_stokes(whitney(indicator(K, K.simplices_of_dim(1)[0])), K)
     assert [f.name for f in fields(stokes)] == ["max_stokes_error", "sample_count"]
+
+
+def _split_per_sample(K, k, samples, seed):
+    """verify_split's error, computed the direct way: the Whitney / de Rham
+    pipeline on each whole sample, with the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    sigmas = K.simplices_of_dim(k)
+    max_err = 0.0
+    for _ in range(samples):
+        support = rng.choice(len(sigmas), size=min(4, len(sigmas)), replace=False)
+        vals = {sigmas[i]: float(rng.normal()) for i in support}
+        scaled = Cochain(k, {s: v / (math.factorial(k) * K.volume(s)) for s, v in vals.items()}, K)
+        image = derham.derham_map(derham.whitney(scaled), K, k, weighted=True)
+        max_err = max(max_err, *(abs(image(s) - vals.get(s, 0.0)) for s in sigmas))
+    return max_err
+
+
+def _patch_derham_map(monkeypatch, error):
+    """Replace derham_map by the exact map plus error(image, k-simplices),
+    a linear function of the image given as a cochain's values."""
+    exact = derham.derham_map
+
+    def patched(omega, K, k, weighted=False):
+        image = exact(omega, K, k, weighted)
+        return image + Cochain(k, error(image, K.simplices_of_dim(k)), K)
+
+    monkeypatch.setattr(derham, "derham_map", patched)
+
+
+LINEAR_ERRORS = {
+    "exact": lambda c, sig: {},
+    # the i-th k-simplex's value grows by 1e-6 * i: a diagonal error
+    "skew": lambda c, sig: {s: 1e-6 * i * c(s) for i, s in enumerate(sig)},
+    # part of each value lands on the next simplex: an off-diagonal error,
+    # seen only on rows outside the sample's support
+    "shift": lambda c, sig: {sig[(i + 1) % len(sig)]: 1e-6 * c(s) for i, s in enumerate(sig)},
+}
+
+
+@pytest.mark.parametrize("error", LINEAR_ERRORS)
+def test_verify_split_matches_the_per_sample_pipeline(subdivided_triangle, monkeypatch, error):
+    # under any linear map the cached columns and the per-sample pipeline
+    # report the same error, and a perturbed map's error shows
+    _patch_derham_map(monkeypatch, LINEAR_ERRORS[error])
+    for K in (subdivided_triangle, barycentric_subdivide(simplex_complex(3))):
+        for k in range(K.dim + 1):
+            rep = verify_split(K, k, samples=30, seed=11)
+            assert rep.sample_count == 30
+            want = _split_per_sample(K, k, 30, 11)
+            assert abs(rep.max_identity_error - want) <= 1e-14, (K.dim, k)
+            assert (rep.max_identity_error > 1e-8) == (error != "exact"), (K.dim, k)
+
+
+@pytest.mark.parametrize("scale", [1e-8, -1.0], ids=["off_by_1e-8", "dropped"])
+def test_verify_split_catches_one_wrong_face(subdivided_triangle, monkeypatch, scale):
+    # a dropped face leaves no entry in its own image, so its residual is
+    # the sample's value alone
+    K = subdivided_triangle
+    for k in range(K.dim + 1):
+        bad = K.simplices_of_dim(k)[-1]
+        _patch_derham_map(monkeypatch, lambda c, sig: {bad: scale * c(bad)})
+        assert verify_split(K, k, samples=25, seed=4).max_identity_error > 1e-10, k
+
+
+def test_verify_split_runs_the_pipeline_once_per_drawn_simplex(monkeypatch):
+    K = barycentric_subdivide(simplex_complex(3))
+    samples, seed = 60, 5
+    whitney_supports, derham_calls = [], []
+    exact_whitney, exact_derham = derham.whitney, derham.derham_map
+
+    def counted_whitney(c):
+        whitney_supports.extend(c.values)
+        return exact_whitney(c)
+
+    def counted_derham(*args, **kwargs):
+        derham_calls.append(args[2])
+        return exact_derham(*args, **kwargs)
+
+    monkeypatch.setattr(derham, "whitney", counted_whitney)
+    monkeypatch.setattr(derham, "derham_map", counted_derham)
+    for k in range(K.dim + 1):
+        sigmas = K.simplices_of_dim(k)
+        rng = np.random.default_rng(seed)
+        drawn = set()
+        for _ in range(samples):
+            support = rng.choice(len(sigmas), size=min(4, len(sigmas)), replace=False)
+            for i in support:
+                drawn.add(sigmas[i])
+                rng.normal()
+        whitney_supports.clear()
+        derham_calls.clear()
+        assert verify_split(K, k, samples, seed).max_identity_error <= 1e-10
+        assert len(drawn) < 4 * samples
+        assert sorted(whitney_supports) == sorted(drawn), k
+        assert len(derham_calls) == len(drawn), k
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_derham_of_whitney_is_linear(weighted):
+    # verify_split sums cached indicator images, which is sound because
+    # derham_map o whitney is linear; supports c1 and c2 overlap
+    K = barycentric_subdivide(simplex_complex(3))
+    rng = np.random.default_rng(17)
+    a, b = 1.7, -0.6
+    for k in range(K.dim + 1):
+        sig = K.simplices_of_dim(k)
+        c1 = Cochain(k, {s: float(rng.normal()) for s in sig[: 2 * len(sig) // 3]}, K)
+        c2 = Cochain(k, {s: float(rng.normal()) for s in sig[len(sig) // 3:]}, K)
+        both = derham_map(whitney(a * c1 + b * c2), K, k, weighted)
+        one, two = (derham_map(whitney(c), K, k, weighted) for c in (c1, c2))
+        scale = max(abs(v) for v in both.values.values())
+        for s in sig:
+            assert abs(both(s) - (a * one(s) + b * two(s))) <= 1e-14 * scale, (k, s)
 
 
 @pytest.mark.parametrize("k", [-1, 3])

@@ -17,7 +17,13 @@ from lpiforms.complexes import (
     ray_complex,
 )
 from lpiforms.derham import whitney
-from lpiforms.errors import BadCarrier, BadDimension, BadExponent, DegenerateSimplex
+from lpiforms.errors import (
+    BadCarrier,
+    BadDimension,
+    BadExponent,
+    DegenerateSimplex,
+    MissingSimplex,
+)
 from lpiforms.polyform import (
     _ADAPTIVE_DEGREES,
     PolyForm,
@@ -586,3 +592,14 @@ def test_pointwise_values_match_a_per_term_loop():
             squares.append(sq)
         best = max(squares[: len(lattice)])
         assert om.sup_norm(T, resolution=3) == pytest.approx(math.sqrt(best), rel=1e-12)
+
+
+def test_a_piece_off_the_complex_is_rejected():
+    # (0, 3) is not an edge of the ray 0-1-2-3, so no integral over it exists
+    K = ray_complex(1, 3)
+    with pytest.raises(MissingSimplex):
+        PolyForm(0, K, {(0, 3): {((1,), ()): 1.0}})
+    with pytest.raises(MissingSimplex):
+        PolyForm(0, K, {(0, 1): {((1,), ()): 1.0}, (3, 2): {((1,), ()): 1.0}})
+    assert PolyForm(0, K, {(0, 1): {((1,), ()): 1.0}}).face_integrals([(0, 1)], False) == {
+        (0,): 0.0, (1,): 1.0}
