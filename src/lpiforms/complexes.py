@@ -12,6 +12,19 @@ sigma = tau minus v_i: the coboundary sign, (dc)(tau) = sum_i (-1)^i
 c(tau \\ v_i).  `carriers[sigma]` holds the maximal simplices containing
 sigma (sigma itself if it is maximal), in ascending key order.
 
+The build works on integer arrays, not one face tuple at a time.  Vertices
+are ranked by id (V of them), and the k-simplices are one sorted array of
+integer codes per dimension, from one sort of the codes of the tops'
+(k+1)-vertex subsets.  A k-simplex's code is (the row of its first k
+vertices among the (k-1)-simplices) * V + its last rank: codes stay below
+N_{k-1} * V, in int64 at any size that fits in memory, and `searchsorted`
+on them finds rows.  A face table per dimension holds the row of each
+simplex without each of its vertices.  One stable argsort of the face
+tables groups the signed cofaces; the carriers pass from each maximal
+simplex down the face tables, with one sort per dimension dropping repeats.
+The dicts are then made in bulk.  `barycentric_subdivide` and `ray_complex`
+hand tables of vertex ranks to the same build, with no tuple round trip.
+
 Geometry (`volume`, `covector_gram`) is built per dimension on first use, by
 one stacked pass over the Gram matrices of its simplices (batched det, inverse
 and minors), and kept in a private memo, which takes no part in equality or repr.
@@ -19,8 +32,10 @@ and minors), and kept in a private memo, which takes no part in equality or repr
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,45 +158,91 @@ class PiSequence:
         return all(ps[i + 1] <= ps[i] for i in range(len(ps) - 1))
 
 
-def _faces(key: SimplexKey):
-    for r in range(1, len(key) + 1):
-        yield from itertools.combinations(key, r)
+@functools.cache
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The (k + 1)-subsets of the positions 0..m, in combinations order.
+    Read-only: callers share it."""
+    subsets = np.array([*itertools.combinations(range(m + 1), k + 1)])
+    subsets.setflags(write=False)
+    return subsets
 
 
-def _close_and_index(
-    vertices: dict[int, tuple[float, ...]], tops: list[SimplexKey]
-) -> MetricComplex:
-    """The face closure of tops, with its signed cofaces and carriers."""
-    by_dim: dict[int, set[SimplexKey]] = {}
-    for t in tops:
-        for f in _faces(t):
-            by_dim.setdefault(len(f) - 1, set()).add(f)
-    for v in vertices:
-        by_dim.setdefault(0, set()).add((v,))
-    simplices = {k: tuple(sorted(keys)) for k, keys in sorted(by_dim.items())}
-    # keyed in (dimension, key) order, which maximal_simplices relies on
-    cofaces: dict[SimplexKey, list[tuple[SimplexKey, int]]] = {
-        key: [] for keys in simplices.values() for key in keys
-    }
-    for k, keys in simplices.items():
-        if k == 0:
-            continue
-        # combinations(tau, k) drops tau[k], then tau[k - 1], ..., then tau[0]
-        signs = [(-1) ** i for i in range(k, -1, -1)]
-        for tau in keys:
-            for face, sign in zip(itertools.combinations(tau, k), signs):
-                cofaces[face].append((tau, sign))
-    carriers: dict[SimplexKey, list[SimplexKey]] = {key: [] for key in cofaces}
-    for T in sorted(key for key, cof in cofaces.items() if not cof):
-        for f in _faces(T):
-            carriers[f].append(T)
-    return MetricComplex(
-        vertices,
-        simplices,
-        {key: tuple(cof) for key, cof in cofaces.items()},
-        {key: tuple(car) for key, car in carriers.items()},
-        max(simplices) if simplices else 0,
-    )
+def _find(codes: list[np.ndarray], V: int, rows: np.ndarray) -> np.ndarray:
+    """The row among the sorted codes of the j-simplices of each row of
+    j + 1 ascending vertex ranks in `rows`; every row must be a simplex."""
+    r = rows[:, 0]  # every vertex is a 0-simplex, so its row is its rank
+    for j in range(1, rows.shape[1]):
+        r = np.searchsorted(codes[j], r * V + rows[:, j])
+    return r
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-D integer array (np.unique hashes
+    integers before sorting, which is several times slower here)."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
+
+
+def _split(items: list, counts: np.ndarray) -> list[tuple]:
+    """`items` cut into consecutive tuples of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [tuple(items[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _close_and_index(vertices: dict[int, tuple[float, ...]],
+                     tops: dict[int, np.ndarray]) -> MetricComplex:
+    """The face closure of `tops`, with its signed cofaces and carriers.
+
+    `tops[m]` holds m-simplices as rows of m + 1 ascending ranks into
+    sorted(vertices); rows may repeat and need not be maximal.
+    """
+    if not vertices:
+        return MetricComplex({}, {}, {}, {}, 0)
+    ids = sorted(vertices)
+    V, dim = len(ids), max(tops, default=0)
+    # per dimension k: the sorted codes, the keys, and faces[k][j, i], the
+    # row of the j-th k-simplex without its i-th vertex
+    codes, keys, faces = [np.arange(V)], [[(v,) for v in ids]], [np.zeros((V, 0), dtype=int)]
+    for k in range(1, dim + 1):
+        found = np.concatenate([t[:, _subsets(m, k)].reshape(-1, k + 1)
+                                for m, t in tops.items() if m >= k])
+        codes.append(_unique(_find(codes, V, found[:, :-1]) * V + found[:, -1]))
+        prefix, last = np.divmod(codes[k], V)  # a key is its prefix's key plus one vertex
+        keys.append([*map(operator.add, map(keys[k - 1].__getitem__, prefix.tolist()),
+                          map(keys[0].__getitem__, last.tolist()))])
+        drop = last[:, None] if k == 1 else np.searchsorted(
+            codes[k - 1], faces[k - 1][prefix, :k] * V + last[:, None])
+        faces.append(np.column_stack([drop, prefix]))
+    # every simplex by its place g in (dimension, key) order
+    every = [key for ks in keys for key in ks]
+    first = [0, *itertools.accumulate(map(len, keys))]
+    face = np.concatenate([f.ravel() + first[k - 1] for k, f in enumerate(faces)])  # none at k = 0
+    ncof = np.bincount(face, minlength=len(every))
+    # (tau, (-1) ** i) in the order of `face`: tau's face without vertex i
+    pairs = [*itertools.chain.from_iterable(
+        itertools.product(keys[k], [(-1) ** i for i in range(k + 1)]) for k in range(1, dim + 1))]
+    # a stable sort keeps each face's cofaces in ascending tau
+    cofaces = _split(list(map(pairs.__getitem__, np.argsort(face, kind="stable").tolist())), ncof)
+    # carriers as codes g * n + the carrier's place among the n maximal
+    # simplices in key order; each dimension adds its maximal simplices to
+    # the faces of the one above, and unique sorts and drops repeats
+    maximal = np.flatnonzero(ncof == 0)
+    by_key = sorted(maximal.tolist(), key=every.__getitem__)
+    n = len(by_key)
+    place = np.empty(len(every), dtype=int)
+    place[by_key] = np.arange(n)
+    own = maximal * n + place[maximal]
+    cuts = np.searchsorted(maximal, first).tolist()
+    carried = [own[cuts[dim]:]]
+    for k in range(dim, 0, -1):
+        g, o = np.divmod(carried[-1], n)
+        down = (faces[k][g - first[k]] + first[k - 1]) * n + o[:, None]
+        carried.append(_unique(np.concatenate([own[cuts[k - 1]:cuts[k]], down.ravel()])))
+    g, o = np.divmod(np.concatenate(carried[::-1]), n)
+    carriers = _split([*map([every[i] for i in by_key].__getitem__, o.tolist())],
+                      np.bincount(g, minlength=len(every)))
+    return MetricComplex(vertices, {k: tuple(ks) for k, ks in enumerate(keys)},
+                         dict(zip(every, cofaces)), dict(zip(every, carriers)), dim)
 
 
 def build_complex(
@@ -193,15 +254,17 @@ def build_complex(
     lengths = {len(xs) for xs in vertices.values()}
     if len(lengths) > 1:
         raise ValueError("vertex coordinate vectors must share one length")
-    tops: list[SimplexKey] = []
+    rank = {v: i for i, v in enumerate(sorted(vertices))}
+    rows: dict[int, list[list[int]]] = {}
     for t in top_simplices:
         if len(set(t)) != len(t):
             raise DegenerateSimplex(f"repeated vertex id in {t}")
         for v in t:
             if v not in vertices:
                 raise MissingVertex(f"unknown vertex id {v}")
-        tops.append(tuple(sorted(int(v) for v in t)))
-    return _close_and_index(vertices, tops)
+        if t:
+            rows.setdefault(len(t) - 1, []).append(sorted(rank[v] for v in t))
+    return _close_and_index(vertices, {m: np.array(r) for m, r in rows.items()})
 
 
 def _is_connected(K: MetricComplex) -> bool:
@@ -257,28 +320,34 @@ def barycentric_subdivide(K: MetricComplex) -> MetricComplex:
     Original vertex ids are kept for 0-simplices; each simplex of dimension
     >= 1 receives a fresh id, assigned in (dimension, key) order.
     """
-    next_id = max(K.vertices, default=-1) + 1
-    bary_id: dict[SimplexKey, int] = {}
+    if not K.vertices:
+        return _close_and_index({}, {})
+    ids = sorted(K.vertices)
+    V = len(ids)
+    id_array = np.array(ids)
+    tables = [np.searchsorted(id_array, np.array(keys)) for keys in K.simplices.values()]
+    codes = [np.arange(V)]
+    for t in tables[1:]:
+        codes.append(_find(codes, V, t[:, :-1]) * V + t[:, -1])
+    # the fresh ids follow the original ones in (dimension, key) order, so a
+    # simplex's barycenter has its place in that order as its rank
+    first = [0, *itertools.accumulate(map(len, tables))]
+    coords = np.array([K.vertices[v] for v in ids], dtype=float)
     new_vertices = dict(K.vertices)
-    for k in sorted(K.simplices):
-        for key in K.simplices[k]:
-            if k == 0:
-                bary_id[key] = key[0]
-            else:
-                bary_id[key] = next_id
-                pts = K.coords(key)
-                new_vertices[next_id] = tuple(pts.mean(axis=0))
-                next_id += 1
-    tops = []
-    for top in K.maximal_simplices():
-        m = len(top) - 1
-        if m == 0:
-            tops.append((bary_id[top],))
+    new_vertices.update(zip(itertools.count(ids[-1] + 1), itertools.chain.from_iterable(
+        map(tuple, coords[t].mean(axis=1).tolist()) for t in tables[1:])))
+    tops = {}
+    for size, group in itertools.groupby(K.maximal_simplices(), len):
+        if size == 1:  # a maximal vertex stays a vertex
             continue
-        for perm in itertools.permutations(top):
-            flag = [tuple(sorted(perm[: r + 1])) for r in range(m + 1)]
-            tops.append(tuple(sorted(bary_id[f] for f in flag)))
-    return build_complex(new_vertices, tops)
+        T = np.searchsorted(id_array, np.array([*group]))
+        bary = {sub: first[len(sub) - 1] + _find(codes, V, T[:, sub])
+                for r in range(1, size + 1) for sub in itertools.combinations(range(size), r)}
+        # the flag of a vertex order: its first vertex, first edge, ..., T
+        tops[size - 1] = np.concatenate([
+            np.column_stack([bary[tuple(sorted(perm[:r]))] for r in range(1, size + 1)])
+            for perm in itertools.permutations(range(size))])
+    return _close_and_index(new_vertices, tops)
 
 
 def ray_complex(n: int, M: int) -> MetricComplex:
@@ -290,19 +359,11 @@ def ray_complex(n: int, M: int) -> MetricComplex:
         raise ValueError("M >= 1 required")
     if n == 1:
         vertices = {i: (float(i),) for i in range(M + 1)}
-        tops = [(i, i + 1) for i in range(M)]
-        return build_complex(vertices, tops)
-    vertices = {}
-    for j in range(M + 1):
-        vertices[2 * j] = (float(j), 0.0)
-        vertices[2 * j + 1] = (float(j), 1.0)
-    tops = []
-    for j in range(M):
-        a, b = 2 * j, 2 * j + 1
-        c, d = 2 * j + 2, 2 * j + 3
-        tops.append((a, c, d))
-        tops.append((a, b, d))
-    return build_complex(vertices, tops)
+        return _close_and_index(vertices, {1: np.arange(M)[:, None] + [0, 1]})
+    # vertex 2j at (j, 0) and 2j + 1 at (j, 1); the ids are their ranks
+    vertices = {i: (float(i // 2), float(i % 2)) for i in range(2 * M + 2)}
+    a = 2 * np.arange(M)[:, None]
+    return _close_and_index(vertices, {2: np.concatenate([a + [0, 2, 3], a + [0, 1, 3]])})
 
 
 def cube_boundary_complex(n: int) -> MetricComplex:

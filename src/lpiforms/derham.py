@@ -34,7 +34,7 @@ import numpy as np
 
 from .cochains import Cochain, coboundary
 from .complexes import MetricComplex, SimplexKey
-from .errors import BadDegree, BadDimension
+from .errors import BadDegree, BadDimension, DegenerateSimplex
 from .polyform import PolyForm, Terms, pullback, selection
 
 
@@ -104,7 +104,8 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
     rescaled indicator, computed by `whitney` and `derham_map` the first time
     sigma is drawn.  The sum goes into one length-n residual, from which c is
     subtracted; the rows the sample touched give its error and are zeroed
-    again.  No n x n array is built.
+    again.  No n x n array is built.  A drawn simplex of zero volume has
+    no rescaling and raises DegenerateSimplex.
     """
     if not 0 <= k <= K.dim:
         raise BadDimension(f"no {k}-cochains on a complex of dimension {K.dim}")
@@ -123,7 +124,9 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
         for i, v in zip(support, vals):
             s = sigmas[i]
             if s not in columns:
-                chi = Cochain(k, {s: 1.0 / (math.factorial(k) * K.volume(s))}, K)
+                if not (vol := K.volume(s)):
+                    raise DegenerateSimplex(f"{s} has zero volume, so W(chi) has no weighted rescaling")
+                chi = Cochain(k, {s: 1.0 / (math.factorial(k) * vol)}, K)
                 image = derham_map(whitney(chi), K, k, weighted=True).values
                 columns[s] = (np.array([row[t] for t in image], dtype=int),
                               np.array([*image.values()], dtype=float))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpiforms.complexes import (
+    MetricComplex,
     PiSequence,
     barycentric_subdivide,
     build_complex,
@@ -75,6 +76,167 @@ def test_incidence_matches_brute_force(case):
     assert [key for key, msg in rep.violations if "degree" in msg] == [
         (v,) for v in sorted(degree) if degree[v] > 3
     ]
+
+
+# The face-at-a-time closure and subdivision that the table build replaced,
+# kept as the reference it must match, insertion order included.
+
+def _reference_faces(key):
+    for r in range(1, len(key) + 1):
+        yield from itertools.combinations(key, r)
+
+
+def reference_build(vertices, tops):
+    """build_complex without its input checks, by one face tuple at a time."""
+    vertices = {int(v): tuple(float(c) for c in xs) for v, xs in vertices.items()}
+    tops = [tuple(sorted(int(v) for v in t)) for t in tops]
+    by_dim = {}
+    for t in tops:
+        for f in _reference_faces(t):
+            by_dim.setdefault(len(f) - 1, set()).add(f)
+    for v in vertices:
+        by_dim.setdefault(0, set()).add((v,))
+    simplices = {k: tuple(sorted(keys)) for k, keys in sorted(by_dim.items())}
+    cofaces = {key: [] for keys in simplices.values() for key in keys}
+    for k, keys in simplices.items():
+        if k == 0:
+            continue
+        # combinations(tau, k) drops tau[k], then tau[k - 1], ..., then tau[0]
+        signs = [(-1) ** i for i in range(k, -1, -1)]
+        for tau in keys:
+            for face, sign in zip(itertools.combinations(tau, k), signs):
+                cofaces[face].append((tau, sign))
+    carriers = {key: [] for key in cofaces}
+    for T in sorted(key for key, cof in cofaces.items() if not cof):
+        for f in _reference_faces(T):
+            carriers[f].append(T)
+    return MetricComplex(
+        vertices,
+        simplices,
+        {key: tuple(cof) for key, cof in cofaces.items()},
+        {key: tuple(car) for key, car in carriers.items()},
+        max(simplices) if simplices else 0,
+    )
+
+
+def reference_subdivide(K):
+    next_id = max(K.vertices, default=-1) + 1
+    bary_id = {}
+    new_vertices = dict(K.vertices)
+    for k in sorted(K.simplices):
+        for key in K.simplices[k]:
+            if k == 0:
+                bary_id[key] = key[0]
+            else:
+                bary_id[key] = next_id
+                new_vertices[next_id] = tuple(K.coords(key).mean(axis=0))
+                next_id += 1
+    tops = []
+    for top in K.maximal_simplices():
+        m = len(top) - 1
+        if m == 0:
+            tops.append((bary_id[top],))
+            continue
+        for perm in itertools.permutations(top):
+            flag = [tuple(sorted(perm[: r + 1])) for r in range(m + 1)]
+            tops.append(tuple(sorted(bary_id[f] for f in flag)))
+    return reference_build(new_vertices, tops)
+
+
+def reference_ray(n, M):
+    if n == 1:
+        return reference_build({i: (float(i),) for i in range(M + 1)},
+                               [(i, i + 1) for i in range(M)])
+    vertices = {}
+    for j in range(M + 1):
+        vertices[2 * j] = (float(j), 0.0)
+        vertices[2 * j + 1] = (float(j), 1.0)
+    tops = []
+    for j in range(M):
+        tops += [(2 * j, 2 * j + 2, 2 * j + 3), (2 * j, 2 * j + 1, 2 * j + 3)]
+    return reference_build(vertices, tops)
+
+
+def assert_same_complex(K, ref):
+    assert K == ref
+    assert K.dim == ref.dim
+    for name in ("vertices", "simplices", "cofaces", "carriers"):
+        assert list(getattr(K, name).items()) == list(getattr(ref, name).items()), name
+    coords = [np.array(list(C.vertices.values()), dtype=float) for C in (K, ref)]
+    assert coords[0].tobytes() == coords[1].tobytes()
+
+
+TETRAHEDRON = ({0: (0.0, 0.0, 0.0), 1: (2.0, 0.0, 0.0), 2: (0.5, 1.5, 0.0), 3: (1 / 3, 0.25, 1.25)},
+               [(0, 1, 2, 3)])
+
+
+# vertex ids far from 0 and not contiguous; maximal simplices of four
+# dimensions, an isolated vertex, a repeated top and a top inside another
+_BIG = 10**12
+MIXED = ({_BIG + 7 * i: (float(i), float(i * i % 5), 0.5 * i) for i in range(9)},
+         [(_BIG + 21, _BIG + 0, _BIG + 7, _BIG + 14), (_BIG + 14, _BIG + 28), (_BIG + 35,),
+          (_BIG + 28, _BIG + 42, _BIG + 49), (_BIG + 7, _BIG + 0), (_BIG + 42, _BIG + 49, _BIG + 28)])
+
+# ids past int64, which numpy keeps as Python ints
+HUGE = ({2**64 + 5 * i: (float(i), float(i % 3)) for i in range(7)},
+        [(2**64, 2**64 + 5, 2**64 + 10), (2**64 + 20, 2**64 + 15), (2**64 + 30,)])
+
+ORACLE_CASES = {
+    "sd_ray_1000": (lambda: barycentric_subdivide(ray_complex(1, 1000)),
+                    lambda: reference_subdivide(reference_ray(1, 1000))),
+    **{f"sd_strip_{M}": (lambda M=M: barycentric_subdivide(ray_complex(2, M)),
+                         lambda M=M: reference_subdivide(reference_ray(2, M)))
+       for M in (4, 48, 128)},
+    "sd_sd_tetrahedron": (lambda: barycentric_subdivide(barycentric_subdivide(
+                              build_complex(*TETRAHEDRON))),
+                          lambda: reference_subdivide(reference_subdivide(
+                              reference_build(*TETRAHEDRON)))),
+    "mixed": (lambda: build_complex(*MIXED), lambda: reference_build(*MIXED)),
+    "sd_mixed": (lambda: barycentric_subdivide(build_complex(*MIXED)),
+                 lambda: reference_subdivide(reference_build(*MIXED))),
+    "huge_ids": (lambda: barycentric_subdivide(build_complex(*HUGE)),
+                 lambda: reference_subdivide(reference_build(*HUGE))),
+    "empty": (lambda: build_complex({}, []), lambda: reference_build({}, [])),
+    "sd_empty": (lambda: barycentric_subdivide(build_complex({}, [])),
+                 lambda: reference_subdivide(reference_build({}, []))),
+    "vertices_only": (lambda: build_complex({3: (1.0,), -2: (0.0,)}, [(3,), ()]),
+                      lambda: reference_build({3: (1.0,), -2: (0.0,)}, [(3,), ()])),
+    "star": (lambda: star(build_complex(*MIXED), _BIG + 28),
+             lambda: reference_build(
+                 {v: MIXED[0][v] for v in (_BIG + 14, _BIG + 28, _BIG + 42, _BIG + 49)},
+                 [(_BIG + 14, _BIG + 28), (_BIG + 28, _BIG + 42, _BIG + 49)])),
+    "skeleton": (lambda: skeleton(build_complex(*MIXED), 1),
+                 lambda: reference_build(MIXED[0], [e for t in MIXED[1] for e in
+                                                    itertools.combinations(t, min(2, len(t)))])),
+    "read_complex": (lambda: read_complex(write_complex(barycentric_subdivide(ray_complex(2, 3)))),
+                     lambda: reference_subdivide(reference_ray(2, 3))),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_table_build_matches_the_face_at_a_time_reference(case):
+    build, reference = ORACLE_CASES[case]
+    assert_same_complex(build(), reference())
+
+
+def test_table_codes_do_not_overflow_on_many_vertices():
+    # 60,000 vertices: a mixed-radix code V**4 of a tetrahedron would exceed
+    # int64, so the top ranks only come out right when codes stay in range
+    V = 60_000
+    vertices = {i: (float(i), float(i % 7), float(i % 11)) for i in range(V)}
+    tops = [(V - 1, V - 2, V - 3, V - 4), (V - 5, V - 2, V - 3, V - 4), (0, V - 1, V - 9, 17)]
+    assert_same_complex(build_complex(vertices, tops), reference_build(vertices, tops))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=5, unique=True), max_size=8),
+       st.integers(-3, 10**15))
+def test_table_build_matches_the_reference_on_random_tops(tops, shift):
+    vertices = {3 * v + shift: (float(v), float(v % 3)) for v in range(12)}
+    tops = [tuple(3 * v + shift for v in t) for t in tops]
+    K = build_complex(vertices, tops)
+    assert_same_complex(K, reference_build(vertices, tops))
+    assert_same_complex(barycentric_subdivide(K), reference_subdivide(K))
 
 
 def test_face_closure_counts():

@@ -13,7 +13,7 @@ from lpiforms.derham import (
     verify_stokes,
     whitney,
 )
-from lpiforms.errors import BadDegree, BadDimension
+from lpiforms.errors import BadDegree, BadDimension, DegenerateSimplex
 from lpiforms.polyform import (
     PolyForm,
     monomial_integral,
@@ -221,6 +221,14 @@ def test_verify_split_rejects_a_degree_outside_the_complex(subdivided_triangle, 
 def test_verify_split_rejects_no_samples(subdivided_triangle, samples):
     with pytest.raises(ValueError, match="samples"):
         verify_split(subdivided_triangle, 1, samples=samples)
+
+
+def test_verify_split_rejects_a_simplex_of_zero_volume():
+    # the weighted rescaling divides by k! vol(sigma)
+    collinear = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}, [(0, 1, 2)])
+    with pytest.raises(DegenerateSimplex, match="zero volume"):
+        verify_split(collinear, 2, 3)
+    assert verify_split(collinear, 1, 3).max_identity_error <= 1e-12  # its edges are fine
 
 
 def test_stokes_on_tetrahedron():
