@@ -91,7 +91,7 @@ def derham_map(
 
 def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> SplitReport:
     """Check that volume-weighted integration is a retraction of the
-    (rescaled) Whitney map on k-cochains, 0 <= k <= dim K.
+    (rescaled) Whitney map on k-cochains, 0 <= k <= dim K (BadDegree if none).
 
     The Whitney image of each indicator is rescaled per simplex by its
     weighted integral, which is k! * vol(sigma) in closed form: the
@@ -111,8 +111,9 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
         raise BadDimension(f"no {k}-cochains on a complex of dimension {K.dim}")
     if samples < 1:
         raise ValueError(f"samples = {samples}: at least 1 required")
+    if not (sigmas := K.simplices_of_dim(k)):
+        raise BadDegree(f"no {k}-simplices to draw cochains on")
     rng = np.random.default_rng(seed)
-    sigmas = K.simplices_of_dim(k)
     row = {s: i for i, s in enumerate(sigmas)}
     columns: dict[SimplexKey, tuple[np.ndarray, np.ndarray]] = {}
     residual = np.zeros(len(sigmas))  # zero again after every sample

@@ -32,10 +32,11 @@ the grid.  Within a block, each kernel node gets one shift, one factor
 s2^{3/2} and one interpolation stencil, and every component of every form
 averaged in that call is gathered through them: `regularize` passes one
 form, and `verify_homotopy` passes omega, S omega and S d omega together.
-`cone_S` and `displacement_bound` walk the same blocks over the whole ball.
-Each node's arithmetic is the same whatever the blocks and whatever the
-other nodes computed, so the results do not depend on `_BLOCK` or on the
-node set.
+`displacement_bound` walks the same blocks over the whole ball.  The ray
+points t x of `cone_S` form a grid again, so it interpolates one axis at a
+time, in bands of `_BAND` grid rows.  Each node's arithmetic is the same
+whatever the blocks, bands and other nodes, so the results do not depend on
+`_BLOCK`, `_BAND` or the node set.
 
 A grid of more than `_MAX_NODES` nodes is refused with `TooLarge` before
 any grid-sized array is allocated.
@@ -271,32 +272,31 @@ def ball_diffeo_jacobian(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _stencil(pts: np.ndarray, h: float, npts: int):
     """Multilinear interpolation stencil of points pts (n, N) in [-1,1]^n on
-    a grid of npts^n nodes: flat corner indices of shape (2,)*n + (N,),
-    whose axis n-1-d holds the corner bit of axis d, and one weight factor
-    per axis broadcastable to it."""
+    a grid of npts^n nodes: the flat indices of the 2^n corners, (2^n, N),
+    whose row has the corner bit of axis d as its bit d, and their weights,
+    the products of the per-axis factors 1 - f and f, also (2^n, N)."""
     n = len(pts)
     u = np.clip((pts + 1.0) / h, 0.0, npts - 1.000001)
     i0 = u.astype(np.intp)  # floor, as u >= 0
     f = u - i0
-    base, offset, factors = 0, 0, []
+    base, offset, w = 0, 0, 1.0
     for d in range(n):
         shape = (1,) * (n - 1 - d) + (2,) + (1,) * d + (-1,)
         base = base * npts + i0[d]
         offset = offset * npts + np.arange(2).reshape(shape)
-        factors.append(np.stack([1.0 - f[d], f[d]]).reshape(shape))
-    return base + offset, factors
+        w = w * np.stack([1.0 - f[d], f[d]]).reshape(shape)
+    return (base + offset).reshape(2**n, -1), w.reshape(2**n, -1)
 
 
 def _gather(flat: np.ndarray, stencil) -> np.ndarray:
     """Values of the raveled grid array `flat` interpolated on a stencil,
-    rounded as a00 (1-fx)(1-fy) + a10 fx (1-fy) + a01 (1-fx) fy + ... is:
-    `verify_homotopy` differentiates R of a 0-form, which amplifies any
-    change of rounding by 1/h."""
-    idx, factors = stencil
-    vals = flat[idx]
-    for fac in factors:
-        vals *= fac
-    return vals.reshape(-1, vals.shape[-1]).sum(axis=0)
+    rounded as a00 w00 + a10 w10 + a01 w01 + a11 w11 is, with
+    w10 = fx (1-fy) and so on: `verify_homotopy` differentiates R of a
+    0-form, which amplifies any change of rounding by 1/h."""
+    idx, w = stencil
+    vals = np.take(flat, idx)
+    vals *= w
+    return vals.sum(axis=0)
 
 
 def _axis_sets(n: int, k: int):
@@ -319,12 +319,17 @@ def _active_nodes(omega: GridForm) -> tuple[np.ndarray, np.ndarray]:
     return mask, np.ascontiguousarray(omega.points()[mask].T)
 
 
-# Active nodes per block of the kernel and ray loops.  At 8,192 nodes a
-# block's (2, 2, N) stencil indices and gathered values take 256 kB each and
-# stay in cache; full-grid ones (0.4-1.6 MB each at h = 1/128) were freshly
-# allocated, and page-faulted, for every kernel node.  Of 2,048-32,768, the
-# 2-D h = 1/128 homotopy check ran fastest at 8,192 (2-vCPU Xeon, 4 MB L2).
+# Active nodes per block of the kernel loop and `displacement_bound`.  At
+# 8,192 nodes a block's (4, N) stencil indices, weights and gathered values
+# take 256 kB each and stay in cache; full-grid ones (0.4-1.6 MB each at
+# h = 1/128) were allocated, and page-faulted, for every kernel node.  Of
+# 2,048-32,768, the 2-D h = 1/128 check ran fastest at 8,192 (2-vCPU Xeon).
 _BLOCK = 8192
+
+# Grid rows per band of `cone_S`; a gathered band takes about 1 MB.  Of
+# 16-128 rows and whole grids, a 1-form and a 2-form cone at h = 1/128 and
+# 1/256 ran fastest at 64 (40/156 ms against 43/192 ms whole; 2-vCPU Xeon).
+_BAND = 64
 
 
 def _blocks(N: int) -> list[slice]:
@@ -408,32 +413,38 @@ def grid_d(omega: GridForm) -> GridForm:
     return GridForm(n, omega.h, k + 1, comps)
 
 
+def _lerp(arr: np.ndarray, idx: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """`arr` interpolated along `axis` on a 1-D `_stencil` (idx, w)."""
+    w = w.reshape(w.shape + (1,) * (arr.ndim - 1 - axis))
+    return np.take(arr, idx[0], axis=axis) * w[0] + np.take(arr, idx[1], axis=axis) * w[1]
+
+
 def cone_S(omega: GridForm) -> GridForm:
     """Radial homotopy (S omega)(x) = int_0^1 t^(k-1) iota_x omega(t x) dt,
-    by a 24-node Gauss-Legendre rule along each ray."""
+    by a 24-node Gauss-Legendre rule along each ray, with one 1-D stencil of
+    the grid axis per Gauss node; GridForm zeroes the nodes off the ball."""
     n, k = omega.n, omega.degree
     if k < 1:
         raise BadDegree("cone operator needs degree >= 1")
     t, wt = simplex_rule(1, 47)  # the 24-point Gauss-Legendre rule on [0, 1]
-    mask, xs = _active_nodes(omega)
-    comps = [omega.component(a).ravel() for a in _axis_sets(n, k)]
-    ray = np.zeros(xs.shape[1])
-    for b in _blocks(xs.shape[1]):
-        xb = xs[:, b]
-        for ti, wi in zip(t[:, 0], wt):
-            st = _stencil(ti * xb, omega.h, mask.shape[0])
+    xs = omega.axis()
+    pts = np.moveaxis(omega.points(), -1, 0)
+    comps = [omega.component(a) for a in _axis_sets(n, k)]
+    rays = [(ti, wi, _stencil(ti * xs[None], omega.h, len(xs))) for ti, wi in zip(t[:, 0], wt)]
+    ray = np.zeros(pts.shape[1:])
+    for r in range(0, len(xs), _BAND):
+        b = slice(r, r + _BAND)
+        for ti, wi, (idx, w) in rays:
+            vals = [_lerp(c, idx[:, b], w[:, b], 0) for c in comps]  # rows, then columns
+            vals = [_lerp(v, idx, w, 1) for v in vals] if n == 2 else vals
             if k == 1:
                 for j in range(n):
-                    ray[b] += wi * xb[j] * _gather(comps[j], st)
+                    ray[b] += wi * pts[j, b] * vals[j]
             else:
-                ray[b] += wi * ti * _gather(comps[0], st)
-    if k == 1:
-        axes, rows = [()], [ray]
-    else:  # k == 2, n == 2: iota_x (f dx0^dx1) = f * (x0 dx1 - x1 dx0)
-        axes, rows = [(0,), (1,)], [-xs[1] * ray, xs[0] * ray]
-    out = np.zeros((len(axes),) + mask.shape)
-    out[:, mask] = rows
-    return GridForm(n, omega.h, k - 1, dict(zip(axes, out)))
+                ray[b] += wi * ti * vals[0]
+    # k == 2, n == 2: iota_x (f dx0^dx1) = f * (x0 dx1 - x1 dx0)
+    out = {(): ray} if k == 1 else {(0,): -pts[1] * ray, (1,): pts[0] * ray}
+    return GridForm(n, omega.h, k - 1, out)
 
 
 def homotopy_A(omega: GridForm, cfg: MollifierConfig) -> GridForm:

@@ -516,9 +516,11 @@ def _check_cube_boundary(K: MetricComplex, n: int) -> None:
         raise BadCarrier("carrier has the wrong dimension for a cube boundary")
 
 
-def _prism_complex(K: MetricComplex, n: int) -> tuple[MetricComplex, dict[int, tuple[int, int]]]:
-    """Triangulated prism (cube boundary) x [0,1]; returns the complex and a
-    map prism-vertex-id -> (base vertex id, level)."""
+def _prism_complex(K: MetricComplex) -> tuple[MetricComplex, dict[int, tuple[int, int]]]:
+    """Triangulated prism (cube boundary) x [0,1], built once per K into its
+    memo: the complex and a map prism-vertex-id -> (base vertex id, level)."""
+    if "prism" in K._memo:
+        return K._memo["prism"]
     base = sorted(K.vertices)
     vid: dict[tuple[int, int], int] = {}
     vertices = {}
@@ -539,8 +541,8 @@ def _prism_complex(K: MetricComplex, n: int) -> tuple[MetricComplex, dict[int, t
             tops.append(tuple(sorted((a0, b0, b1))))
             tops.append(tuple(sorted((a0, a1, b1))))
     P = build_complex(vertices, tops)
-    reverse = {nid: key for key, nid in vid.items()}
-    return P, reverse
+    K._memo["prism"] = P, {nid: key for key, nid in vid.items()}
+    return K._memo["prism"]
 
 
 def prism_extend(omega: PolyForm, n: int) -> PolyForm:
@@ -552,7 +554,7 @@ def prism_extend(omega: PolyForm, n: int) -> PolyForm:
         raise BadDimension("prism extension supports n in {1, 2}")
     K = omega.complex
     _check_cube_boundary(K, n)
-    P, reverse = _prism_complex(K, n)
+    P, reverse = _prism_complex(K)
     pieces: dict[SimplexKey, Terms] = {}
     for T in P.maximal_simplices():
         base, level = zip(*(reverse[v] for v in T))

@@ -218,6 +218,14 @@ def test_verify_stokes_on_isolated_points_is_usage_error(tmp_path, capsys):
     assert "no 1-simplices" in err and "high <= 0" not in err
 
 
+def test_verify_split_on_the_empty_complex_is_a_library_error(tmp_path, capsys):
+    pf = tmp_path / "empty.txt"
+    pf.write_text(write_complex(build_complex({}, [])))
+    assert main(["verify", "split", "--complex", str(pf), "--k", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "no 0-simplices" in err and "zero-size array" not in err
+
+
 def test_whitney_and_derham_commands(triangle_file, tmp_path, capsys):
     p, K = triangle_file
     c = Cochain(1, {(0, 1): 2.0, (1, 2): -1.0}, K)

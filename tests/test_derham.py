@@ -223,6 +223,16 @@ def test_verify_split_rejects_no_samples(subdivided_triangle, samples):
         verify_split(subdivided_triangle, 1, samples=samples)
 
 
+def test_verify_split_rejects_a_complex_without_k_simplices(monkeypatch):
+    # the empty complex has dimension 0 but no vertex to draw a cochain on
+    def no_sampling(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(BadDegree, match="no 0-simplices"):
+        verify_split(build_complex({}, []), 0, 3)
+
+
 def test_verify_split_rejects_a_simplex_of_zero_volume():
     # the weighted rescaling divides by k! vol(sigma)
     collinear = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}, [(0, 1, 2)])

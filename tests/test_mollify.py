@@ -329,6 +329,42 @@ def test_cone_S_matches_per_node_reference(n, k):
         assert np.abs(got.component(a)[mask] - r).max() <= 1e-12 * scale
 
 
+def _ref_cone(omega):
+    """S omega at the ball nodes, one Gauss node and ray point at a time."""
+    t, wt = np.polynomial.legendre.leggauss(24)
+    xs = omega.points()[omega.mask()]
+    ray = np.zeros(len(xs))
+    for ti, wi in zip((t + 1.0) / 2.0, wt / 2.0):
+        vals = [_ref_interp(omega.component(a), omega.h, ti * xs) for a in omega.components]
+        ray += wi * (sum(xs[:, j] * v for j, v in enumerate(vals)) if omega.degree == 1
+                     else ti * vals[0])
+    return {(): ray} if omega.degree == 1 else {(0,): -xs[:, 1] * ray, (1,): xs[:, 0] * ray}
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
+def test_cone_S_matches_the_reference_off_the_origin(n, k):
+    # 31 cells: the origin, where every ray starts, falls mid-cell
+    omega = _sample(n, 2 / 31, k, seed=17 + n + k)
+    assert not np.any(omega.axis() == 0.0)
+    ref, got = _ref_cone(omega), cone_S(omega)
+    scale = max(np.abs(r).max() for r in ref.values())
+    for a, r in ref.items():
+        assert np.abs(got.component(a)[omega.mask()] - r).max() <= 1e-12 * scale
+        assert np.all(got.component(a)[~omega.mask()] == 0.0)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
+def test_cone_S_does_not_depend_on_the_band_size(monkeypatch, n, k):
+    omega = _sample(n, 1 / 64, k, seed=50 + n + k)
+    rows = len(omega.axis())
+    default = cone_S(omega).components
+    for band in (1, 7, rows):  # one row; bands that end short of the last row; one band
+        monkeypatch.setattr(mollify, "_BAND", band)
+        got = cone_S(omega).components
+        assert got.keys() == default.keys()
+        assert all(np.array_equal(got[a], default[a]) for a in default)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("eps", [0.05, 0.2])
 def test_displacement_bound_matches_per_node_reference(n, eps):

@@ -347,6 +347,33 @@ def test_prism_extend_base_and_top():
         assert abs(vals[base]) in (pytest.approx(2.0), pytest.approx(1.0))
 
 
+def test_prism_complex_built_once_per_base(monkeypatch):
+    # the extensions of one form_algebra benchmark pass: 20 forms on 2 bases
+    real, built = polyform.build_complex, []
+
+    def counting_build(vertices, tops):
+        built.append(len(vertices))
+        return real(vertices, tops)
+
+    monkeypatch.setattr(polyform, "build_complex", counting_build)
+    K1, K2 = cube_boundary_complex(1), cube_boundary_complex(2)
+    rng = np.random.default_rng(3)
+    forms = [(PolyForm(0, K1, {(v,): {((), ()): float(rng.normal())} for v in range(2)}), 1)
+             for _ in range(10)]
+    forms += [(whitney(Cochain(0, {(v,): float(rng.normal()) for v in range(4)}, K2)), 2)
+              for _ in range(5)]
+    forms += [(PolyForm(1, K2, {e: {((0,), (1,)): float(rng.normal())}
+                                for e in K2.maximal_simplices()}), 2) for _ in range(5)]
+    exts = [prism_extend(om, n) for om, n in forms]
+    assert built == [4, 8]
+    assert all(e.complex is exts[0].complex for e in exts[:10])
+    assert all(e.complex is exts[10].complex for e in exts[10:])
+    # a fresh base builds its own prism, with the same pieces
+    om = forms[-1][0]
+    fresh = prism_extend(PolyForm(1, cube_boundary_complex(2), om.pieces), 2)
+    assert len(built) == 3 and fresh.pieces == exts[-1].pieces
+
+
 def test_prism_extend_rejects_bad_carrier(triangle):
     om = PolyForm.constant(triangle, 1.0)
     with pytest.raises(BadCarrier):
