@@ -31,7 +31,11 @@ per-node index, weight and shift arrays stay cache-sized instead of spanning
 the grid.  Within a block, each kernel node gets one shift, one factor
 s2^{3/2} and one interpolation stencil, and every component of every form
 averaged in that call is gathered through them: `regularize` passes one
-form, and `verify_homotopy` passes omega, S omega and S d omega together.
+form, and `verify_homotopy` passes S omega and g = S d omega - omega
+together.  R is linear, so A d omega - (R - 1) omega = (R - 1) g, and one
+regularization of g stands in for those of omega and S d omega: a 2-D
+1-form check gathers 3 components per kernel node, one of S omega and two
+of g.
 `displacement_bound` walks the same blocks over the whole ball.  The ray
 points t x of `cone_S` form a grid again, so it interpolates one axis at a
 time, in bands of `_BAND` grid rows.  Each node's arithmetic is the same
@@ -190,6 +194,10 @@ class MollifierConfig:
     def __post_init__(self):
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
+        if self.n not in (1, 2):
+            raise BadDimension("kernels support n in {1, 2}")
+        if self.kernel_grid < 1:
+            raise ValueError("kernel_grid must be at least 1")
         nodes, weights = _kernel(self.kernel_grid, self.n)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -313,6 +321,11 @@ def _shift(y: np.ndarray, xs: np.ndarray, ev: np.ndarray):
     return z, s2, ys
 
 
+def _check_dimension(omega: GridForm, cfg: MollifierConfig) -> None:
+    if cfg.n != omega.n:
+        raise BadDimension(f"a {cfg.n}-D kernel on a {omega.n}-D grid")
+
+
 def _active_nodes(omega: GridForm) -> tuple[np.ndarray, np.ndarray]:
     """The mask of the open ball and its nodes as an (n, N) array."""
     mask = omega.mask()
@@ -346,8 +359,11 @@ def _regularize_all(forms: list[GridForm], cfg: MollifierConfig,
     """R of each of `forms`, which share one grid but may differ in degree,
     at the grid nodes where the boolean array `nodes` is true, and 0 at every
     other node, in one kernel loop: per block and kernel node, one shift and
-    one stencil serve every component of every form."""
+    one stencil serve every component of every form.  The loop's cost grows
+    with the number of components, so a caller that needs R of a linear
+    combination passes the combination, not its terms."""
     n, h = forms[0].n, forms[0].h
+    _check_dimension(forms[0], cfg)
     if cfg.epsilon == 0.0:  # R is the identity
         return [GridForm(n, h, f.degree, {a: np.where(nodes, c, 0.0)
                                           for a, c in f.components.items()})
@@ -468,33 +484,32 @@ def interior_region(omega: GridForm, collar: float) -> np.ndarray:
 def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> MollifyReport:
     """Residual of d A + A d - (R - 1) away from the mask boundary.
 
-    For 0-forms the d A term is absent and the identity reads
-    A(d omega) = R omega - omega.  An interior region without a grid node
-    raises ValueError: a residual over no node would pass vacuously.
-    `detail["checked"]` is the number of grid nodes in the region.
+    R is linear, so with A = (R - 1) S the identity's A d omega - (R - 1) omega
+    is (R - 1) g for g = S d omega - omega (g = -omega at the top degree,
+    where d omega = 0), and the residual is d A omega + (R - 1) g; for
+    0-forms the d A term is absent.  One kernel loop regularizes S omega and
+    g.  An interior region without a grid node raises ValueError: a residual
+    over no node would pass vacuously.  `detail["checked"]` is the number of
+    grid nodes in the region.  A config of another dimension than omega's
+    raises BadDimension.
     """
     collar = cfg.epsilon + 2.0 * omega.h
     region = interior_region(omega, collar)
     if not region.any():
         raise ValueError(f"no grid node lies in |x| < 1 - {collar!r} (eps + 2h)")
     k = omega.degree
-    sources = ([omega] if k > 0 else []) + ([grid_d(omega)] if k < omega.n else [])
-    cones = [cone_S(f) for f in sources]  # S omega and S d omega, where defined
     # grid_d's central differences at the region read one node further along
     # each axis; the collar keeps the region off the grid edges np.roll wraps
     nodes = region.copy()
     for axis in range(omega.n):
         nodes |= np.roll(region, 1, axis) | np.roll(region, -1, axis)
-    r_omega, *r_cones = _regularize_all([omega, *cones], cfg, nodes)
-    a = [r - s for r, s in zip(r_cones, cones)]  # A = (R - 1) S
-    rhs = r_omega - omega
-    if k == 0:
-        lhs = a[0]
-    elif k < omega.n:
-        lhs = grid_d(a[0]) + a[1]
-    else:
-        lhs = grid_d(a[0])
-    residual = (lhs - rhs).max_norm(region)
+    g = cone_S(grid_d(omega)) - omega if k < omega.n else omega.scale(-1.0)
+    s = [cone_S(omega)] if k > 0 else []
+    *r_s, r_g = _regularize_all(s + [g], cfg, nodes)
+    diff = r_g - g
+    if s:  # plus d A omega
+        diff = grid_d(r_s[0] - s[0]) + diff
+    residual = diff.max_norm(region)
     return MollifyReport(
         residual=residual, tol=tol, passed=residual <= tol,
         detail={"collar": collar, "epsilon": cfg.epsilon, "h": omega.h,
@@ -504,6 +519,7 @@ def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> Mollif
 
 def displacement_bound(omega: GridForm, cfg: MollifierConfig) -> float:
     """Max node displacement of s_{eps v} over the kernel support."""
+    _check_dimension(omega, cfg)
     if cfg.epsilon == 0.0:
         return 0.0
     xs = _active_nodes(omega)[1]

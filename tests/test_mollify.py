@@ -299,12 +299,30 @@ def test_regularize_matches_per_node_reference(n, k, eps):
         assert np.all(got.component(a)[~mask] == 0.0)
 
 
-def test_regularize_takes_dimension_from_the_form():
-    omega = _sample(2, 1 / 16, 1, seed=3)
-    got = regularize(omega, MollifierConfig(0.1, n=1))
-    ref = _ref_regularize(omega, MollifierConfig(0.1, n=2))
-    for a, r in ref.items():
-        assert np.abs(got.component(a)[omega.mask()] - r).max() <= 1e-12 * np.abs(r).max()
+def test_operators_refuse_a_config_of_another_dimension():
+    for n in (1, 2):
+        omega = _sample(n, 1 / 16, 0, seed=3)
+        zero = omega.scale(0.0)  # vanishes on every disc, as support control needs
+        cfg = MollifierConfig(0.1, n=3 - n)
+        for run in (lambda: regularize(omega, cfg),
+                    lambda: homotopy_A(grid_d(omega), cfg),
+                    lambda: verify_homotopy(omega, cfg, tol=1.0),
+                    lambda: verify_support_control(zero, cfg, r=0.5),
+                    lambda: displacement_bound(omega, cfg)):
+            with pytest.raises(BadDimension):
+                run()
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_config_refuses_an_unsupported_dimension(n):
+    with pytest.raises(BadDimension):
+        MollifierConfig(0.1, n=n)
+
+
+@pytest.mark.parametrize("kernel_grid", [0, -1])
+def test_config_refuses_an_empty_kernel_grid(kernel_grid):
+    with pytest.raises(ValueError):
+        MollifierConfig(0.1, kernel_grid=kernel_grid)
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
@@ -378,7 +396,20 @@ def test_displacement_bound_matches_per_node_reference(n, eps):
 
 def _public_residual(omega, cfg):
     """The homotopy residual of `verify_homotopy`, one public operator at a
-    time: each R through `regularize`, each A through `homotopy_A`."""
+    time: R - 1 applied once, through `regularize`, to g = S d omega - omega
+    (-omega at the top degree, where d omega = 0), plus d A omega through
+    `homotopy_A`."""
+    k = omega.degree
+    g = cone_S(grid_d(omega)) - omega if k < omega.n else omega.scale(-1.0)
+    res = regularize(g, cfg) - g
+    if k > 0:
+        res = grid_d(homotopy_A(omega, cfg)) + res
+    return res.max_norm(interior_region(omega, cfg.epsilon + 2.0 * omega.h))
+
+
+def _five_component_residual(omega, cfg):
+    """d A + A d - (R - 1) composed term by term, as the identity reads:
+    R omega, A omega and A d omega each through the public operators."""
     k = omega.degree
     rhs = regularize(omega, cfg) - omega
     if k == 0:
@@ -403,6 +434,18 @@ def test_shared_loop_matches_public_operators(n, k, eps):
         assert rep.residual == _public_residual(omega, cfg)
         assert rep.detail["collar"] == eps + 2.0 * h
         assert rep.detail["checked"] == interior_region(omega, eps + 2.0 * h).sum()
+
+
+@pytest.mark.parametrize("n,k", CASES)
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2])
+def test_residual_matches_the_term_by_term_identity(n, k, eps):
+    # R is linear, so regularizing S d omega - omega once moves the residual
+    # only by rounding
+    for h in (1 / 32,) if n == 1 else (1 / 16, 1 / 32):
+        omega = _sample(n, h, k, seed=20 + 10 * n + k)
+        cfg = MollifierConfig(eps, n=n)
+        got = verify_homotopy(omega, cfg, tol=1.0).residual
+        assert abs(got - _five_component_residual(omega, cfg)) <= 1e-14 * omega.max_norm()
 
 
 def _ring(omega):
@@ -466,9 +509,9 @@ def _blocked_outputs():
     for k in (0, 1, 2):
         omega = _sample(2, 1 / 128, k, seed=30 + k)
         out += list(regularize(omega, cfg).components.values())
-        if k > 0:
-            out += list(cone_S(omega).components.values())
     out.append(displacement_bound(_sample(2, 1 / 128, 0, seed=30), cfg))
+    # the kernel loop over S omega and S d omega - omega together
+    out.append(verify_homotopy(_sample(2, 1 / 64, 1, seed=31), cfg, tol=1.0).residual)
     return out
 
 
@@ -502,12 +545,13 @@ def test_kernel_built_once_per_grid_and_dimension(monkeypatch):
     monkeypatch.setattr(mollify, "_kernel", functools.lru_cache(maxsize=None)(counting_kernel))
     monkeypatch.setattr(MollifierConfig, "__post_init__", counting_post_init)
     cfg = MollifierConfig(0.1, n=1)
+    cfg2 = MollifierConfig(0.1, n=2)
     f2 = GridForm.from_function(2, 1 / 16, 0, {(): lambda x, y: x * y})
     for _ in range(3):
-        regularize(f2, cfg)  # the kernel dimension comes from the form
-        displacement_bound(f2, cfg)
+        regularize(f2, cfg2)
+        displacement_bound(f2, cfg2)
     other = MollifierConfig(0.2, n=1)
-    assert len(configs) == 2
+    assert len(configs) == 3
     assert built == [(9, 1), (9, 2)]
     assert other.nodes is cfg.nodes and other.weights is cfg.weights
     assert not cfg.nodes.flags.writeable and not cfg.weights.flags.writeable
