@@ -329,7 +329,7 @@ def _check_dimension(omega: GridForm, cfg: MollifierConfig) -> None:
 def _active_nodes(omega: GridForm) -> tuple[np.ndarray, np.ndarray]:
     """The mask of the open ball and its nodes as an (n, N) array."""
     mask = omega.mask()
-    return mask, np.ascontiguousarray(omega.points()[mask].T)
+    return mask, omega.axis()[np.array(np.nonzero(mask))]
 
 
 # Active nodes per block of the kernel loop and `displacement_bound`.  At

@@ -16,11 +16,11 @@ form up to the full truncation length (10^6 by default) while the
 subdivided ray is only built up to a geometry cap, since the per-bump
 geometry is identical beyond it.
 
-Every edge integral of the family is a 96-point Gauss-Legendre sum on
-the library's one Gauss rule, `polyform.simplex_rule(1, 191)`.  The
-kernel check integrates all bumps on their carrier edges as one
-(bumps, nodes) array, and the subdivision image all half-edges as one
-(bumps, 2, nodes) array, so the cost per bump is array arithmetic only.
+Each bump is a 0-form, so by Stokes' theorem its edge integrals are
+differences of its values: both checks evaluate omega once, at the
+vertices of the subdivided ray, and take the coboundary.  Every bump
+vanishes at the host vertices and is w_i Psi(0) = w_i/e at its carrier's
+barycenter, so no integral is computed by quadrature.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cochains import Cochain
+from .cochains import Cochain, coboundary
 from .complexes import MetricComplex, PiSequence, barycentric_subdivide, ray_complex
 from .errors import BadEpsilon, NotACounterexample
-from .polyform import simplex_rule
 
 GEOMETRY_CAP = 1000
 
@@ -50,16 +49,6 @@ def bump_profile(x):
     return out
 
 
-def bump_profile_deriv(u):
-    """d/du of the 1-D profile: Psi(u) * (-2u / (u^2 - 1)^2)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u, dtype=float)
-    inside = u**2 < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 / (ui**2 - 1.0)) * (-2.0 * ui / (ui**2 - 1.0) ** 2)
-    return out
-
-
 @dataclass(frozen=True)
 class SeriesVerdict:
     """Integral-test verdict for sum_i i^(-a), with partial sums recorded
@@ -70,22 +59,27 @@ class SeriesVerdict:
     partial_sums: tuple[tuple[int, float], ...]
 
     def sum_at(self, m: int) -> float:
-        for mm, s in self.partial_sums:
-            if mm == m:
-                return s
-        raise KeyError(m)
+        return dict(self.partial_sums)[m]
 
 
 def p_series(a: float, checkpoints: list[int]) -> SeriesVerdict:
     """Partial sums of sum i^(-a) at the given truncations, plus the
     integral-test verdict (converges iff a > 1)."""
-    checkpoints = sorted(set(int(m) for m in checkpoints))
+    checkpoints = _truncations(checkpoints)
     M = checkpoints[-1]
     csum = np.arange(1, M + 1, dtype=float)  # one buffer: terms, then sums
     np.power(csum, -a, out=csum)
     np.cumsum(csum, out=csum)
     sums = tuple((m, float(csum[m - 1])) for m in checkpoints)
     return SeriesVerdict(a, "converges" if a > 1.0 else "diverges", sums)
+
+
+def _truncations(ms) -> list[int]:
+    """The distinct truncations, ascending; an empty list or one below 1 is refused."""
+    out = sorted({int(m) for m in ms})
+    if not out or out[0] < 1:
+        raise ValueError(f"truncation {out[0]} is below 1" if out else "no truncation given")
+    return out
 
 
 def _checkpoints(M: int) -> list[int]:
@@ -126,15 +120,13 @@ class BumpFamily:
 
 
 def build_family(k: int, pi: PiSequence, eps: float, M: int) -> BumpFamily:
+    if k != 0:
+        raise NotACounterexample("only the 1-D family (k = 0) is constructed")
     if pi[k] >= pi[k + 1]:
-        raise NotACounterexample(
-            f"p_{k} = {pi[k]} >= p_{k + 1} = {pi[k + 1]}: monotone sequence"
-        )
+        raise NotACounterexample(f"p_{k} = {pi[k]} >= p_{k + 1} = {pi[k + 1]}: monotone sequence")
     gap = pi[k + 1] - pi[k]
     if not (0.0 < eps < gap):
         raise BadEpsilon(f"eps = {eps} outside (0, {gap})")
-    if k != 0:
-        raise NotACounterexample("only the 1-D family (k = 0) is constructed")
     geo = min(M, GEOMETRY_CAP)
     return BumpFamily(k=k, pi=pi, eps=eps, M=M,
                       subdivided=barycentric_subdivide(ray_complex(1, geo)), geometry_cap=geo)
@@ -147,22 +139,13 @@ def family_norm_series(fam: BumpFamily, p: float) -> SeriesVerdict:
     return p_series(p * fam.decay, _checkpoints(fam.M))
 
 
-def _edge_quad(fn, x0, x1) -> np.ndarray:
-    """Integrals of fn over the intervals [x0, x1] by a 96-node
-    Gauss-Legendre rule, one per element of the broadcast endpoint arrays.
-    fn receives the quadrature points with the node axis last and returns
-    values of the same shape."""
-    t, w = simplex_rule(1, 191)  # the 96-point rule on [0, 1], weights summing to 1
-    x0 = np.asarray(x0, dtype=float)
-    L = np.asarray(x1, dtype=float) - x0
-    return L * (fn(x0[..., None] + L[..., None] * t[:, 0]) @ w)
-
-
-def _domega(fam: BumpFamily, i: np.ndarray):
-    """x -> d(omega_i)/dx, for bump indices i along the leading axes of x."""
-    w = 2.0 * fam.weight(i)
-    centre = 2.0 * i - 1.0
-    return lambda x: w[..., None] * bump_profile_deriv(2.0 * x - centre[..., None])
+def _omega_at_vertices(fam: BumpFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates x of the subdivided ray's vertices, by id, and omega
+    at them: the vertex at x lies in carrier i = floor(x) + 1, where omega
+    is w_i Psi(2x - 2i + 1)."""
+    x = fam.subdivided.coords(range(2 * fam.geometry_cap + 1))[:, 0]
+    i = np.floor(x) + 1.0
+    return x, fam.weight(i) * bump_profile(2.0 * x - 2.0 * i + 1.0)
 
 
 @dataclass(frozen=True)
@@ -177,16 +160,13 @@ class KernelReport:
 
 
 def derham_kernel_check(fam: BumpFamily) -> KernelReport:
-    """Integrate omega_i over vertices and d(omega_i) over edges of the
-    host ray; all values must vanish (supports are interior to single
-    edges, and each edge integral of the derivative telescopes to 0)."""
+    """Integrate omega over the vertices of the host ray and d(omega) over
+    its edges; all values must vanish.  The host vertices keep their ids
+    0..geo in the subdivision, and by Stokes the integral over the edge
+    (i-1, i) is omega(i) - omega(i-1)."""
     geo = fam.geometry_cap
-    i = np.arange(1, geo + 1, dtype=float)
-    # omega_i at the vertices of its carrier edge (x = i-1 and x = i)
-    ends = np.stack([i - 1.0, i], axis=-1)
-    pts = fam.weight(i)[:, None] * bump_profile(2.0 * ends - (2.0 * i - 1.0)[:, None])
-    edges = _edge_quad(_domega(fam, i), i - 1.0, i)
-    return KernelReport(float(np.max(np.abs(pts))), float(np.max(np.abs(edges))), geo)
+    host = _omega_at_vertices(fam)[1][: geo + 1]
+    return KernelReport(float(np.max(np.abs(host))), float(np.max(np.abs(np.diff(host)))), geo)
 
 
 @dataclass(frozen=True)
@@ -201,30 +181,28 @@ class ImageReport:
 def subdivision_image(fam: BumpFamily) -> ImageReport:
     """The cochain I(d omega) on the subdivided ray.
 
-    Each bump contributes +/- (1/e) w_i on the two half-edges of its
-    carrier (signs opposite when both halves are oriented by increasing
-    coordinate).  The l_p series of the entries are 2 (w_i/e)^p summed,
-    convergent at p_{k+1} and divergent at p_k.
+    By Stokes it is the coboundary of omega at the vertices: w_i/e on the
+    half-edges from the ends of carrier i to its barycenter (signs opposite
+    when both are oriented by increasing coordinate).  The l_p series of the
+    entries are 2 (w_i/e)^p summed, convergent at p_{k+1} and divergent at p_k.
     """
     return _subdivision_image(fam, family_norm_series(fam, fam.pi[fam.k + 1]),
                               family_norm_series(fam, fam.pi[fam.k]))
 
 
 def _subdivision_image(fam: BumpFamily, high: SeriesVerdict, low: SeriesVerdict) -> ImageReport:
-    Kp = fam.subdivided
-    geo = fam.geometry_cap
-    # the two half-edges of carrier i, from vertex i-1 and from vertex i; the
-    # subdivision numbers the barycenter of edge (i-1, i) as vertex geo + i
-    keys = [(v0, geo + i) for i in range(1, geo + 1) for v0 in (i - 1, i)]
-    ends = np.array([[Kp.vertices[a][0], Kp.vertices[b][0]] for a, b in keys])
-    ends = ends.reshape(geo, 2, 2)
-    i = np.arange(1, geo + 1, dtype=float)[:, None]
-    vals = _edge_quad(_domega(fam, i), ends[..., 0], ends[..., 1])
-    worst = float(np.max(np.abs(np.abs(vals) - fam.weight(i) / math.e)))
+    Kp, geo = fam.subdivided, fam.geometry_cap
+    x, omega = _omega_at_vertices(fam)
+    c = coboundary(Cochain(0, {(v,): w for v, w in enumerate(omega.tolist())}, Kp))
+    # the half-edges of carrier i run from its ends, vertices i-1 and i, to
+    # its barycenter, which the subdivision numbers geo + i
+    vals = np.array([[c((j - 1, geo + j)), c((j, geo + j))] for j in range(1, geo + 1)])
+    i = np.arange(1, geo + 1)
+    ends, bary = np.stack([i - 1, i], axis=-1), (geo + i)[:, None]
+    worst = float(np.max(np.abs(np.abs(vals) - fam.weight(i)[:, None] / math.e)))
     # re-orient by increasing coordinate for the sign pattern
-    oriented = np.where(ends[..., 1] > ends[..., 0], vals, -vals)
+    oriented = np.where(x[bary] > x[ends], vals, -vals)
     signs_ok = bool(np.all(oriented[:, 0] * oriented[:, 1] < 0.0))
-    c = Cochain(fam.k + 1, dict(zip(keys, vals.ravel().tolist())), Kp)
     return ImageReport(c, worst, signs_ok, high, low)
 
 
@@ -256,7 +234,7 @@ def verify_nontriviality(
     """Bundle the four certificates of the counterexample: kernel
     membership, p_{k+1} convergence (for omega and d omega), p_k
     divergence, and the convergent/divergent gap of the subdivision image."""
-    fam = build_family(k, pi, eps, max(M_list))
+    fam = build_family(k, pi, eps, _truncations(M_list)[-1])
     kernel = derham_kernel_check(fam)
     # every verdict is one of two series: omega and d omega share p_{k+1}
     high, low = family_norm_series(fam, pi[k + 1]), family_norm_series(fam, pi[k])
@@ -280,6 +258,8 @@ def verify_nontriviality(
 def swapped_series(pi: PiSequence, eps: float, M: int, k: int = 0) -> dict[float, SeriesVerdict]:
     """Formal series for a non-increasing sequence: with p_k >= p_{k+1}
     the exponents p/(p_{k+1}-eps) exceed 1 at both norms and every series
-    converges — the counterexample evaporates."""
+    converges — the counterexample evaporates.  Needs 0 < eps < p_{k+1}."""
+    if not 0.0 < eps < pi[k + 1]:
+        raise BadEpsilon(f"eps = {eps} outside (0, {pi[k + 1]})")
     decay = 1.0 / (pi[k + 1] - eps)
     return {p: p_series(p * decay, _checkpoints(M)) for p in (pi[k], pi[k + 1])}

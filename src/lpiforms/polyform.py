@@ -245,8 +245,8 @@ def simplex_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     Both arrays are cached and read-only, since every caller shares them.
 
     This is the library's one Gauss rule: at m = 1, simplex_rule(1, 2q - 1)
-    is the q-point Gauss-Legendre rule on [0, 1], which the edge integrals of
-    `nontrivial` and the ray integrals of `mollify.cone_S` use."""
+    is the q-point Gauss-Legendre rule on [0, 1], which the ray integrals of
+    `mollify.cone_S` use."""
     q = max(1, (degree + 2) // 2)
     if m == 0:
         pts, wts = np.zeros((1, 0)), np.ones(1)

@@ -320,3 +320,10 @@ def test_verify_nontrivial_csv(tmp_path, capsys):
     ])
     assert code == 0
     assert csv.read_text().startswith("m,S_pk,S_pk1,tail_bound")
+
+
+def test_verify_nontrivial_kernel_residual_is_exactly_zero(capsys):
+    # every bump vanishes at the host vertices, and the edge integrals are
+    # differences of those values, so the residual carries no rounding
+    assert main(["verify", "nontrivial", "--trunc", "1e4"]) == 0
+    assert "kernel_residual: 0.0\n" in capsys.readouterr().out

@@ -42,6 +42,12 @@ def test_build_family_preconditions():
         build_family(0, PI, 0.0, 10)
 
 
+def test_build_family_refuses_a_higher_degree_before_reading_its_exponent():
+    # PI has no p_2, so k = 1 must be refused before p_{k+1} is read
+    with pytest.raises(NotACounterexample, match="k = 0"):
+        build_family(1, PI, 1.0, 10)
+
+
 def test_weights_decreasing_and_values():
     fam = build_family(0, PI, 1.0, 100)
     ws = fam.weight(np.arange(1, 101))
@@ -95,32 +101,51 @@ def test_subdivision_image_entries():
     assert len(rep.cochain.values) == 2 * fam.geometry_cap
 
 
+def _dpsi(u):
+    """Psi'(u) = Psi(u) * (-2u / (u^2 - 1)^2), written out here independently."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = u**2 < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(1.0 / (ui**2 - 1.0)) * (-2.0 * ui / (ui**2 - 1.0) ** 2)
+    return out
+
+
 @pytest.mark.parametrize("M", [1, 7, 1000])
 def test_batched_quadrature_matches_closed_form(M):
     # every bump vanishes at its carrier's vertices, d(omega_i) integrates
-    # to 0 over the carrier, and to -+w_i/e over its two halves
+    # to 0 over the carrier, and to -+w_i/e over its two halves; the 96-point
+    # Gauss rule on d(omega_i) is an oracle independent of the vertex values
     fam = build_family(0, PI, 1.0, M)
     kern = derham_kernel_check(fam)
     assert kern.bumps_checked == M
     assert kern.max_point_value == 0.0
-    assert kern.max_edge_integral <= 1e-12
+    assert kern.max_edge_integral == 0.0
     Kp, values = fam.subdivided, subdivision_image(fam).cochain.values
+    t, wt = polyform.simplex_rule(1, 191)
+
+    def integral(i, a, b):  # of d(omega_i) from x = a to x = b
+        x = a + (b - a) * t[:, 0]
+        return (b - a) * float(2.0 * fam.weight(i) * _dpsi(2.0 * x - (2.0 * i - 1.0)) @ wt)
+
     mid = {int(round(x[0] + 0.5)): v for v, x in Kp.vertices.items()
            if abs(x[0] - round(x[0])) > 1e-9}
     for i in range(1, M + 1):
+        assert abs(integral(i, i - 1.0, float(i))) <= 1e-12
         w = float(fam.weight(i)) / math.e
         oriented = []
         for v0 in (i - 1, i):
             key = tuple(sorted((v0, mid[i])))
             assert abs(abs(values[key]) - w) <= 1e-12
+            assert abs(values[key] - integral(i, *(Kp.vertices[v][0] for v in key))) <= 1e-12
             rising = Kp.vertices[key[1]][0] > Kp.vertices[key[0]][0]
             oriented.append(values[key] if rising else -values[key])
         assert oriented[0] > 0.0 > oriented[1]
 
 
 def test_gauss_rule_built_once_per_node_count(monkeypatch):
-    # the edge integrals and cone_S share polyform.simplex_rule: each
-    # Gauss-Jacobi rule is built once, and the shared arrays are read-only
+    # the bump family takes its integrals from vertex values and builds no
+    # rule; cone_S builds its 24-point rule once, and the arrays are read-only
     calls = []
     real = polyform._gauss_jacobi
 
@@ -133,7 +158,7 @@ def test_gauss_rule_built_once_per_node_count(monkeypatch):
     for _ in range(2):
         assert verify_nontriviality(PI, 1.0, [1000]).passed
     cone_S(GridForm.from_function(1, 1 / 16, 1, {(0,): lambda x: x}))
-    assert sorted(calls) == [(24, 0), (96, 0)]
+    assert sorted(calls) == [(24, 0)]
     for q in (24, 96):
         t, w = polyform.simplex_rule(1, 2 * q - 1)
         assert not t.flags.writeable and not w.flags.writeable
@@ -200,3 +225,26 @@ def test_swapped_sequence_all_converge():
     out = swapped_series(PiSequence((4.0, 2.0), 1), 1.0, 10**4)
     assert all(v.verdict == "converges" for v in out.values())
     assert sorted(v.exponent for v in out.values()) == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("eps", [2.0, 3.0, 0.0])
+def test_swapped_series_refuses_eps_outside_its_range(eps):
+    # eps must be positive; at eps = p_{k+1} the decay divides by zero, and
+    # beyond it the series would diverge
+    with pytest.raises(BadEpsilon):
+        swapped_series(PiSequence((4.0, 2.0), 1), eps, 10**4)
+
+
+@pytest.mark.parametrize("checkpoints, message", [
+    ([0, 10], "truncation 0 is below 1"),
+    ([10, -3], "truncation -3 is below 1"),
+    ([], "no truncation given"),
+])
+def test_p_series_refuses_bad_truncations(checkpoints, message):
+    with pytest.raises(ValueError, match=message):
+        p_series(2.0, checkpoints)
+
+
+def test_verify_nontriviality_refuses_an_empty_truncation_list():
+    with pytest.raises(ValueError, match="no truncation given"):
+        verify_nontriviality(PI, 1.0, [])
