@@ -234,10 +234,13 @@ def verify_nontriviality(
     """Bundle the four certificates of the counterexample: kernel
     membership, p_{k+1} convergence (for omega and d omega), p_k
     divergence, and the convergent/divergent gap of the subdivision image."""
-    fam = build_family(k, pi, eps, _truncations(M_list)[-1])
+    marks = _truncations(M_list)
+    fam = build_family(k, pi, eps, marks[-1])
     kernel = derham_kernel_check(fam)
-    # every verdict is one of two series: omega and d omega share p_{k+1}
-    high, low = family_norm_series(fam, pi[k + 1]), family_norm_series(fam, pi[k])
+    # every verdict is one of two series: omega and d omega share p_{k+1};
+    # both record every requested truncation besides the checkpoints of M
+    marks += _checkpoints(fam.M)
+    high, low = p_series(pi[k + 1] * fam.decay, marks), p_series(pi[k] * fam.decay, marks)
     image = _subdivision_image(fam, high, low)
     m_last, s_last = low.partial_sums[-1]
     a = low.exponent

@@ -35,10 +35,11 @@ matrices.  `lp_norm` takes all pieces of one dimension in one such pass.
 
 LRU caches keyed by reference data, never by a complex, serve the hot
 paths: `_unit_pullback` (one term key pulled back along B, almost always a
-0/1 matrix), `_face_table` (one term's integrals over the faces of its
-reference simplex, so a piece's face integrals are one product) and, in
-`derham`, the Whitney form of each face position.  The complex keeps the
-volumes and covector Gram matrices of each dimension once computed.
+0/1 matrix), `_unit_d` (one term key's d), `_face_table` (one term's
+integrals over the faces of its reference simplex in closed form, with no
+pullback, so a piece's face integrals are one product) and, in `derham`,
+the Whitney form of each face position.  The complex keeps the volumes and
+covector Gram matrices of each dimension once computed.
 """
 
 from __future__ import annotations
@@ -110,17 +111,18 @@ def t_wedge(a: Terms, b: Terms) -> Terms:
 
 def t_d(a: Terms, m: int) -> Terms:
     out: Terms = {}
-    for (exps, idx), c in a.items():
-        for j in range(1, m + 1):
-            e = exps[j - 1]
-            if e == 0 or j in idx:
-                continue
-            nexps = tuple(x - 1 if q == j - 1 else x for q, x in enumerate(exps))
-            below = sum(1 for i in idx if i < j)
-            nidx = tuple(sorted(idx + (j,)))
-            key = (nexps, nidx)
-            out[key] = out.get(key, 0.0) + (-1) ** below * c * e
+    for key, c in a.items():
+        for image, v in _unit_d(key, m):
+            out[image] = out.get(image, 0.0) + c * v
     return t_clean(out)
+
+@functools.lru_cache(maxsize=1 << 14)
+def _unit_d(key: TermKey, m: int):
+    """d of one term with coefficient 1, as a tuple of items like `_unit_pullback`'s."""
+    exps, idx = key
+    return tuple(((tuple(x - (q == j - 1) for q, x in enumerate(exps)), tuple(sorted(idx + (j,)))),
+                  float((-1) ** sum(i < j for i in idx) * exps[j - 1]))
+                 for j in range(1, m + 1) if exps[j - 1] and j not in idx)
 
 def selection(src: SimplexKey, dst: SimplexKey) -> tuple[tuple[float, ...], ...]:
     """Pullback matrix with B[i][j] = 1 where src[i] == dst[j], else 0."""
@@ -208,14 +210,22 @@ def _columns(m: int, k: int) -> dict[tuple[int, ...], int]:
 
 @functools.lru_cache(maxsize=1 << 12)
 def _face_table(key: TermKey) -> tuple[float, ...]:
-    """Integral of one unit term over each k-face (k = len(key[1])) of the
-    reference m-simplex (m = len(key[0])), faces in combinations order, each
-    relative to the face's normalized measure."""
-    m, k = len(key[0]), len(key[1])
-    ref, full = tuple(range(m + 1)), tuple(range(1, k + 1))
-    return tuple(sum((v * monomial_integral(e, k) for (e, I), v in
-                      _unit_pullback(key, selection(ref, f)) if I == full), 0.0)
-                 for f in itertools.combinations(ref, k + 1))
+    """Integral of one unit term t^a dt_I over each k-face F = (f_0 < ... < f_k)
+    of the reference m-simplex (k = len(I), m = len(a)), faces in combinations
+    order, each relative to the face's normalized measure.  The trace on F is
+    0 unless F holds I and the support of a; then F minus I is one vertex
+    f_q, dt_I = (-1)^q ds_1 ^ ... ^ ds_k, and t^a is a monomial in F's full
+    barycentric coordinates, so the entry is (-1)^q * k! * prod b! / (k + sum b)!
+    with b_j = a_{f_j} (a_0 = 0), the formula of `monomial_integral`."""
+    exps, idx = key
+    full, k = (0, *exps), len(idx)
+    out = []
+    for f in itertools.combinations(range(len(full)), k + 1):
+        b = tuple(full[v] for v in f)
+        rest = [q for q, v in enumerate(f) if v not in idx]
+        on_face = len(rest) == 1 and sum(b) == sum(exps)
+        out.append((-1) ** rest[0] * monomial_integral(b, k) if on_face else 0.0)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +280,8 @@ def simplex_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 def monomial_integral(exps: tuple[int, ...], m: int) -> float:
     """int over the reference m-simplex of t_1^a1 ... t_m^am relative to the
-    normalized volume measure (total mass 1): m! * prod a_i! / (m + sum a)!"""
+    normalized volume measure (total mass 1): m! * prod a_i! / (m + sum a)!
+    It holds too for exponents over all m + 1 barycentrics (Eisenberg-Malvern 1973)."""
     s = sum(exps)
     val = math.factorial(m) / math.factorial(m + s)
     for a in exps:

@@ -221,6 +221,14 @@ def test_verify_nontriviality_and_csv():
         "exponent", "verdict", "partial_sums"]
 
 
+def test_verify_nontriviality_records_every_requested_truncation():
+    rep = verify_nontriviality(PI, 1.0, [50, 10**4])
+    for got in (rep.omega_high, rep.domega_low):
+        assert [m for m, _ in got.partial_sums] == [10, 50, 100, 1000, 10**4]
+        assert got.sum_at(50) == p_series(got.exponent, [50]).sum_at(50)
+    assert len(rep.csv().splitlines()) == 6
+
+
 def test_swapped_sequence_all_converge():
     out = swapped_series(PiSequence((4.0, 2.0), 1), 1.0, 10**4)
     assert all(v.verdict == "converges" for v in out.values())

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -16,7 +17,8 @@ from lpiforms.complexes import (
     cube_boundary_complex,
     ray_complex,
 )
-from lpiforms.derham import whitney
+from lpiforms import derham
+from lpiforms.derham import derham_map, whitney
 from lpiforms.errors import (
     BadCarrier,
     BadDimension,
@@ -577,6 +579,98 @@ def test_pullback_matches_uncached_reference_expansion():
                                                 if abs(v) <= 1e-12 * scale}
                 for key, v in want.items():
                     assert got.get(key, 0.0) == pytest.approx(v, abs=1e-12 * scale)
+
+
+def _symbolic_face_table(key):
+    """The face table by pulling the term back onto each face and
+    integrating the dt_1 ^ ... ^ dt_k component monomial by monomial."""
+    m, k = len(key[0]), len(key[1])
+    ref, full = tuple(range(m + 1)), tuple(range(1, k + 1))
+    return [sum((v * monomial_integral(e, k) for (e, I), v in
+                 pullback({key: 1.0}, selection(ref, f)).items() if I == full), 0.0)
+            for f in itertools.combinations(ref, k + 1)]
+
+
+def _face_keys(m, top):
+    """Every term key over m reduced variables with exponents at most top."""
+    return [(exps, I) for exps in itertools.product(range(top + 1), repeat=m)
+            for k in range(m + 1) for I in itertools.combinations(range(1, m + 1), k)]
+
+
+def test_face_table_matches_exact_sympy_integrals():
+    @functools.cache
+    def monomial(e):
+        xs = sp.symbols(f"x1:{len(e) + 1}")
+        return _sympy_simplex_integral(sp.prod([x**a for x, a in zip(xs, e)]), xs)
+
+    for m in (1, 2, 3):
+        ref = tuple(range(m + 1))
+        for key in _face_keys(m, 2):
+            k = len(key[1])
+            faces = itertools.combinations(ref, k + 1)
+            for f, got in zip(faces, polyform._face_table(key), strict=True):
+                if k == 0:  # a vertex: the value of the term there
+                    exact = _sympy_poly({key: 1.0}, [int(j == f[0]) for j in ref[1:]])
+                else:
+                    exact = math.factorial(k) * sum(
+                        sp.Rational(v) * monomial(e) for (e, I), v in
+                        _sympy_pullback({key: 1.0}, selection(ref, f)).items() if I == ref[1:k + 1])
+                assert abs(got - float(exact)) <= 1e-15 * abs(float(exact)), (key, f)
+
+
+def test_face_table_matches_the_symbolic_pullback():
+    # the symbolic path expands (1 - sum s)^a on a face off vertex 0 and
+    # loses digits to cancellation, so the two agree to rounding only
+    for m in (1, 2, 3):
+        for key in _face_keys(m, 4):
+            want = _symbolic_face_table(key)
+            scale = max(map(abs, want), default=0.0)
+            got = polyform._face_table(key)
+            assert max(abs(a - b) for a, b in zip(got, want, strict=True)) <= 1e-12 * scale, key
+
+
+def test_face_tables_pull_nothing_back():
+    # derham_map(whitney(c)) pulls back only the reference Whitney forms:
+    # k + 1 unit terms for each face position `_local_whitney` builds
+    rng = np.random.default_rng(31)
+    K = cube_boundary_complex(2)
+    for k in (0, 1):
+        polyform._unit_pullback.cache_clear()
+        polyform._face_table.cache_clear()
+        derham._local_whitney.cache_clear()
+        c = Cochain(k, {s: float(rng.normal()) for s in K.simplices_of_dim(k)}, K)
+        image = derham_map(whitney(c), K, k)
+        assert image.values == pytest.approx(c.values, abs=1e-12)
+        built = derham._local_whitney.cache_info().misses
+        assert built and polyform._unit_pullback.cache_info().misses == (k + 1) * built
+
+
+def _loop_d(a, m):
+    """d of terms by the per-term loop the cached unit derivatives replace."""
+    out = {}
+    for (exps, idx), c in a.items():
+        for j in range(1, m + 1):
+            e = exps[j - 1]
+            if e == 0 or j in idx:
+                continue
+            nexps = tuple(x - 1 if q == j - 1 else x for q, x in enumerate(exps))
+            below = sum(1 for i in idx if i < j)
+            key = (nexps, tuple(sorted(idx + (j,))))
+            out[key] = out.get(key, 0.0) + (-1) ** below * c * e
+    return {key: v for key, v in out.items() if v != 0.0}
+
+
+def test_d_is_bit_identical_to_a_per_term_loop():
+    rng = np.random.default_rng(37)
+    for _ in range(2000):
+        m = int(rng.integers(1, 5))
+        k = int(rng.integers(0, m + 1))
+        terms = {}
+        for _ in range(int(rng.integers(1, 7))):
+            exps = tuple(int(x) for x in rng.integers(0, 4, size=m))
+            idx = tuple(sorted(int(i) + 1 for i in rng.choice(m, size=k, replace=False)))
+            terms[(exps, idx)] = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5, 5))
+        assert list(t_d(terms, m).items()) == list(_loop_d(terms, m).items())
 
 
 def test_pullback_results_do_not_share_state():
