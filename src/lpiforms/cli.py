@@ -255,12 +255,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _truncation(text: str) -> int:
-    """A finite number >= 1, such as 1e6, truncated to an integer."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 1.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text!r}")
-    return int(value)
+def _finite(low: float, cast=float):
+    """The option type of a finite number >= low, such as 1e6, passed through cast."""
+    def number(text: str):
+        value = float(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        return cast(value)
+    return number
 
 
 # The options of the verify suites; each suite declares only those it reads.
@@ -274,7 +276,7 @@ _OPTIONS = {
     "eps": dict(type=float, default=0.1, help="epsilon"),
     "pk": dict(type=float, default=2.0, help="exponent p_0"),
     "pk1": dict(type=float, default=4.0, help="exponent p_1"),
-    "trunc": dict(type=_truncation, default="1e6", help="series truncation"),
+    "trunc": dict(type=_finite(1, int), default="1e6", help="series truncation"),
     "csv": dict(help="write partial-sum CSV here"),
 }
 
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", help="contracting homotopy")
     p.add_argument("path")
     p.add_argument("--augmented", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite(0), default=1e-8)
     p.set_defaults(fn=cmd_contract)
 
     p = sub.add_parser("verify", help="verification suites")
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in options.split():
             q.add_argument("--" + opt, **_OPTIONS[opt])
         if tol is not None:
-            q.add_argument("--tol", type=float, default=tol, help="pass threshold")
+            q.add_argument("--tol", type=_finite(0), default=tol, help="pass threshold")
     return ap
 
 

@@ -18,12 +18,18 @@ integer codes per dimension, from one sort of the codes of the tops'
 (k+1)-vertex subsets.  A k-simplex's code is (the row of its first k
 vertices among the (k-1)-simplices) * V + its last rank: codes stay below
 N_{k-1} * V, in int64 at any size that fits in memory, and `searchsorted`
-on them finds rows.  A face table per dimension holds the row of each
-simplex without each of its vertices.  One stable argsort of the face
-tables groups the signed cofaces; the carriers pass from each maximal
-simplex down the face tables, with one sort per dimension dropping repeats.
-The dicts are then made in bulk.  `barycentric_subdivide` and `ray_complex`
-hand tables of vertex ranks to the same build, with no tuple round trip.
+on them finds rows.  One stable argsort of the face tables groups the
+signed cofaces; the carriers pass from each maximal simplex down the face
+tables, with one sort per dimension dropping repeats.  The dicts are then
+made in bulk.
+
+The complex keeps two tables per dimension k, in key order: the vertex
+ranks of each k-simplex, and its face table, the row of each k-simplex
+without each of its vertices.  They are private and take no part in equality
+or repr.  `barycentric_subdivide` and `skeleton` hand them straight back to
+the build, the volumes gather coordinates through the ranks, `assemble`
+fills each coboundary matrix from the face table, and `polyform` builds
+its prisms from the ranks.
 
 Geometry (`volume`, `covector_gram`) is built per dimension on first use, by
 one stacked pass over the Gram matrices of its simplices (batched det, inverse
@@ -55,6 +61,8 @@ class MetricComplex:
     cofaces: dict[SimplexKey, tuple[tuple[SimplexKey, int], ...]]
     carriers: dict[SimplexKey, tuple[SimplexKey, ...]]
     dim: int
+    # per dimension: the vertex ranks and the face table (see the module docstring)
+    _tables: tuple[list[np.ndarray], list[np.ndarray]] = field(compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def has_simplex(self, key: SimplexKey) -> bool:
@@ -98,7 +106,8 @@ class MetricComplex:
             raise BadDimension(f"no {k}-covectors on a {m}-simplex")
         if m not in self._memo:
             sims = self.simplices_of_dim(m)
-            pts = np.array([[self.vertices[v] for v in s] for s in sims], dtype=float)
+            coords = np.array([*map(self.vertices.__getitem__, sorted(self.vertices))], dtype=float)
+            pts = coords[self._tables[0][m]]
             edges = pts[:, 1:] - pts[:, :1]
             gram = edges @ edges.transpose(0, 2, 1)
             det = np.linalg.det(gram)  # 1.0 for a vertex
@@ -167,15 +176,6 @@ def _subsets(m: int, k: int) -> np.ndarray:
     return subsets
 
 
-def _find(codes: list[np.ndarray], V: int, rows: np.ndarray) -> np.ndarray:
-    """The row among the sorted codes of the j-simplices of each row of
-    j + 1 ascending vertex ranks in `rows`; every row must be a simplex."""
-    r = rows[:, 0]  # every vertex is a 0-simplex, so its row is its rank
-    for j in range(1, rows.shape[1]):
-        r = np.searchsorted(codes[j], r * V + rows[:, j])
-    return r
-
-
 def _unique(a: np.ndarray) -> np.ndarray:
     """The sorted distinct entries of a 1-D integer array (np.unique hashes
     integers before sorting, which is several times slower here)."""
@@ -197,17 +197,22 @@ def _close_and_index(vertices: dict[int, tuple[float, ...]],
     sorted(vertices); rows may repeat and need not be maximal.
     """
     if not vertices:
-        return MetricComplex({}, {}, {}, {}, 0)
+        return MetricComplex({}, {}, {}, {}, 0, ([], []))
     ids = sorted(vertices)
     V, dim = len(ids), max(tops, default=0)
-    # per dimension k: the sorted codes, the keys, and faces[k][j, i], the
-    # row of the j-th k-simplex without its i-th vertex
-    codes, keys, faces = [np.arange(V)], [[(v,) for v in ids]], [np.zeros((V, 0), dtype=int)]
+    # per dimension k: the sorted codes, the vertex ranks, the keys, and
+    # faces[k][j, i], the row of the j-th k-simplex without its i-th vertex
+    codes, ranks, keys = [np.arange(V)], [np.arange(V)[:, None]], [[(v,) for v in ids]]
+    faces = [np.zeros((V, 0), dtype=int)]
     for k in range(1, dim + 1):
         found = np.concatenate([t[:, _subsets(m, k)].reshape(-1, k + 1)
                                 for m, t in tops.items() if m >= k])
-        codes.append(_unique(_find(codes, V, found[:, :-1]) * V + found[:, -1]))
+        row = found[:, 0]  # of found[:, :j + 1] among the j-simplices; at j = 0 the rank
+        for j in range(1, k):
+            row = np.searchsorted(codes[j], row * V + found[:, j])
+        codes.append(_unique(row * V + found[:, -1]))
         prefix, last = np.divmod(codes[k], V)  # a key is its prefix's key plus one vertex
+        ranks.append(np.column_stack([ranks[k - 1][prefix], last]))
         keys.append([*map(operator.add, map(keys[k - 1].__getitem__, prefix.tolist()),
                           map(keys[0].__getitem__, last.tolist()))])
         drop = last[:, None] if k == 1 else np.searchsorted(
@@ -241,8 +246,10 @@ def _close_and_index(vertices: dict[int, tuple[float, ...]],
     g, o = np.divmod(np.concatenate(carried[::-1]), n)
     carriers = _split([*map([every[i] for i in by_key].__getitem__, o.tolist())],
                       np.bincount(g, minlength=len(every)))
+    for table in ranks + faces:
+        table.setflags(write=False)
     return MetricComplex(vertices, {k: tuple(ks) for k, ks in enumerate(keys)},
-                         dict(zip(every, cofaces)), dict(zip(every, carriers)), dim)
+                         dict(zip(every, cofaces)), dict(zip(every, carriers)), dim, (ranks, faces))
 
 
 def build_complex(
@@ -278,7 +285,7 @@ def _is_connected(K: MetricComplex) -> bool:
 
 def validate_bounded_geometry(K: MetricComplex, L: float, N: int) -> GeometryReport:
     """Check the star bound N, the edge-length window [1/L, L], and connectivity."""
-    if L < 1 or N < 1:
+    if not (L >= 1 and N >= 1):  # NaN fails too
         raise ValueError("require L >= 1 and N >= 1")
     edges = K.simplices_of_dim(1)
     lengths = K._geometry(edges)[0].tolist() if edges else []  # in edges order
@@ -302,8 +309,7 @@ def skeleton(K: MetricComplex, m: int) -> MetricComplex:
     """The subcomplex of all simplices of dimension <= m."""
     if not (0 <= m <= K.dim):
         raise BadDimension(f"skeleton dimension {m} outside [0, {K.dim}]")
-    tops = [key for k in range(m + 1) for key in K.simplices_of_dim(k)]
-    return build_complex(dict(K.vertices), tops)
+    return _close_and_index(dict(K.vertices), dict(enumerate(K._tables[0][:m + 1])))
 
 
 def star(K: MetricComplex, v: int) -> MetricComplex:
@@ -322,31 +328,25 @@ def barycentric_subdivide(K: MetricComplex) -> MetricComplex:
     """
     if not K.vertices:
         return _close_and_index({}, {})
+    ranks, faces = K._tables
     ids = sorted(K.vertices)
-    V = len(ids)
-    id_array = np.array(ids)
-    tables = [np.searchsorted(id_array, np.array(keys)) for keys in K.simplices.values()]
-    codes = [np.arange(V)]
-    for t in tables[1:]:
-        codes.append(_find(codes, V, t[:, :-1]) * V + t[:, -1])
     # the fresh ids follow the original ones in (dimension, key) order, so a
     # simplex's barycenter has its place in that order as its rank
-    first = [0, *itertools.accumulate(map(len, tables))]
+    first = [0, *itertools.accumulate(map(len, ranks))]
     coords = np.array([K.vertices[v] for v in ids], dtype=float)
     new_vertices = dict(K.vertices)
     new_vertices.update(zip(itertools.count(ids[-1] + 1), itertools.chain.from_iterable(
-        map(tuple, coords[t].mean(axis=1).tolist()) for t in tables[1:])))
-    tops = {}
-    for size, group in itertools.groupby(K.maximal_simplices(), len):
-        if size == 1:  # a maximal vertex stays a vertex
-            continue
-        T = np.searchsorted(id_array, np.array([*group]))
-        bary = {sub: first[len(sub) - 1] + _find(codes, V, T[:, sub])
-                for r in range(1, size + 1) for sub in itertools.combinations(range(size), r)}
-        # the flag of a vertex order: its first vertex, first edge, ..., T
-        tops[size - 1] = np.concatenate([
-            np.column_stack([bary[tuple(sorted(perm[:r]))] for r in range(1, size + 1)])
-            for perm in itertools.permutations(range(size))])
+        map(tuple, coords[t].mean(axis=1).tolist()) for t in ranks[1:])))
+    tops, cofaced = {}, np.zeros(0, dtype=int)
+    for m in range(K.dim, 0, -1):  # a maximal vertex stays a vertex
+        # the rows of the maximal m-simplices, the faces of no (m+1)-simplex;
+        # each step down appends the last face without each of its vertices,
+        # so the rows end as the flags (T, a facet of T, ..., a vertex)
+        flags = np.flatnonzero(np.bincount(cofaced, minlength=len(ranks[m])) == 0)[:, None]
+        cofaced = faces[m].ravel()
+        for j in range(m, 0, -1):
+            flags = np.column_stack([np.repeat(flags, j + 1, 0), faces[j][flags[:, -1]].ravel()])
+        tops[m] = flags[:, ::-1] + first[:m + 1]
     return _close_and_index(new_vertices, tops)
 
 

@@ -113,14 +113,9 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
                        f"dense limit is {SIZE_LIMIT}")
     dims = [len(K.simplices_of_dim(k)) for k in range(K.dim + 1)]
     mats = []
-    for k in range(K.dim):
-        rows = K.simplices_of_dim(k + 1)
-        row_ix = {s: i for i, s in enumerate(rows)}
-        D = np.zeros((len(rows), dims[k]))
-        for j, sigma in enumerate(K.simplices_of_dim(k)):
-            for tau, sign in K.cofaces[sigma]:
-                D[row_ix[tau], j] = sign
-        mats.append(D)
+    for k, faces in enumerate(K._tables[1][1:]):  # D_k[tau, tau without v_i] = (-1)^i
+        mats.append(np.zeros((len(faces), dims[k])))
+        mats[-1][np.arange(len(faces))[:, None], faces] = (-1.0) ** np.arange(k + 2)
     if augmented:
         dims, mats = [1] + dims, [np.ones((dims[0], 1))] + mats
     return MatrixComplex(tuple(dims), tuple(mats))

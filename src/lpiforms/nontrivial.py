@@ -32,7 +32,7 @@ import numpy as np
 
 from .cochains import Cochain, coboundary
 from .complexes import MetricComplex, PiSequence, barycentric_subdivide, ray_complex
-from .errors import BadEpsilon, NotACounterexample
+from .errors import BadEpsilon, BadExponent, NotACounterexample
 
 GEOMETRY_CAP = 1000
 
@@ -109,7 +109,11 @@ class BumpFamily:
     eps: float
     M: int
     subdivided: MetricComplex = field(repr=False)
-    geometry_cap: int = GEOMETRY_CAP
+
+    @property
+    def geometry_cap(self) -> int:
+        """The number of bumps on the built ray, min(M, GEOMETRY_CAP)."""
+        return min(self.M, GEOMETRY_CAP)
 
     @property
     def decay(self) -> float:
@@ -122,14 +126,15 @@ class BumpFamily:
 def build_family(k: int, pi: PiSequence, eps: float, M: int) -> BumpFamily:
     if k != 0:
         raise NotACounterexample("only the 1-D family (k = 0) is constructed")
+    if not pi.is_valid():
+        raise BadExponent(f"{pi} is not valid: each p in (1, inf), 1/p_(i+1) - 1/p_i <= 1/n")
     if pi[k] >= pi[k + 1]:
         raise NotACounterexample(f"p_{k} = {pi[k]} >= p_{k + 1} = {pi[k + 1]}: monotone sequence")
     gap = pi[k + 1] - pi[k]
     if not (0.0 < eps < gap):
         raise BadEpsilon(f"eps = {eps} outside (0, {gap})")
-    geo = min(M, GEOMETRY_CAP)
     return BumpFamily(k=k, pi=pi, eps=eps, M=M,
-                      subdivided=barycentric_subdivide(ray_complex(1, geo)), geometry_cap=geo)
+                      subdivided=barycentric_subdivide(ray_complex(1, min(M, GEOMETRY_CAP))))
 
 
 def family_norm_series(fam: BumpFamily, p: float) -> SeriesVerdict:

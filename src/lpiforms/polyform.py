@@ -527,32 +527,17 @@ def _check_cube_boundary(K: MetricComplex, n: int) -> None:
         raise BadCarrier("carrier has the wrong dimension for a cube boundary")
 
 
-def _prism_complex(K: MetricComplex) -> tuple[MetricComplex, dict[int, tuple[int, int]]]:
+def _prism_complex(K: MetricComplex) -> MetricComplex:
     """Triangulated prism (cube boundary) x [0,1], built once per K into its
-    memo: the complex and a map prism-vertex-id -> (base vertex id, level)."""
-    if "prism" in K._memo:
-        return K._memo["prism"]
-    base = sorted(K.vertices)
-    vid: dict[tuple[int, int], int] = {}
-    vertices = {}
-    for i, v in enumerate(base):
-        for level in (0, 1):
-            nid = 2 * i + level
-            vid[(v, level)] = nid
-            vertices[nid] = tuple(K.vertices[v]) + (float(level),)
-    tops = []
-    for cell in K.maximal_simplices():
-        if len(cell) == 1:
-            (a,) = cell
-            tops.append(tuple(sorted((vid[(a, 0)], vid[(a, 1)]))))
-        else:
-            a, b = cell
-            a0, a1 = vid[(a, 0)], vid[(a, 1)]
-            b0, b1 = vid[(b, 0)], vid[(b, 1)]
-            tops.append(tuple(sorted((a0, b0, b1))))
-            tops.append(tuple(sorted((a0, a1, b1))))
-    P = build_complex(vertices, tops)
-    K._memo["prism"] = P, {nid: key for key, nid in vid.items()}
+    memo.  Prism vertex 2r + l is base vertex rank r at level l, and each base
+    simplex (a_0 < ... < a_k) gives the staircase (a_0^0 ... a_q^0, a_q^1 ...
+    a_k^1), q = 0..k; a face's staircase lies in those of its cofaces."""
+    if "prism" not in K._memo:
+        coords = map(K.vertices.__getitem__, sorted(K.vertices))
+        vertices = {2 * r + l: xs + (float(l),) for r, xs in enumerate(coords) for l in (0, 1)}
+        K._memo["prism"] = build_complex(vertices, [
+            row for k, a in enumerate(K._tables[0]) for q in range(k + 1)
+            for row in np.column_stack([2 * a[:, :q + 1], 2 * a[:, q:] + 1]).tolist()])
     return K._memo["prism"]
 
 
@@ -565,10 +550,10 @@ def prism_extend(omega: PolyForm, n: int) -> PolyForm:
         raise BadDimension("prism extension supports n in {1, 2}")
     K = omega.complex
     _check_cube_boundary(K, n)
-    P, reverse = _prism_complex(K)
+    P, ids = _prism_complex(K), sorted(K.vertices)
     pieces: dict[SimplexKey, Terms] = {}
     for T in P.maximal_simplices():
-        base, level = zip(*(reverse[v] for v in T))
+        base, level = zip(*((ids[v // 2], v % 2) for v in T))
         basecell = tuple(sorted(set(base)))
         tr = omega.trace_on(basecell)
         if not tr:

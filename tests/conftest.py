@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from lpiforms.complexes import MetricComplex, barycentric_subdivide, build_complex
@@ -39,3 +40,19 @@ def triangle() -> MetricComplex:
 @pytest.fixture
 def subdivided_triangle(triangle) -> MetricComplex:
     return barycentric_subdivide(triangle)
+
+
+def assert_same_complex(K, ref):
+    """K equals ref, with the same insertion order and the same private
+    tables of vertex ranks and faces (read-only in K)."""
+    assert K == ref
+    assert K.dim == ref.dim
+    for name in ("vertices", "simplices", "cofaces", "carriers"):
+        assert list(getattr(K, name).items()) == list(getattr(ref, name).items()), name
+    coords = [np.array(list(C.vertices.values()), dtype=float) for C in (K, ref)]
+    assert coords[0].tobytes() == coords[1].tobytes()
+    for name, tables, want in zip(("ranks", "faces"), K._tables, ref._tables):
+        assert len(tables) == len(want), name
+        for a, b in zip(tables, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), name
+            assert not a.flags.writeable, name

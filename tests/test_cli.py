@@ -33,6 +33,16 @@ def test_validate_pass_and_fail(triangle_file, tmp_path, capsys):
     assert main(["validate", str(q), "--L", "2", "--N", "6"]) == 1
 
 
+@pytest.mark.parametrize("argv", ["--L nan --N 3", "--L 2 --N 0", "--L 0.5"])
+def test_validate_refuses_bounds_outside_the_range(triangle_file, capsys, argv):
+    # a NaN L once failed no comparison, and every edge was outside [nan, nan]
+    p, _ = triangle_file
+    assert main(["validate", str(p), *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: require L >= 1 and N >= 1"]
+
+
 def test_malformed_file_is_usage_error(tmp_path):
     q = tmp_path / "bad.txt"
     q.write_text("not a complex")
@@ -128,6 +138,9 @@ def test_verify_rejects_an_option_of_another_suite(argv, capsys):
     "mollify --n 3", "mollify --grid 0", "mollify --grid -4",
     "split --samples 0", "stokes --samples -3",
     "nontrivial --trunc inf", "nontrivial --trunc nan", "nontrivial --trunc 0.5",
+    # a tolerance is a finite number >= 0 in every suite that reads one
+    "split --tol nan", "split --tol -1", "stokes --tol inf", "stokes --tol nan",
+    "mollify --tol -1e-3", "mollify --tol inf", "contract --tol nan", "contract --tol -inf",
 ])
 def test_verify_rejects_a_bad_value(argv, capsys):
     assert main(["verify", *argv.split()]) == 2
@@ -237,6 +250,26 @@ def test_whitney_and_derham_commands(triangle_file, tmp_path, capsys):
     out = capsys.readouterr().out
     err = float(out.split("round_trip_error: ")[1])
     assert err <= 1e-10
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_contract_refuses_a_tolerance_outside_the_range(tmp_path, capsys, tol):
+    # a NaN tolerance once printed "contraction: ok" and exited 1
+    pf = tmp_path / "path.txt"
+    pf.write_text(write_complex(ray_complex(1, 3)))
+    assert main(["contract", str(pf), "--augmented", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --tol: must be a finite number >= 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", ["--pk1 inf", "--pk nan", "--pk 1"])
+def test_verify_nontrivial_refuses_an_invalid_exponent(argv, capsys):
+    # an infinite p_1 once ran with decay 0, and a NaN p_0 was blamed on eps
+    assert main(["verify", "nontrivial", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: PiSequence") and "eps" not in captured.err
 
 
 def test_cohomology_and_contract_commands(tmp_path, capsys):

@@ -27,7 +27,7 @@ from lpiforms.errors import (
     MissingVertex,
 )
 
-from conftest import simplex_complex, sphere_complex
+from conftest import assert_same_complex, simplex_complex, sphere_complex
 
 
 def euler_characteristic(K):
@@ -110,12 +110,22 @@ def reference_build(vertices, tops):
     for T in sorted(key for key, cof in cofaces.items() if not cof):
         for f in _reference_faces(T):
             carriers[f].append(T)
+    # the vertex ranks of each simplex, and the row of each simplex without each
+    # vertex (a vertex has no faces)
+    rank = {v: i for i, v in enumerate(sorted(vertices))}
+    row = {key: i for keys in simplices.values() for i, key in enumerate(keys)}
+    ranks = [np.array([[rank[v] for v in key] for key in keys], dtype=int).reshape(len(keys), k + 1)
+             for k, keys in simplices.items()]
+    faces = [np.array([[row[key[:i] + key[i + 1:]] for i in range(k + 1) if k] for key in keys],
+                      dtype=int).reshape(len(keys), k + 1 if k else 0)
+             for k, keys in simplices.items()]
     return MetricComplex(
         vertices,
         simplices,
         {key: tuple(cof) for key, cof in cofaces.items()},
         {key: tuple(car) for key, car in carriers.items()},
         max(simplices) if simplices else 0,
+        (ranks, faces),
     )
 
 
@@ -155,15 +165,6 @@ def reference_ray(n, M):
     for j in range(M):
         tops += [(2 * j, 2 * j + 2, 2 * j + 3), (2 * j, 2 * j + 1, 2 * j + 3)]
     return reference_build(vertices, tops)
-
-
-def assert_same_complex(K, ref):
-    assert K == ref
-    assert K.dim == ref.dim
-    for name in ("vertices", "simplices", "cofaces", "carriers"):
-        assert list(getattr(K, name).items()) == list(getattr(ref, name).items()), name
-    coords = [np.array(list(C.vertices.values()), dtype=float) for C in (K, ref)]
-    assert coords[0].tobytes() == coords[1].tobytes()
 
 
 TETRAHEDRON = ({0: (0.0, 0.0, 0.0), 1: (2.0, 0.0, 0.0), 2: (0.5, 1.5, 0.0), 3: (1 / 3, 0.25, 1.25)},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
-from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex, star
+from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex, skeleton, star
 from lpiforms.contract import (
     RANK_RTOL,
     Contraction,
@@ -28,6 +28,37 @@ def test_assemble_single_edge():
     M = assemble(build_complex({0: (0.0,), 1: (1.0,)}, [(0, 1)]))
     assert M.dims == (2, 1)
     assert np.array_equal(M.matrix(0), [[-1.0, 1.0]])
+
+
+def reference_coboundaries(K):
+    """The D_k that `assemble` filled one coface at a time before it read the
+    face table, kept as the reference it must match byte for byte."""
+    mats = []
+    for k in range(K.dim):
+        rows = K.simplices_of_dim(k + 1)
+        row_ix = {s: i for i, s in enumerate(rows)}
+        D = np.zeros((len(rows), len(K.simplices_of_dim(k))))
+        for j, sigma in enumerate(K.simplices_of_dim(k)):
+            for tau, sign in K.cofaces[sigma]:
+                D[row_ix[tau], j] = sign
+        mats.append(D)
+    return mats
+
+
+@pytest.mark.parametrize("build", [
+    lambda: barycentric_subdivide(ray_complex(2, 48)),
+    lambda: barycentric_subdivide(simplex_complex(3)),
+    lambda: skeleton(barycentric_subdivide(simplex_complex(3)), 2),
+], ids=["sd_strip_48", "sd_tetrahedron", "skeleton"])
+def test_assemble_matches_the_coface_loop(build):
+    K = build()
+    want = reference_coboundaries(K)
+    for augmented in (False, True):
+        got = assemble(K, augmented=augmented).matrices[augmented:]
+        assert len(got) == len(want)
+        for D, ref in zip(got, want):
+            assert (D.dtype, D.shape) == (ref.dtype, ref.shape)
+            assert D.tobytes() == ref.tobytes()
 
 
 def test_dd_zero_matrix():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lpiforms import nontrivial, polyform
 from lpiforms.complexes import PiSequence
-from lpiforms.errors import BadEpsilon, NotACounterexample
+from lpiforms.errors import BadEpsilon, BadExponent, NotACounterexample
 from lpiforms.mollify import GridForm, cone_S
 from lpiforms.nontrivial import (
     SeriesVerdict,
@@ -40,6 +40,23 @@ def test_build_family_preconditions():
         build_family(0, PI, 2.0, 10)  # boundary of (0, 2)
     with pytest.raises(BadEpsilon):
         build_family(0, PI, 0.0, 10)
+
+
+@pytest.mark.parametrize("ps", [(2.0, math.inf), (math.nan, 4.0), (1.0, 4.0), (2.0, 4.0, 8.0)])
+def test_build_family_refuses_an_invalid_sequence_before_its_other_checks(ps):
+    # eps = 1 would pass every later check at (2, inf); at (nan, 4) the
+    # eps window (0, nan) would be blamed instead of the exponent
+    with pytest.raises(BadExponent):
+        build_family(0, PiSequence(ps, 1), 1.0, 10)
+
+
+def test_geometry_cap_follows_the_truncation():
+    assert build_family(0, PI, 1.0, 50).geometry_cap == 50
+    fam = build_family(0, PI, 1.0, 10**6)
+    assert fam.geometry_cap == nontrivial.GEOMETRY_CAP
+    assert len(fam.subdivided.simplices_of_dim(1)) == 2 * fam.geometry_cap
+    # derived from M, so a copy with another M cannot keep a stale cap
+    assert dataclasses.replace(fam, M=20).geometry_cap == 20
 
 
 def test_build_family_refuses_a_higher_degree_before_reading_its_exponent():

@@ -40,7 +40,7 @@ from lpiforms.polyform import (
     t_wedge,
 )
 
-from conftest import regular_simplex, simplex_complex
+from conftest import assert_same_complex, regular_simplex, simplex_complex
 
 
 def test_monomial_integral_values():
@@ -374,6 +374,40 @@ def test_prism_complex_built_once_per_base(monkeypatch):
     om = forms[-1][0]
     fresh = prism_extend(PolyForm(1, cube_boundary_complex(2), om.pieces), 2)
     assert len(built) == 3 and fresh.pieces == exts[-1].pieces
+
+
+def reference_prism(K):
+    """The prism over a cube boundary as it was built by hand, one case per
+    cell dimension, kept as the reference for the staircase prism."""
+    vid, vertices = {}, {}
+    for i, v in enumerate(sorted(K.vertices)):
+        for level in (0, 1):
+            vid[(v, level)] = 2 * i + level
+            vertices[2 * i + level] = tuple(K.vertices[v]) + (float(level),)
+    tops = []
+    for cell in K.maximal_simplices():
+        if len(cell) == 1:
+            (a,) = cell
+            tops.append(tuple(sorted((vid[(a, 0)], vid[(a, 1)]))))
+        else:
+            a, b = cell
+            a0, a1 = vid[(a, 0)], vid[(a, 1)]
+            b0, b1 = vid[(b, 0)], vid[(b, 1)]
+            tops.append(tuple(sorted((a0, b0, b1))))
+            tops.append(tuple(sorted((a0, a1, b1))))
+    return build_complex(vertices, tops)
+
+
+@pytest.mark.parametrize("base", [
+    lambda: cube_boundary_complex(1),
+    lambda: cube_boundary_complex(2),
+    # a path of two sides and an isolated corner, with ids that are not ranks
+    lambda: build_complex({5: (0.0, 0.0), 6: (1.0, 0.0), 8: (1.0, 1.0), 9: (0.0, 1.0)},
+                          [(5, 6), (6, 8), (9,)]),
+], ids=["n1", "n2", "path_and_corner"])
+def test_staircase_prism_matches_the_hand_built_prism(base):
+    K = base()
+    assert_same_complex(polyform._prism_complex(K), reference_prism(K))
 
 
 def test_prism_extend_rejects_bad_carrier(triangle):
