@@ -27,13 +27,12 @@ from .contract import (
     contract,
     verify_contraction,
 )
-from .cochains import Cochain, lp_norm, pi_norm, read_cochain
+from .cochains import lp_norm, pi_norm, read_cochain
 from .complexes import PiSequence, read_complex
-from .derham import derham_map, verify_split, verify_stokes, whitney
-from .errors import BadDegree, LpiFormsError, TooLarge
+from .derham import _stokes_error, derham_map, verify_split, whitney
+from .errors import LpiFormsError, TooLarge
 from .mollify import _MAX_NODES, GridForm, MollifierConfig, verify_homotopy
 from .nontrivial import verify_nontriviality
-from .polyform import PolyForm
 
 
 def _emit(pairs):
@@ -160,29 +159,7 @@ def _verify_split(args) -> tuple[bool, list]:
 
 def _verify_stokes(args) -> tuple[bool, list]:
     K = _load_complex(args.complex) if args.complex else _default_split_complex()
-    if K.dim < 1:
-        raise BadDegree("the complex has no 1-simplices to check Stokes' theorem on")
-    rng = np.random.default_rng(args.seed)
-    tops = K.maximal_simplices()
-    worst = 0.0
-    for _ in range(args.samples):
-        k = int(rng.integers(0, K.dim))
-        if len(tops) == 1:
-            # single cell: arbitrary polynomial coefficients are fine
-            T = tops[0]
-            m = len(T) - 1
-            terms = {}
-            for _ in range(3):
-                exps = tuple(int(rng.integers(0, 3)) for _ in range(m))
-                idx = tuple(sorted(rng.choice(m, size=k, replace=False) + 1))
-                terms[(exps, idx)] = float(rng.normal())
-            omega = PolyForm(k, K, {T: terms})
-        else:
-            # shared faces need matching traces: use Whitney images
-            sig = K.simplices_of_dim(k)
-            vals = {s: float(rng.normal()) for s in sig}
-            omega = whitney(Cochain(k, vals, K))
-        worst = max(worst, verify_stokes(omega, K).max_stokes_error)
+    worst = _stokes_error(K, args.samples, args.seed)
     return worst <= args.tol, [
         ("samples", args.samples),
         ("max_stokes_error", repr(worst)),

@@ -4,14 +4,19 @@ Sign convention: the coboundary of a k-cochain c at a (k+1)-simplex
 tau = (v_0 < ... < v_{k+1}) is the alternating sum over removed vertices,
 (dc)(tau) = sum_i (-1)^i c(tau \\ v_i).  This matches the orientation
 induced by ascending vertex order, which is also the orientation used when
-integrating forms over simplices.  The signs are read from the complex's
-signed cofaces (see `lpiforms.complexes`), not derived here.
+integrating forms over simplices.  The signs come from the complex's face
+table (see `lpiforms.complexes`): column i of the (k+1)-simplices' table is
+the row of tau \\ v_i, so dc is k + 2 signed gathers of c's value vector,
+summed in descending i, the order in which the faces of tau ascend.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .complexes import MetricComplex, PiSequence, SimplexKey
 from .errors import BadCarrier, BadDimension, BadExponent, DuplicateSimplex, MissingSimplex
@@ -34,6 +39,18 @@ class Cochain:
                 raise MissingSimplex(f"{key} not in complex")
         clean = {k: float(v) for k, v in self.values.items() if v != 0.0}
         object.__setattr__(self, "values", clean)
+
+    @classmethod
+    def _from_rows(cls, K: MetricComplex, k: int, rows, vals: np.ndarray) -> "Cochain":
+        """The cochain with value vals[j] on the k-simplex in row rows[j] of K
+        (row j if rows is None), zeros dropped; the keys are K's own, so none
+        is checked."""
+        keep, keys = vals != 0.0, K.simplices_of_dim(k)
+        keys = (itertools.compress(keys, keep.tolist()) if rows is None
+                else map(keys.__getitem__, rows[keep].tolist()))
+        c = object.__new__(cls)
+        c.__dict__.update(degree=k, complex=K, values=dict(zip(keys, vals[keep].tolist())))
+        return c
 
     def __call__(self, key: SimplexKey) -> float:
         return self.values.get(tuple(key), 0.0)
@@ -64,14 +81,23 @@ def indicator(K: MetricComplex, sigma: SimplexKey) -> Cochain:
     return Cochain(len(sigma) - 1, {sigma: 1.0}, K)
 
 
+def _coboundary(K: MetricComplex, k: int, vec: np.ndarray) -> np.ndarray:
+    """dc over the rows of the (k+1)-simplices, for c given over the k-rows."""
+    faces = vec[K._tables[1][k + 1]]  # column i: c(tau \ v_i)
+    out = (-1.0) ** (k + 1) * faces[:, k + 1]
+    for i in range(k, -1, -1):
+        (np.subtract if i % 2 else np.add)(out, faces[:, i], out=out)
+    return out
+
+
 def coboundary(c: Cochain) -> Cochain:
     """Alternating-sum coboundary; degree k -> k+1."""
-    K = c.complex
-    out: dict[SimplexKey, float] = {}
-    for key, v in c.values.items():
-        for tau, sign in K.cofaces.get(key, ()):
-            out[tau] = out.get(tau, 0.0) + sign * v
-    return Cochain(c.degree + 1, out, K)
+    K, k = c.complex, c.degree
+    if k >= K.dim:  # also the empty complex, of dimension 0
+        return Cochain(k + 1, {}, K)
+    vec = np.zeros(len(K.simplices_of_dim(k)))
+    vec[K._rows(k, c.values)] = np.fromiter(c.values.values(), float, len(c.values))
+    return Cochain._from_rows(K, k + 1, None, _coboundary(K, k, vec))
 
 
 def lp_norm(c: Cochain, p: float) -> float:

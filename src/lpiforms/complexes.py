@@ -28,8 +28,10 @@ ranks of each k-simplex, and its face table, the row of each k-simplex
 without each of its vertices.  They are private and take no part in equality
 or repr.  `barycentric_subdivide` and `skeleton` hand them straight back to
 the build, the volumes gather coordinates through the ranks, `assemble`
-fills each coboundary matrix from the face table, and `polyform` builds
-its prisms from the ranks.
+and `coboundary` read the signs from the face table, `derham` scatters face
+integrals through the face tables composed (`_face_rows`), and `polyform`
+builds its prisms from the ranks.  Keys map to rows through one dict per
+dimension (`_rows`).
 
 Geometry (`volume`, `covector_gram`) is built per dimension on first use, by
 one stacked pass over the Gram matrices of its simplices (batched det, inverse
@@ -105,7 +107,6 @@ class MetricComplex:
         if not 0 <= k <= m:
             raise BadDimension(f"no {k}-covectors on a {m}-simplex")
         if m not in self._memo:
-            sims = self.simplices_of_dim(m)
             coords = np.array([*map(self.vertices.__getitem__, sorted(self.vertices))], dtype=float)
             pts = coords[self._tables[0][m]]
             edges = pts[:, 1:] - pts[:, :1]
@@ -115,9 +116,9 @@ class MetricComplex:
             ginv = np.zeros_like(gram)  # a simplex of zero volume has no inverse metric
             ginv[vol > 0.0] = np.linalg.inv(gram[vol > 0.0])
             vol.setflags(write=False)
-            self._memo[m] = ({s: i for i, s in enumerate(sims)}, vol, ginv, {})
-        index, vol, ginv, grams = self._memo[m]
-        rows = [index[s] for s in keys]
+            self._memo[m] = (vol, ginv, {})
+        vol, ginv, grams = self._memo[m]
+        rows = self._rows(m, keys)
         if k and not vol[rows].all():
             raise DegenerateSimplex(f"{keys[int(np.argmin(vol[rows]))]} has zero volume")
         if k not in grams:
@@ -125,6 +126,29 @@ class MetricComplex:
             grams[k] = np.linalg.det(ginv[:, sub[:, None, :, None], sub[None, :, None, :]])
             grams[k].setflags(write=False)
         return vol, grams[k], rows
+
+    def _rows(self, m: int, keys) -> np.ndarray:
+        """The row of each key among the m-simplices, -1 for a key that is
+        none, from one {key: row} dict per dimension, built on first use."""
+        if ("rows", m) not in self._memo:
+            self._memo["rows", m] = {s: i for i, s in enumerate(self.simplices_of_dim(m))}
+        rows = map(self._memo["rows", m].get, keys, itertools.repeat(-1))
+        return np.fromiter(rows, int, len(keys))
+
+    def _face_rows(self, m: int, k: int) -> np.ndarray:
+        """The row of each k-face of each m-simplex, one column per face in
+        `itertools.combinations` position order: the face tables composed,
+        dropping the missing positions highest first.  Built once; read-only."""
+        if (m, k) not in self._memo:
+            faces, cols = self._tables[1], []
+            for pos in itertools.combinations(range(m + 1), k + 1):
+                rows = np.arange(len(faces[m]))
+                for j, q in enumerate(sorted(set(range(m + 1)) - set(pos), reverse=True)):
+                    rows = faces[m - j][rows, q]
+                cols.append(rows)
+            self._memo[m, k] = np.column_stack(cols)
+            self._memo[m, k].setflags(write=False)
+        return self._memo[m, k]
 
 
 @dataclass(frozen=True)
@@ -291,13 +315,14 @@ def validate_bounded_geometry(K: MetricComplex, L: float, N: int) -> GeometryRep
     lengths = K._geometry(edges)[0].tolist() if edges else []  # in edges order
     violations = [(e, f"edge length {ell:.6g} outside [{1/L:.6g}, {L:.6g}]")
                   for e, ell in zip(edges, lengths) if not (1.0 / L - 1e-12 <= ell <= L + 1e-12)]
-    degrees = {v: len(K.cofaces[(v,)]) for v in K.vertices}
+    # a vertex's degree is the number of edges holding its rank
+    degrees = np.bincount(K._tables[0][1].ravel() if edges else [], minlength=len(K.vertices))
     violations += [((v,), f"vertex degree {d} exceeds {N}")
-                   for v, d in sorted(degrees.items()) if d > N]
+                   for v, d in zip(sorted(K.vertices), degrees.tolist()) if d > N]
     if not _is_connected(K):
         violations.append(((), "complex is disconnected"))
     return GeometryReport(
-        max_vertex_degree=max(degrees.values(), default=0),
+        max_vertex_degree=max(degrees.tolist(), default=0),
         min_edge_length=min(lengths, default=math.inf),
         max_edge_length=max(lengths, default=0.0),
         passes=not violations,

@@ -15,9 +15,13 @@ cochains, on any complex; with the volume-weighted integral I o W is
 diagonal, with weight k! * vol(sigma) on sigma (sqrt(k+1)/sqrt(2^k) on a
 regular unit k-simplex), which `verify_split` divides out.
 
-`derham_map` walks the pieces of the form, not the simplices of K, through
-`PolyForm.face_integrals`.  A shared face takes the value of the piece
-`PolyForm.trace_on` picks; a simplex outside the form's complex gets 0.
+`derham_map` and `verify_stokes` integrate the pieces of one dimension at
+once, as their dense coefficients times the term keys' face tables, and
+scatter the values to face rows.  A shared face takes the value of its first
+maximal carrier with a piece, in key order across dimensions, as
+`PolyForm.trace_on` does; a simplex outside the form's complex gets 0.
+`verify_stokes` takes d omega's coefficients from `polyform._unit_d`, so it
+builds no `PolyForm.d`; a piece whose d is zero carries no face there.
 
 `verify_split` uses that both maps are linear: it runs the pipeline once per
 drawn simplex, caches that indicator's image as a sparse column, and builds
@@ -32,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochains import Cochain, coboundary
+from .cochains import Cochain, _coboundary
 from .complexes import MetricComplex, SimplexKey
 from .errors import BadDegree, BadDimension, DegenerateSimplex
-from .polyform import PolyForm, Terms, pullback, selection
+from .polyform import (PolyForm, Terms, _by_dimension, _dense, _integrals, _unit_d, pullback,
+                       selection)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,55 @@ def whitney(c: Cochain) -> PolyForm:
     return PolyForm(c.degree, K, pieces)
 
 
+def _carriers(omega: PolyForm):
+    """Per dimension m of the pieces on maximal simplices of omega's complex:
+    m, their rows in key order, and `polyform._dense` of their pieces."""
+    L = omega.complex
+    for group in _by_dimension(omega.pieces):
+        m = len(group[0]) - 1
+        rows = L._rows(m, group)
+        rows.sort()
+        if m < L.dim:  # a piece off a maximal simplex is never a carrier
+            rows = rows[~np.isin(rows, L._tables[1][m + 1])]
+        if rows.size:
+            tops = map(L.simplices_of_dim(m).__getitem__, rows.tolist())
+            yield m, rows, *_dense([*map(omega.pieces.__getitem__, tops)])
+
+
+def _first_carrier(L: MetricComplex, K: MetricComplex, k: int, parts: list,
+                   weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The k-face integrals of parts (m, rows of m-simplices of L in key
+    order, values with one column per k-face in combinations order, k! times
+    the metric-free integral), each face taking the value of its first
+    simplex in key order, as (rows of the k-simplices of K, values)."""
+    if not (parts := [part for part in parts if part[0] >= k]):
+        return np.zeros(0, dtype=int), np.zeros(0)
+    if len(parts) == 1:  # the rows ascend, so the entries are in key order of their simplices
+        (m, rows, vals), = parts
+        faces, vals = L._face_rows(m, k)[rows].ravel(), vals.ravel()
+        order = faces.argsort(kind="stable")
+    else:  # ranks padded with -1 sort the simplices of every dimension together
+        faces = np.concatenate([L._face_rows(m, k)[rows].ravel() for m, rows, _ in parts])
+        vals = np.concatenate([v.ravel() for *_, v in parts])
+        tops, at = np.full((len(faces), L.dim + 1), -1), 0
+        for m, rows, v in parts:
+            tops[at:at + v.size, :m + 1] = L._tables[0][m][rows].repeat(v.shape[1], axis=0)
+            at += v.size
+        order = np.lexsort((*tops.T[::-1], faces))
+    faces, vals = faces[order], vals[order]
+    keep = np.ones(len(faces), dtype=bool)
+    keep[1:] = faces[1:] != faces[:-1]
+    rows, vals = faces[keep], vals[keep]
+    if weighted:  # the volumes from _geometry span every k-simplex
+        vals = vals * L._geometry(L.simplices_of_dim(k)[:1])[0][rows]
+    else:
+        vals = vals / math.factorial(k)
+    if K is not L:
+        rows = K._rows(k, list(map(L.simplices_of_dim(k).__getitem__, rows.tolist())))
+        rows, vals = rows[rows >= 0], vals[rows >= 0]
+    return rows, vals
+
+
 def derham_map(
     omega: PolyForm, K: MetricComplex, k: int, weighted: bool = False
 ) -> Cochain:
@@ -81,12 +135,8 @@ def derham_map(
     volume-weighted convention."""
     if k != omega.degree:
         raise BadDimension(f"cannot integrate a {omega.degree}-form over {k}-simplices")
-    carriers = omega.complex.carriers
-    # carriers ascend, so trace_on's piece for a face is the first in key
-    # order that holds it; a piece off a maximal simplex is never a carrier
-    values = omega.face_integrals([T for T in sorted(omega.pieces) if carriers.get(T) == (T,)],
-                                  weighted)
-    return Cochain(k, {s: v for s, v in values.items() if K.has_simplex(s)}, K)
+    parts = [(m, rows, _integrals(union, dense)) for m, rows, union, dense in _carriers(omega)]
+    return Cochain._from_rows(K, k, *_first_carrier(omega.complex, K, k, parts, weighted))
 
 
 def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> SplitReport:
@@ -114,7 +164,6 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
     if not (sigmas := K.simplices_of_dim(k)):
         raise BadDegree(f"no {k}-simplices to draw cochains on")
     rng = np.random.default_rng(seed)
-    row = {s: i for i, s in enumerate(sigmas)}
     columns: dict[SimplexKey, tuple[np.ndarray, np.ndarray]] = {}
     residual = np.zeros(len(sigmas))  # zero again after every sample
     max_err = 0.0
@@ -129,8 +178,7 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
                     raise DegenerateSimplex(f"{s} has zero volume, so W(chi) has no weighted rescaling")
                 chi = Cochain(k, {s: 1.0 / (math.factorial(k) * vol)}, K)
                 image = derham_map(whitney(chi), K, k, weighted=True).values
-                columns[s] = (np.array([row[t] for t in image], dtype=int),
-                              np.array([*image.values()], dtype=float))
+                columns[s] = (K._rows(k, image), np.array([*image.values()], dtype=float))
             rows, col = columns[s]
             residual[rows] += v * col  # rows are distinct within a column
             touched.append(rows)
@@ -148,7 +196,46 @@ def verify_stokes(omega: PolyForm, K: MetricComplex) -> StokesReport:
     taus = K.simplices_of_dim(k + 1)
     if not taus:
         raise BadDegree(f"no {k + 1}-simplices to check a {k}-form against")
-    lhs = derham_map(omega.d(), K, k + 1, weighted=False)
-    rhs = coboundary(derham_map(omega, K, k, weighted=False))
-    err = max(abs(lhs(s) - rhs(s)) for s in taus)
+    plain, exact = [], []
+    for m, rows, union, dense in _carriers(omega):
+        plain.append((m, rows, _integrals(union, dense)))
+        images, d = _dense([dict(_unit_d(key, m)) for key in union])  # d omega's term keys
+        if (live := ((coefficients := dense @ d) != 0.0).any(axis=1)).any():
+            exact.append((m, rows[live], _integrals(images, coefficients[live])))
+    lhs, rhs = np.zeros(len(taus)), np.zeros(len(K.simplices_of_dim(k)))
+    at, vals = _first_carrier(omega.complex, K, k + 1, exact, False)
+    lhs[at] = vals
+    at, vals = _first_carrier(omega.complex, K, k, plain, False)
+    rhs[at] = vals
+    err = float(np.abs(lhs - _coboundary(K, k, rhs)).max())
     return StokesReport(max_stokes_error=err, sample_count=len(taus))
+
+
+def _stokes_error(K: MetricComplex, samples: int, seed: int) -> float:
+    """The largest `verify_stokes` residual over random k-forms on K, each k
+    drawn from 0..dim K - 1 (BadDegree if dim K < 1).  On a single cell the
+    forms have arbitrary polynomial terms.  Elsewhere shared faces need
+    matching traces, so each sample checks a Whitney form W(c) and the
+    product W(c0) ^ W(c), which is conforming too and of degree 2."""
+    if K.dim < 1:
+        raise BadDegree("the complex has no 1-simplices to check Stokes' theorem on")
+    rng = np.random.default_rng(seed)
+    tops = K.maximal_simplices()
+    worst = 0.0
+    for _ in range(samples):
+        k = int(rng.integers(0, K.dim))
+        if len(tops) == 1:  # no shared face, so any polynomial terms
+            m = len(tops[0]) - 1
+            forms = [PolyForm(k, K, {tops[0]: {
+                (tuple(int(rng.integers(0, 3)) for _ in range(m)),
+                 tuple(sorted(rng.choice(m, size=k, replace=False) + 1))): float(rng.normal())
+                for _ in range(3)}})]
+        else:
+            c, c0 = (Cochain(j, {s: float(rng.normal()) for s in K.simplices_of_dim(j)}, K)
+                     for j in (k, 0))
+            omega, w0 = whitney(c), whitney(c0)
+            # a k-form is 0 on a simplex of dimension below k, where wedge refuses it
+            w0 = PolyForm(0, K, {T: p for T, p in w0.pieces.items() if len(T) > k})
+            forms = [omega, w0.wedge(omega)]
+        worst = max(worst, *(verify_stokes(form, K).max_stokes_error for form in forms))
+    return worst

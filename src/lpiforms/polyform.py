@@ -228,6 +228,12 @@ def _face_table(key: TermKey) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _integrals(union: Terms, dense: np.ndarray) -> np.ndarray:
+    """k! times the metric-free integrals of the pieces `_dense` gives over
+    their k-faces, one column per face in combinations order."""
+    return dense @ np.array([_face_table(key) for key in union])
+
+
 # ---------------------------------------------------------------------------
 # quadrature on simplices
 # ---------------------------------------------------------------------------
@@ -403,27 +409,11 @@ class PolyForm:
         key = tuple(sorted(tau))
         for T in self.complex.carriers.get(key, ()):
             if T in self.pieces:
-                return _permutation_sign(tau) * self.face_integrals([T], weighted)[key]
+                face = [*itertools.combinations(T, k + 1)].index(key)
+                plain = float(_integrals(*_dense([self.pieces[T]]))[0, face])
+                value = plain * self.complex.volume(key) if weighted else plain / math.factorial(k)
+                return _permutation_sign(tau) * value
         return 0.0
-
-    def face_integrals(self, tops: Sequence[SimplexKey],
-                       weighted: bool = True) -> dict[SimplexKey, float]:
-        """Integrals, weighted as in `integrate`, over the k-faces of the
-        pieces on tops, keyed in ascending vertex order; a face shared by
-        several takes the first one's value."""
-        k = self.degree
-        rows: dict[SimplexKey, list[float]] = {}
-        for group in _by_dimension(tops):
-            union, dense = _dense([self.pieces[T] for T in group])
-            tables = np.array([_face_table(key) for key in union])
-            rows.update(zip(group, (dense @ tables).tolist()))
-        out: dict[SimplexKey, float] = {}
-        for T in reversed(tops):  # so that the first piece's value is the one kept
-            out.update(zip(itertools.combinations(T, k + 1), rows[T]))
-        if weighted and out:  # the faces share dimension k
-            vol, _, at = self.complex._geometry(list(out))
-            return dict(zip(out, (np.fromiter(out.values(), float) * vol[at]).tolist()))
-        return {s: v / math.factorial(k) for s, v in out.items()}
 
     # -- norms --------------------------------------------------------------
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lpiforms.complexes import MetricComplex, barycentric_subdivide, build_complex
+from lpiforms.cochains import Cochain
+from lpiforms.complexes import (MetricComplex, barycentric_subdivide, build_complex,
+                                ray_complex)
 
 
 def regular_simplex(k: int) -> MetricComplex:
@@ -56,3 +58,29 @@ def assert_same_complex(K, ref):
         for a, b in zip(tables, want):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), name
             assert not a.flags.writeable, name
+
+
+def reference_coboundary(c):
+    """The coface loop the face-table coboundary replaced, kept as its reference."""
+    K = c.complex
+    out = {}
+    for key, v in c.values.items():
+        for tau, sign in K.cofaces.get(key, ()):
+            out[tau] = out.get(tau, 0.0) + sign * v
+    return Cochain(c.degree + 1, out, K)
+
+
+# a triangle, a dangling edge and an isolated vertex
+TRIANGLE_EDGE_VERTEX = (
+    {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 3: (2.0, 2.0), 4: (5.0, 0.0)},
+    [(0, 1, 2), (2, 3), (4,)])
+
+# the complexes the face-table kernels are held to their dict references on
+COCHAIN_COMPLEXES = {
+    "strip_4": lambda: barycentric_subdivide(ray_complex(2, 4)),
+    "strip_48": lambda: barycentric_subdivide(ray_complex(2, 48)),
+    "tetrahedron": lambda: barycentric_subdivide(simplex_complex(3)),
+    "mixed": lambda: build_complex(*TRIANGLE_EDGE_VERTEX),
+    "empty": lambda: build_complex({}, []),
+}
+

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,8 @@ from lpiforms.errors import (
     MissingSimplex,
 )
 
-from conftest import simplex_complex, sphere_complex
+from conftest import (COCHAIN_COMPLEXES, reference_coboundary, simplex_complex,
+                      sphere_complex)
 
 
 def test_cochain_rejects_keys_outside_the_complex():
@@ -161,3 +163,35 @@ def test_norm_homogeneity_and_triangle(a, b, s):
         return
     assert lp_norm(a.scale(s), 2.0) == pytest.approx(abs(s) * lp_norm(a, 2.0))
     assert lp_norm(a + b, 2.0) <= lp_norm(a, 2.0) + lp_norm(b, 2.0) + 1e-9
+
+
+def _key_ordered(K, k, rng):
+    """A random k-cochain in key order, with about a third of the values 0."""
+    return Cochain(k, {s: float(rng.normal()) * (rng.random() > 1 / 3)
+                       for s in K.simplices_of_dim(k)}, K)
+
+
+@pytest.mark.parametrize("case", COCHAIN_COMPLEXES)
+def test_coboundary_equals_the_coface_loop_on_key_ordered_cochains(case):
+    # the gathers sum in descending i, the order the loop meets the faces
+    # of a key-ordered cochain, so the values are bit for bit the same
+    K = COCHAIN_COMPLEXES[case]()
+    rng = np.random.default_rng(61)
+    for k in range(K.dim + 2):
+        c = _key_ordered(K, k, rng) if k <= K.dim else Cochain(k, {}, K)
+        got, want = coboundary(c), reference_coboundary(c)
+        assert got.degree == want.degree == k + 1
+        assert got.values == want.values, k
+
+
+@pytest.mark.parametrize("case", ["strip_48", "tetrahedron", "mixed"])
+def test_coboundary_of_a_shuffled_cochain_is_within_rounding(case):
+    # in another insertion order the loop sums each tau in another order
+    K = COCHAIN_COMPLEXES[case]()
+    rng = np.random.default_rng(62)
+    for k in range(K.dim):
+        items = list(_key_ordered(K, k, rng).values.items())
+        shuffled = Cochain(k, dict(items[i] for i in rng.permutation(len(items))), K)
+        got, want = coboundary(shuffled), reference_coboundary(shuffled)
+        scale = max(abs(v) for _, v in items)
+        assert max(abs(got(s) - want(s)) for s in K.simplices_of_dim(k + 1)) <= 1e-15 * scale

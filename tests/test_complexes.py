@@ -240,6 +240,35 @@ def test_table_build_matches_the_reference_on_random_tops(tops, shift):
     assert_same_complex(barycentric_subdivide(K), reference_subdivide(K))
 
 
+@pytest.mark.parametrize("case", ["sd_sd_tetrahedron", "mixed", "sd_mixed", "skeleton",
+                                  "sd_strip_4"])
+def test_face_rows_are_the_rows_of_the_faces(case):
+    # column f of _face_rows(m, k) is the f-th k-face of each m-simplex in
+    # combinations order, looked up in the k-simplices
+    K = ORACLE_CASES[case][0]()
+    for m in range(K.dim + 1):
+        tops = K.simplices_of_dim(m)
+        for k in range(m + 1):
+            rows, faces = K._face_rows(m, k), K.simplices_of_dim(k)
+            assert rows.shape == (len(tops), math.comb(m + 1, k + 1)) and not rows.flags.writeable
+            assert [[faces[r] for r in row] for row in rows.tolist()] == [
+                list(itertools.combinations(T, k + 1)) for T in tops], (m, k)
+
+
+@pytest.mark.parametrize("case", ["mixed", "sd_mixed", "vertices_only", "empty", "huge_ids",
+                                  "sd_strip_4"])
+def test_bounded_geometry_degrees_are_the_coface_counts(case):
+    # the degrees come from one bincount over the edge ranks; they must be
+    # the number of cofaces of each vertex, reported in vertex order
+    K = ORACLE_CASES[case][0]()
+    rep = validate_bounded_geometry(K, L=100.0, N=2)
+    degrees = {v: len(K.cofaces[(v,)]) for v in K.vertices}
+    assert rep.max_vertex_degree == max(degrees.values(), default=0)
+    assert type(rep.max_vertex_degree) is int
+    assert [v for v in rep.violations if "degree" in v[1]] == [
+        ((v,), f"vertex degree {d} exceeds 2") for v, d in sorted(degrees.items()) if d > 2]
+
+
 def test_face_closure_counts():
     K = simplex_complex(3)
     assert [len(K.simplices_of_dim(k)) for k in range(4)] == [4, 6, 4, 1]

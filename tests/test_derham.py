@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 
@@ -6,7 +7,7 @@ import pytest
 
 from lpiforms import derham
 from lpiforms.cochains import Cochain, coboundary, indicator
-from lpiforms.complexes import barycentric_subdivide, build_complex
+from lpiforms.complexes import barycentric_subdivide, build_complex, skeleton
 from lpiforms.derham import (
     derham_map,
     verify_split,
@@ -16,6 +17,9 @@ from lpiforms.derham import (
 from lpiforms.errors import BadDegree, BadDimension, DegenerateSimplex
 from lpiforms.polyform import (
     PolyForm,
+    _by_dimension,
+    _dense,
+    _face_table,
     monomial_integral,
     pullback,
     selection,
@@ -23,7 +27,8 @@ from lpiforms.polyform import (
     t_scale,
 )
 
-from conftest import regular_simplex, simplex_complex
+from conftest import (COCHAIN_COMPLEXES, TRIANGLE_EDGE_VERTEX, reference_coboundary,
+                      regular_simplex, simplex_complex)
 
 
 def test_whitney_vertex_is_barycentric_function():
@@ -347,3 +352,145 @@ def test_derham_map_rejects_a_degree_other_than_the_form_degree():
     for k in (0, 2):
         with pytest.raises(BadDimension):
             derham_map(om, K, k)
+
+
+# The dict implementations the face-table kernels replaced, kept as references.
+
+def reference_face_integrals(omega, tops, weighted):
+    """The k-face integrals of the pieces on tops, keyed in ascending vertex
+    order; a face shared by several takes the first one's value."""
+    k = omega.degree
+    rows = {}
+    for group in _by_dimension(tops):
+        union, dense = _dense([omega.pieces[T] for T in group])
+        tables = np.array([_face_table(key) for key in union])
+        rows.update(zip(group, (dense @ tables).tolist()))
+    out = {}
+    for T in reversed(tops):  # so that the first piece's value is the one kept
+        out.update(zip(itertools.combinations(T, k + 1), rows[T]))
+    if weighted and out:
+        vol, _, at = omega.complex._geometry(list(out))
+        return dict(zip(out, (np.fromiter(out.values(), float) * vol[at]).tolist()))
+    return {s: v / math.factorial(k) for s, v in out.items()}
+
+
+def reference_derham_map(omega, K, k, weighted=False):
+    carriers = omega.complex.carriers
+    values = reference_face_integrals(
+        omega, [T for T in sorted(omega.pieces) if carriers.get(T) == (T,)], weighted)
+    return Cochain(k, {s: v for s, v in values.items() if K.has_simplex(s)}, K)
+
+
+def reference_stokes_error(omega, K):
+    k = omega.degree
+    lhs = reference_derham_map(omega.d(), K, k + 1)
+    rhs = reference_coboundary(reference_derham_map(omega, K, k))
+    return max(abs(lhs(s) - rhs(s)) for s in K.simplices_of_dim(k + 1))
+
+
+def _whitney_forms(K, k, rng):
+    """W(c) of a key-ordered k-cochain c, and W(c0) ^ W(c) where every top
+    has dimension k or more (the product is of degree 2)."""
+    c, c0 = (Cochain(j, {s: float(rng.normal()) for s in K.simplices_of_dim(j)}, K)
+             for j in (k, 0))
+    forms = [whitney(c)]
+    if all(len(T) > k for T in K.maximal_simplices()):
+        forms.append(whitney(c0).wedge(forms[0]))
+    return forms
+
+
+@pytest.mark.parametrize("case", ["strip_4", "strip_48", "tetrahedron", "mixed"])
+def test_derham_map_equals_the_face_integrals_reference(case):
+    K = COCHAIN_COMPLEXES[case]()
+    rng = np.random.default_rng(63)
+    for k in range(K.dim + 1):
+        for om in _whitney_forms(K, k, rng):
+            for weighted in (False, True):
+                assert derham_map(om, K, k, weighted).values == reference_derham_map(
+                    om, K, k, weighted).values, (k, weighted)
+            if k < K.dim:  # into a skeleton of the form's complex
+                S = skeleton(K, K.dim - 1)
+                assert derham_map(om, S, k).values == reference_derham_map(om, S, k).values
+
+
+def test_derham_map_takes_the_first_carrier_in_key_order():
+    # a discontinuous 0-form, constant on each maximal simplex; a vertex
+    # takes the value of its first carrier in key order, whatever the
+    # pieces' insertion order or dimension: vertex 1 lies on the edge
+    # (0, 1) before the triangle (1, 2, 3), vertex 3 on the triangle before
+    # the edge (3, 4), and vertices 2, 3 on (1, 2, 3) before (2, 3, 5)
+    K = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (2.0, 0.0),
+                       4: (3.0, 0.0), 5: (2.0, 1.0)}, [(0, 1), (1, 2, 3), (3, 4), (2, 3, 5)])
+    levels = {(2, 3, 5): 4.0, (3, 4): 3.0, (1, 2, 3): 2.0, (0, 1): 1.0}
+    om = PolyForm(0, K, {T: {((0,) * (len(T) - 1), ()): v} for T, v in levels.items()})
+    want = {(0,): 1.0, (1,): 1.0, (2,): 2.0, (3,): 2.0, (4,): 3.0, (5,): 4.0}
+    for weighted in (False, True):
+        assert derham_map(om, K, 0, weighted).values == want
+        assert reference_derham_map(om, K, 0, weighted).values == want
+
+
+@pytest.mark.parametrize("case", ["strip_4", "strip_48", "tetrahedron", "mixed"])
+def test_verify_stokes_matches_the_composition_of_the_references(case):
+    # I(d omega) - coboundary(I omega) from omega.d() and the dict maps; the
+    # d coefficients are summed in another order, so rounding may differ.
+    # Random pieces on every top break the traces, so the residual is O(1)
+    K = COCHAIN_COMPLEXES[case]()
+    rng = np.random.default_rng(64)
+    broken = 0.0
+    for k in range(K.dim):
+        forms = _whitney_forms(K, k, rng)
+        forms.append(PolyForm(k, K, _random_pieces(
+            rng, [T for T in K.maximal_simplices() if len(T) > k + 1], k)))
+        for om in forms:
+            got, want = verify_stokes(om, K).max_stokes_error, reference_stokes_error(om, K)
+            assert abs(got - want) <= 1e-14 * (1.0 + want), (k, got, want)
+        broken = max(broken, want)
+    assert broken > 1e-3  # the broken traces show
+
+
+def test_stokes_left_side_skips_a_first_carrier_whose_d_is_zero():
+    # omega is constant on (0, 1, 2), so d omega has no piece there, and
+    # I(d omega) on the shared edge (1, 2) comes from (1, 2, 3): omega there
+    # is 4.5 + t_1 + 0.25 t_2, 1 at vertex 2 above its value 4.5 at vertex 1.
+    # The vertices 0, 1, 2 take the value 5 from (0, 1, 2), so the residual
+    # on (1, 2) is 1, and 0.5 on (1, 3) and (2, 3)
+    K = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 3: (1.0, 1.0)},
+                      [(0, 1, 2), (1, 2, 3)])
+    om = PolyForm(0, K, {(0, 1, 2): {((0, 0), ()): 5.0},
+                         (1, 2, 3): {((0, 0), ()): 4.5, ((1, 0), ()): 1.0, ((0, 1), ()): 0.25}})
+    assert verify_stokes(om, K).max_stokes_error == reference_stokes_error(om, K) == 1.0
+
+
+def test_stokes_left_side_skips_a_first_carrier_closed_by_cancellation():
+    # on (0, 1, 2, 3), t_1 dt_2 + t_2 dt_1 = d(t_1 t_2) has two terms whose d
+    # cancel exactly, so omega.d() has no piece there, and it integrates to 0
+    # over every edge.  On (1, 2, 3, 4), t_0 dt_1 + t_1 dt_2 integrates to
+    # 1/2 over (1, 2) and (2, 3) and to 0 over (1, 3), so the shared triangle
+    # (1, 2, 3) has the residual 1/2 + 1/2 when its I(d omega) comes from
+    # (1, 2, 3, 4); the triangles (1, 2, 4) and (2, 3, 4) have 1/2
+    K = build_complex({0: (0.0, 0.0, 0.0), 1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0),
+                       3: (0.0, 0.0, 1.0), 4: (1.0, 1.0, 1.0)}, [(0, 1, 2, 3), (1, 2, 3, 4)])
+    t0_dt1 = {((0, 0, 0), (1,)): 1.0, ((1, 0, 0), (1,)): -1.0, ((0, 1, 0), (1,)): -1.0,
+              ((0, 0, 1), (1,)): -1.0}
+    om = PolyForm(1, K, {(0, 1, 2, 3): {((1, 0, 0), (2,)): 1.0, ((0, 1, 0), (1,)): 1.0},
+                         (1, 2, 3, 4): {**t0_dt1, ((1, 0, 0), (2,)): 1.0}})
+    assert (0, 1, 2, 3) not in om.d().pieces
+    got, want = verify_stokes(om, K).max_stokes_error, reference_stokes_error(om, K)
+    assert got == pytest.approx(1.0, rel=1e-14) and want == pytest.approx(1.0, rel=1e-14)
+
+
+def test_stokes_sampler_checks_whitney_forms_and_their_products(monkeypatch):
+    # with more than one cell each sample checks W(c) and W(c0) ^ W(c), of
+    # degree 1 and 2; at k = 1 the product leaves out the dangling edge and
+    # the isolated vertex, where wedge would refuse a 1-form.  A single cell
+    # gets one form of arbitrary terms per sample
+    seen = []
+    exact = derham.verify_stokes
+    monkeypatch.setattr(derham, "verify_stokes", lambda om, K: seen.append(om) or exact(om, K))
+    assert derham._stokes_error(build_complex(*TRIANGLE_EDGE_VERTEX), 12, seed=3) <= 1e-12
+    assert len(seen) == 24 and {om.degree for om in seen} == {0, 1}
+    degree = [max(sum(e) for terms in om.pieces.values() for e, _ in terms) for om in seen]
+    assert degree == [1, 2] * 12
+    seen.clear()
+    assert derham._stokes_error(simplex_complex(3), 5, seed=3) <= 1e-12
+    assert len(seen) == 5
