@@ -41,15 +41,13 @@ class Cochain:
         object.__setattr__(self, "values", clean)
 
     @classmethod
-    def _from_rows(cls, K: MetricComplex, k: int, rows, vals: np.ndarray) -> "Cochain":
-        """The cochain with value vals[j] on the k-simplex in row rows[j] of K
-        (row j if rows is None), zeros dropped; the keys are K's own, so none
-        is checked."""
-        keep, keys = vals != 0.0, K.simplices_of_dim(k)
-        keys = (itertools.compress(keys, keep.tolist()) if rows is None
-                else map(keys.__getitem__, rows[keep].tolist()))
+    def _from_vector(cls, K: MetricComplex, k: int, vec: np.ndarray) -> "Cochain":
+        """The cochain with value vec[j] on the j-th k-simplex of K, zeros
+        dropped; the keys are K's own, so none is checked."""
+        keep = vec != 0.0
         c = object.__new__(cls)
-        c.__dict__.update(degree=k, complex=K, values=dict(zip(keys, vals[keep].tolist())))
+        c.__dict__.update(degree=k, complex=K, values=dict(zip(
+            itertools.compress(K.simplices_of_dim(k), keep.tolist()), vec[keep].tolist())))
         return c
 
     def __call__(self, key: SimplexKey) -> float:
@@ -97,7 +95,7 @@ def coboundary(c: Cochain) -> Cochain:
         return Cochain(k + 1, {}, K)
     vec = np.zeros(len(K.simplices_of_dim(k)))
     vec[K._rows(k, c.values)] = np.fromiter(c.values.values(), float, len(c.values))
-    return Cochain._from_rows(K, k + 1, None, _coboundary(K, k, vec))
+    return Cochain._from_vector(K, k + 1, _coboundary(K, k, vec))
 
 
 def lp_norm(c: Cochain, p: float) -> float:

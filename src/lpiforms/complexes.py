@@ -23,15 +23,16 @@ signed cofaces; the carriers pass from each maximal simplex down the face
 tables, with one sort per dimension dropping repeats.  The dicts are then
 made in bulk.
 
-The complex keeps two tables per dimension k, in key order: the vertex
-ranks of each k-simplex, and its face table, the row of each k-simplex
-without each of its vertices.  They are private and take no part in equality
-or repr.  `barycentric_subdivide` and `skeleton` hand them straight back to
+The complex keeps three tables per dimension k, in key order: the vertex
+ranks of each k-simplex, its face table, the row of each k-simplex without
+each of its vertices, and its place among the maximal simplices in key
+order (-1 if it is not maximal).  They are private and take no part in
+equality or repr.  `barycentric_subdivide` and `skeleton` hand them back to
 the build, the volumes gather coordinates through the ranks, `assemble`
-and `coboundary` read the signs from the face table, `derham` scatters face
-integrals through the face tables composed (`_face_rows`), and `polyform`
-builds its prisms from the ranks.  Keys map to rows through one dict per
-dimension (`_rows`).
+and `coboundary` read the signs from the face table, `derham` takes each
+face's first carrier through the face tables composed (`_face_rows`) and
+the places, and `polyform` builds its prisms from the ranks.  Keys map to
+rows through one dict per dimension (`_rows`).
 
 Geometry (`volume`, `covector_gram`) is built per dimension on first use, by
 one stacked pass over the Gram matrices of its simplices (batched det, inverse
@@ -63,8 +64,8 @@ class MetricComplex:
     cofaces: dict[SimplexKey, tuple[tuple[SimplexKey, int], ...]]
     carriers: dict[SimplexKey, tuple[SimplexKey, ...]]
     dim: int
-    # per dimension: the vertex ranks and the face table (see the module docstring)
-    _tables: tuple[list[np.ndarray], list[np.ndarray]] = field(compare=False, repr=False)
+    # per dimension: the vertex ranks, the face table and the places (see the module docstring)
+    _tables: tuple[list[np.ndarray], ...] = field(compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def has_simplex(self, key: SimplexKey) -> bool:
@@ -143,12 +144,17 @@ class MetricComplex:
             faces, cols = self._tables[1], []
             for pos in itertools.combinations(range(m + 1), k + 1):
                 rows = np.arange(len(faces[m]))
-                for j, q in enumerate(sorted(set(range(m + 1)) - set(pos), reverse=True)):
+                for j, q in enumerate(q for q in range(m, -1, -1) if q not in pos):
                     rows = faces[m - j][rows, q]
                 cols.append(rows)
             self._memo[m, k] = np.column_stack(cols)
             self._memo[m, k].setflags(write=False)
         return self._memo[m, k]
+
+    def _places(self, m: int) -> np.ndarray:
+        """Each m-simplex's place among the maximal simplices in key order,
+        -1 if it is not maximal.  Read-only."""
+        return self._tables[2][m]
 
 
 @dataclass(frozen=True)
@@ -221,7 +227,7 @@ def _close_and_index(vertices: dict[int, tuple[float, ...]],
     sorted(vertices); rows may repeat and need not be maximal.
     """
     if not vertices:
-        return MetricComplex({}, {}, {}, {}, 0, ([], []))
+        return MetricComplex({}, {}, {}, {}, 0, ([], [], []))
     ids = sorted(vertices)
     V, dim = len(ids), max(tops, default=0)
     # per dimension k: the sorted codes, the vertex ranks, the keys, and
@@ -258,8 +264,9 @@ def _close_and_index(vertices: dict[int, tuple[float, ...]],
     maximal = np.flatnonzero(ncof == 0)
     by_key = sorted(maximal.tolist(), key=every.__getitem__)
     n = len(by_key)
-    place = np.empty(len(every), dtype=int)
+    place = np.full(len(every), -1)
     place[by_key] = np.arange(n)
+    places = [place[a:b] for a, b in zip(first, first[1:])]
     own = maximal * n + place[maximal]
     cuts = np.searchsorted(maximal, first).tolist()
     carried = [own[cuts[dim]:]]
@@ -270,10 +277,11 @@ def _close_and_index(vertices: dict[int, tuple[float, ...]],
     g, o = np.divmod(np.concatenate(carried[::-1]), n)
     carriers = _split([*map([every[i] for i in by_key].__getitem__, o.tolist())],
                       np.bincount(g, minlength=len(every)))
-    for table in ranks + faces:
+    for table in ranks + faces + places:
         table.setflags(write=False)
     return MetricComplex(vertices, {k: tuple(ks) for k, ks in enumerate(keys)},
-                         dict(zip(every, cofaces)), dict(zip(every, carriers)), dim, (ranks, faces))
+                         dict(zip(every, cofaces)), dict(zip(every, carriers)), dim,
+                         (ranks, faces, places))
 
 
 def build_complex(
@@ -353,7 +361,7 @@ def barycentric_subdivide(K: MetricComplex) -> MetricComplex:
     """
     if not K.vertices:
         return _close_and_index({}, {})
-    ranks, faces = K._tables
+    ranks, faces, places = K._tables
     ids = sorted(K.vertices)
     # the fresh ids follow the original ones in (dimension, key) order, so a
     # simplex's barycenter has its place in that order as its rank
@@ -362,13 +370,12 @@ def barycentric_subdivide(K: MetricComplex) -> MetricComplex:
     new_vertices = dict(K.vertices)
     new_vertices.update(zip(itertools.count(ids[-1] + 1), itertools.chain.from_iterable(
         map(tuple, coords[t].mean(axis=1).tolist()) for t in ranks[1:])))
-    tops, cofaced = {}, np.zeros(0, dtype=int)
+    tops = {}
     for m in range(K.dim, 0, -1):  # a maximal vertex stays a vertex
-        # the rows of the maximal m-simplices, the faces of no (m+1)-simplex;
-        # each step down appends the last face without each of its vertices,
-        # so the rows end as the flags (T, a facet of T, ..., a vertex)
-        flags = np.flatnonzero(np.bincount(cofaced, minlength=len(ranks[m])) == 0)[:, None]
-        cofaced = faces[m].ravel()
+        # the rows of the maximal m-simplices; each step down appends the last
+        # face without each of its vertices, so the rows end as the flags
+        # (T, a facet of T, ..., a vertex)
+        flags = np.flatnonzero(places[m] >= 0)[:, None]
         for j in range(m, 0, -1):
             flags = np.column_stack([np.repeat(flags, j + 1, 0), faces[j][flags[:, -1]].ravel()])
         tops[m] = flags[:, ::-1] + first[:m + 1]

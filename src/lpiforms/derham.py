@@ -19,7 +19,9 @@ regular unit k-simplex), which `verify_split` divides out.
 once, as their dense coefficients times the term keys' face tables, and
 scatter the values to face rows.  A shared face takes the value of its first
 maximal carrier with a piece, in key order across dimensions, as
-`PolyForm.trace_on` does; a simplex outside the form's complex gets 0.
+`PolyForm.trace_on` does: the entries are sorted by face row and then by
+their carrier's place among the maximal simplices, and each face keeps its
+first.  A simplex outside the form's complex gets 0.
 `verify_stokes` takes d omega's coefficients from `polyform._unit_d`, so it
 builds no `PolyForm.d`; a piece whose d is zero carries no face there.
 
@@ -86,37 +88,28 @@ def _carriers(omega: PolyForm):
         m = len(group[0]) - 1
         rows = L._rows(m, group)
         rows.sort()
-        if m < L.dim:  # a piece off a maximal simplex is never a carrier
-            rows = rows[~np.isin(rows, L._tables[1][m + 1])]
-        if rows.size:
+        if (rows := rows[L._places(m)[rows] >= 0]).size:  # only maximal simplices carry faces
             tops = map(L.simplices_of_dim(m).__getitem__, rows.tolist())
             yield m, rows, *_dense([*map(omega.pieces.__getitem__, tops)])
 
 
 def _first_carrier(L: MetricComplex, K: MetricComplex, k: int, parts: list,
-                   weighted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The k-face integrals of parts (m, rows of m-simplices of L in key
-    order, values with one column per k-face in combinations order, k! times
-    the metric-free integral), each face taking the value of its first
-    simplex in key order, as (rows of the k-simplices of K, values)."""
-    if not (parts := [part for part in parts if part[0] >= k]):
-        return np.zeros(0, dtype=int), np.zeros(0)
-    if len(parts) == 1:  # the rows ascend, so the entries are in key order of their simplices
-        (m, rows, vals), = parts
-        faces, vals = L._face_rows(m, k)[rows].ravel(), vals.ravel()
-        order = faces.argsort(kind="stable")
-    else:  # ranks padded with -1 sort the simplices of every dimension together
-        faces = np.concatenate([L._face_rows(m, k)[rows].ravel() for m, rows, _ in parts])
-        vals = np.concatenate([v.ravel() for *_, v in parts])
-        tops, at = np.full((len(faces), L.dim + 1), -1), 0
-        for m, rows, v in parts:
-            tops[at:at + v.size, :m + 1] = L._tables[0][m][rows].repeat(v.shape[1], axis=0)
-            at += v.size
-        order = np.lexsort((*tops.T[::-1], faces))
-    faces, vals = faces[order], vals[order]
-    keep = np.ones(len(faces), dtype=bool)
+                   weighted: bool) -> np.ndarray:
+    """The k-face integrals of parts (m, rows of maximal m-simplices of L,
+    values with one column per k-face in combinations order, k! times the
+    metric-free integral), each face taking the value of its first carrier
+    in key order, as a vector over the k-simplices of K."""
+    out = np.zeros(len(K.simplices_of_dim(k)))
+    if not (parts := [(L._face_rows(m, k)[rows], L._places(m)[rows], v)
+                      for m, rows, v in parts if m >= k]):
+        return out
+    faces = np.concatenate([f.ravel() for f, _, _ in parts])
+    places = np.concatenate([p.repeat(f.shape[1]) for f, p, _ in parts])
+    vals = np.concatenate([v.ravel() for *_, v in parts])
+    order = np.lexsort((places, faces))
+    faces, keep = faces[order], np.ones(len(faces), dtype=bool)
     keep[1:] = faces[1:] != faces[:-1]
-    rows, vals = faces[keep], vals[keep]
+    rows, vals = faces[keep], vals[order[keep]]
     if weighted:  # the volumes from _geometry span every k-simplex
         vals = vals * L._geometry(L.simplices_of_dim(k)[:1])[0][rows]
     else:
@@ -124,7 +117,8 @@ def _first_carrier(L: MetricComplex, K: MetricComplex, k: int, parts: list,
     if K is not L:
         rows = K._rows(k, list(map(L.simplices_of_dim(k).__getitem__, rows.tolist())))
         rows, vals = rows[rows >= 0], vals[rows >= 0]
-    return rows, vals
+    out[rows] = vals
+    return out
 
 
 def derham_map(
@@ -136,7 +130,7 @@ def derham_map(
     if k != omega.degree:
         raise BadDimension(f"cannot integrate a {omega.degree}-form over {k}-simplices")
     parts = [(m, rows, _integrals(union, dense)) for m, rows, union, dense in _carriers(omega)]
-    return Cochain._from_rows(K, k, *_first_carrier(omega.complex, K, k, parts, weighted))
+    return Cochain._from_vector(K, k, _first_carrier(omega.complex, K, k, parts, weighted))
 
 
 def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> SplitReport:
@@ -202,12 +196,9 @@ def verify_stokes(omega: PolyForm, K: MetricComplex) -> StokesReport:
         images, d = _dense([dict(_unit_d(key, m)) for key in union])  # d omega's term keys
         if (live := ((coefficients := dense @ d) != 0.0).any(axis=1)).any():
             exact.append((m, rows[live], _integrals(images, coefficients[live])))
-    lhs, rhs = np.zeros(len(taus)), np.zeros(len(K.simplices_of_dim(k)))
-    at, vals = _first_carrier(omega.complex, K, k + 1, exact, False)
-    lhs[at] = vals
-    at, vals = _first_carrier(omega.complex, K, k, plain, False)
-    rhs[at] = vals
-    err = float(np.abs(lhs - _coboundary(K, k, rhs)).max())
+    lhs = _first_carrier(omega.complex, K, k + 1, exact, False)
+    rhs = _coboundary(K, k, _first_carrier(omega.complex, K, k, plain, False))
+    err = float(np.abs(lhs - rhs).max())
     return StokesReport(max_stokes_error=err, sample_count=len(taus))
 
 

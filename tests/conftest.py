@@ -46,14 +46,14 @@ def subdivided_triangle(triangle) -> MetricComplex:
 
 def assert_same_complex(K, ref):
     """K equals ref, with the same insertion order and the same private
-    tables of vertex ranks and faces (read-only in K)."""
+    tables of vertex ranks, faces and places (read-only in K)."""
     assert K == ref
     assert K.dim == ref.dim
     for name in ("vertices", "simplices", "cofaces", "carriers"):
         assert list(getattr(K, name).items()) == list(getattr(ref, name).items()), name
     coords = [np.array(list(C.vertices.values()), dtype=float) for C in (K, ref)]
     assert coords[0].tobytes() == coords[1].tobytes()
-    for name, tables, want in zip(("ranks", "faces"), K._tables, ref._tables):
+    for name, tables, want in zip(("ranks", "faces", "places"), K._tables, ref._tables, strict=True):
         assert len(tables) == len(want), name
         for a, b in zip(tables, want):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b), name

@@ -119,13 +119,16 @@ def reference_build(vertices, tops):
     faces = [np.array([[row[key[:i] + key[i + 1:]] for i in range(k + 1) if k] for key in keys],
                       dtype=int).reshape(len(keys), k + 1 if k else 0)
              for k, keys in simplices.items()]
+    # the place of each maximal simplex among them in key order, -1 for the others
+    place = {T: i for i, T in enumerate(sorted(key for key, cof in cofaces.items() if not cof))}
+    places = [np.array([place.get(key, -1) for key in keys], dtype=int) for keys in simplices.values()]
     return MetricComplex(
         vertices,
         simplices,
         {key: tuple(cof) for key, cof in cofaces.items()},
         {key: tuple(car) for key, car in carriers.items()},
         max(simplices) if simplices else 0,
-        (ranks, faces),
+        (ranks, faces, places),
     )
 
 
@@ -253,6 +256,18 @@ def test_face_rows_are_the_rows_of_the_faces(case):
             assert rows.shape == (len(tops), math.comb(m + 1, k + 1)) and not rows.flags.writeable
             assert [[faces[r] for r in row] for row in rows.tolist()] == [
                 list(itertools.combinations(T, k + 1)) for T in tops], (m, k)
+
+
+@pytest.mark.parametrize("case", ["sd_sd_tetrahedron", "mixed", "sd_mixed", "skeleton",
+                                  "vertices_only", "empty"])
+def test_places_number_the_maximal_simplices_in_key_order(case):
+    K = ORACLE_CASES[case][0]()
+    by_key = sorted(K.maximal_simplices())
+    for m in range(K.dim + 1 if K.vertices else 0):
+        places = K._places(m)
+        assert not places.flags.writeable
+        assert places.tolist() == [by_key.index(s) if s in by_key else -1
+                                   for s in K.simplices_of_dim(m)], m
 
 
 @pytest.mark.parametrize("case", ["mixed", "sd_mixed", "vertices_only", "empty", "huge_ids",

@@ -429,6 +429,22 @@ def test_derham_map_takes_the_first_carrier_in_key_order():
         assert reference_derham_map(om, K, 0, weighted).values == want
 
 
+def test_a_piece_off_a_maximal_simplex_carries_no_face():
+    # the edge (0, 1) is a face of the triangle (0, 1, 2), so its piece is
+    # never a carrier: its vertices and itself take the triangle's values,
+    # and the dangling edge (2, 3), which agrees with the triangle at vertex
+    # 2, gives vertex 3 its value, so the form is conforming
+    K = build_complex(*TRIANGLE_EDGE_VERTEX)
+    om = PolyForm(0, K, {(0, 1): {((0,), ()): 7.0},
+                         (0, 1, 2): {((0, 0), ()): 1.0, ((1, 0), ()): 2.0},
+                         (2, 3): {((0,), ()): 1.0, ((1,), ()): 2.5}})
+    want = {(0,): 1.0, (1,): 3.0, (2,): 1.0, (3,): 3.5}
+    for weighted in (False, True):
+        assert derham_map(om, K, 0, weighted).values == want
+        assert reference_derham_map(om, K, 0, weighted).values == want
+    assert verify_stokes(om, K).max_stokes_error == reference_stokes_error(om, K) == 0.0
+
+
 @pytest.mark.parametrize("case", ["strip_4", "strip_48", "tetrahedron", "mixed"])
 def test_verify_stokes_matches_the_composition_of_the_references(case):
     # I(d omega) - coboundary(I omega) from omega.d() and the dict maps; the
