@@ -8,6 +8,10 @@ integrating forms over simplices.  The signs come from the complex's face
 table (see `lpiforms.complexes`): column i of the (k+1)-simplices' table is
 the row of tau \\ v_i, so dc is k + 2 signed gathers of c's value vector,
 summed in descending i, the order in which the faces of tau ascend.
+
+A cochain keeps its value vector over the k-rows, built on first read or
+handed over by `_from_vector`, so `values` must not be changed after
+construction; `coboundary` and `derham.whitney` read the vector.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ class Cochain:
     degree: int
     values: dict[SimplexKey, float]
     complex: MetricComplex = field(repr=False)
+    _vec: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for key in self.values:
@@ -43,12 +48,23 @@ class Cochain:
     @classmethod
     def _from_vector(cls, K: MetricComplex, k: int, vec: np.ndarray) -> "Cochain":
         """The cochain with value vec[j] on the j-th k-simplex of K, zeros
-        dropped; the keys are K's own, so none is checked."""
+        dropped; the keys are K's own, so none is checked.  It keeps vec,
+        made read-only, as its `_vector`."""
         keep = vec != 0.0
+        vec.setflags(write=False)
         c = object.__new__(cls)
-        c.__dict__.update(degree=k, complex=K, values=dict(zip(
+        c.__dict__.update(degree=k, complex=K, _vec=vec, values=dict(zip(
             itertools.compress(K.simplices_of_dim(k), keep.tolist()), vec[keep].tolist())))
         return c
+
+    def _vector(self) -> np.ndarray:
+        """The values over the k-rows of the complex; read-only."""
+        if self._vec is None:
+            vec = np.zeros(len(self.complex.simplices_of_dim(self.degree)))
+            vec[self.complex._rows(self.degree, self.values)] = [*self.values.values()]
+            vec.setflags(write=False)
+            object.__setattr__(self, "_vec", vec)
+        return self._vec
 
     def __call__(self, key: SimplexKey) -> float:
         return self.values.get(tuple(key), 0.0)
@@ -93,9 +109,7 @@ def coboundary(c: Cochain) -> Cochain:
     K, k = c.complex, c.degree
     if k >= K.dim:  # also the empty complex, of dimension 0
         return Cochain(k + 1, {}, K)
-    vec = np.zeros(len(K.simplices_of_dim(k)))
-    vec[K._rows(k, c.values)] = np.fromiter(c.values.values(), float, len(c.values))
-    return Cochain._from_vector(K, k + 1, _coboundary(K, k, vec))
+    return Cochain._from_vector(K, k + 1, _coboundary(K, k, c._vector()))
 
 
 def lp_norm(c: Cochain, p: float) -> float:

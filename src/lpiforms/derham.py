@@ -7,32 +7,36 @@ The Whitney form of a k-simplex sigma = (w_0 < ... < w_k) is
 on every maximal simplex T containing sigma.  It is the pullback of one
 reference form, k! * sum_i (-1)^i l_i dl_0 ^ ... ^i ... ^ dl_k in the full
 barycentric coordinates l_0..l_k of the reference k-simplex, along the
-selection matrix that sends vertex i to w_i's position in T; that pullback
-is cached per position tuple and added, times c(sigma), into T's piece.
+selection matrix that sends vertex i to w_i's position in T.  One kernel,
+`_whitney`, builds the forms of a batch of cochains from one fixed local
+table per (m, k) of those pullbacks.  `whitney` is its one-column case and
+hands the form the kernel's layout (`PolyForm._layout`), so the form's
+pieces must not be changed after construction.
 
 With the metric-free form integral the composite I o W is the identity on
 cochains, on any complex; with the volume-weighted integral I o W is
 diagonal, with weight k! * vol(sigma) on sigma (sqrt(k+1)/sqrt(2^k) on a
 regular unit k-simplex), which `verify_split` divides out.
 
-`derham_map` and `verify_stokes` integrate the pieces of one dimension at
-once, as their dense coefficients times the term keys' face tables, and
+`derham_map` and `verify_stokes` integrate the layout of one dimension at
+once, as the dense coefficients times the term keys' face tables, and
 scatter the values to face rows.  A shared face takes the value of its first
 maximal carrier with a piece, in key order across dimensions, as
-`PolyForm.trace_on` does: the entries are sorted by face row and then by
-their carrier's place among the maximal simplices, and each face keeps its
-first.  A simplex outside the form's complex gets 0.
+`PolyForm.trace_on` does: the entries are sorted by column and face row and
+then by their carrier's place among the maximal simplices, and each face of
+a column keeps its first.  A simplex outside the form's complex gets 0.
 `verify_stokes` takes d omega's coefficients from `polyform._unit_d`, so it
 builds no `PolyForm.d`; a piece whose d is zero carries no face there.
 
-`verify_split` uses that both maps are linear: it runs the pipeline once per
-drawn simplex, caches that indicator's image as a sparse column, and builds
-each sample's image as the sum of its columns.
+`verify_split` uses that both maps are linear: it sends the indicators of
+all drawn simplices through the kernel and the first-carrier rule as one
+batch, and sums each sample's image from their images.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +45,7 @@ import numpy as np
 from .cochains import Cochain, _coboundary
 from .complexes import MetricComplex, SimplexKey
 from .errors import BadDegree, BadDimension, DegenerateSimplex
-from .polyform import (PolyForm, Terms, _by_dimension, _dense, _integrals, _unit_d, pullback,
-                       selection)
+from .polyform import PolyForm, Terms, _dense, _integrals, _unit_d, pullback, selection
 
 
 @dataclass(frozen=True)
@@ -68,57 +71,118 @@ def _local_whitney(pos: tuple[int, ...], m: int) -> tuple:
     return tuple(pullback(reference, selection(pos, tuple(range(m + 1)))).items())
 
 
+@functools.lru_cache(maxsize=None)
+def _whitney_table(m: int, k: int) -> tuple[tuple, np.ndarray]:
+    """The term keys of the k-faces' Whitney forms on the reference
+    m-simplex, in order of first appearance over the faces in combinations
+    order, and W (faces x keys), their coefficients; W is read-only."""
+    forms = [dict(_local_whitney(pos, m)) for pos in itertools.combinations(range(m + 1), k + 1)]
+    keys = tuple(dict.fromkeys(itertools.chain.from_iterable(forms)))
+    W = np.array([[form.get(key, 0.0) for key in keys] for form in forms])
+    W.setflags(write=False)
+    return keys, W
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[i], ..., start[i] + count[i] - 1 for each i in turn."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1]) + np.repeat(start - ends + count, count)
+
+
+def _whitney(K: MetricComplex, k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """The Whitney forms of a batch of k-cochains given as entries (k-row,
+    column, value), the rows distinct within a column.  Per dimension m with
+    maximal simplices: m, the row of each piece's maximal m-simplex and the
+    piece's column, in (row, column) order, the keys of `_whitney_table(m, k)`
+    and the pieces' coefficients over them."""
+    if not rows.size:
+        return
+    order, B = np.argsort(rows, kind="stable"), int(cols.max()) + 1
+    count = np.bincount(rows, minlength=len(K.simplices_of_dim(k)))
+    start = np.cumsum(count) - count
+    for m in range(k, K.dim + 1):
+        if not (tops := np.flatnonzero(K._places(m) >= 0)).size:
+            continue
+        faces = K._face_rows(m, k)[tops]
+        if not (hit := np.flatnonzero(count[faces])).size:  # (top, position) pairs with entries
+            continue
+        n = count[faces.flat[hit]]
+        e = order[_ranges(start[faces.flat[hit]], n)]
+        top, pos = np.divmod(hit.repeat(n), faces.shape[1])
+        key, piece = np.unique(top * B + cols[e], return_inverse=True)
+        V = np.zeros((len(key), faces.shape[1]))
+        V[piece, pos] = vals[e]
+        keys, W = _whitney_table(m, k)
+        coeffs = np.zeros((len(V), len(keys)))
+        for p in range(len(W)):  # ascending, the order of a key-ordered cochain's faces
+            coeffs += V[:, p, None] * W[p]
+        yield m, tops[key // B], key % B, keys, coeffs
+
+
 def whitney(c: Cochain) -> PolyForm:
-    """Piecewise-linear Whitney form of a cochain, linear in c."""
-    K = c.complex
+    """Piecewise-linear Whitney form of a cochain, linear in c: the kernel's
+    one-column case, whose layout the form keeps."""
+    K, vec = c.complex, c._vector()
+    rows = np.flatnonzero(vec)
     pieces: dict[SimplexKey, Terms] = {}
-    for sigma, val in c.values.items():
-        for T in K.carriers[sigma]:
-            piece = pieces.setdefault(T, {})
-            for key, v in _local_whitney(tuple(map(T.index, sigma)), len(T) - 1):
-                piece[key] = piece.get(key, 0.0) + val * v
-    return PolyForm(c.degree, K, pieces)
+    layout: list[tuple] = []
+    for m, tops, _, keys, coeffs in _whitney(K, c.degree, rows, 0 * rows, vec[rows]):
+        # no piece is 0: its values are not, a face through T's first vertex alone gives
+        # a constant term dt_I, and one off it shares its terms only with faces through it
+        nonzero = coeffs != 0.0
+        # the keys in `_dense`'s order for these pieces: by first piece, then in table order
+        cols = np.argsort(nonzero.argmax(axis=0), kind="stable")
+        cols = cols[nonzero.any(axis=0)[cols]]
+        union, dense = tuple(map(keys.__getitem__, cols.tolist())), coeffs[:, cols]
+        terms = [*map(dict, map(zip, itertools.repeat(union), dense.tolist()))]
+        for at, zero in zip(*(a.tolist() for a in np.nonzero(dense == 0.0))):
+            del terms[at][union[zero]]  # a piece keeps its nonzero terms
+        pieces.update(zip(map(K.simplices_of_dim(m).__getitem__, tops.tolist()), terms))
+        for a in (tops, dense):
+            a.setflags(write=False)
+        layout.append((m, tops, union, dense))
+    return PolyForm._from_layout(c.degree, K, pieces, tuple(layout))
 
 
 def _carriers(omega: PolyForm):
-    """Per dimension m of the pieces on maximal simplices of omega's complex:
-    m, their rows in key order, and `polyform._dense` of their pieces."""
-    L = omega.complex
-    for group in _by_dimension(omega.pieces):
-        m = len(group[0]) - 1
-        rows = L._rows(m, group)
-        rows.sort()
-        if (rows := rows[L._places(m)[rows] >= 0]).size:  # only maximal simplices carry faces
-            tops = map(L.simplices_of_dim(m).__getitem__, rows.tolist())
-            yield m, rows, *_dense([*map(omega.pieces.__getitem__, tops)])
+    """`PolyForm._layout` of omega's pieces on maximal simplices of its complex."""
+    for m, rows, union, dense in omega._layout():
+        if (live := omega.complex._places(m)[rows] >= 0).any():  # only these carry faces
+            yield m, rows[live], union, dense[live]
 
 
 def _first_carrier(L: MetricComplex, K: MetricComplex, k: int, parts: list,
-                   weighted: bool) -> np.ndarray:
+                   weighted: bool) -> tuple[np.ndarray, np.ndarray]:
     """The k-face integrals of parts (m, rows of maximal m-simplices of L,
-    values with one column per k-face in combinations order, k! times the
-    metric-free integral), each face taking the value of its first carrier
-    in key order, as a vector over the k-simplices of K."""
-    out = np.zeros(len(K.simplices_of_dim(k)))
-    if not (parts := [(L._face_rows(m, k)[rows], L._places(m)[rows], v)
-                      for m, rows, v in parts if m >= k]):
-        return out
-    faces = np.concatenate([f.ravel() for f, _, _ in parts])
-    places = np.concatenate([p.repeat(f.shape[1]) for f, p, _ in parts])
+    their columns, values with one column per k-face in combinations order,
+    k! times the metric-free integral), each face of a column taking the
+    value of its first carrier in key order: as column * n + row over the n
+    k-simplices of K, ascending, and the values.  Faces off K are dropped."""
+    n = len(L.simplices_of_dim(k))
+    if not (parts := [(L._face_rows(m, k)[rows], L._places(m)[rows], cols, v)
+                      for m, rows, cols, v in parts if m >= k]):
+        return np.zeros(0, dtype=int), np.zeros(0)
+    key = np.concatenate([(c[:, None] * n + f).ravel() for f, _, c, _ in parts])
+    places = np.concatenate([p.repeat(f.shape[1]) for f, p, _, _ in parts])
     vals = np.concatenate([v.ravel() for *_, v in parts])
-    order = np.lexsort((places, faces))
-    faces, keep = faces[order], np.ones(len(faces), dtype=bool)
-    keep[1:] = faces[1:] != faces[:-1]
-    rows, vals = faces[keep], vals[order[keep]]
+    order = np.lexsort((places, key))
+    key, keep = key[order], np.ones(len(key), dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    (cols, rows), vals = np.divmod(key[keep], n), vals[order[keep]]
     if weighted:  # the volumes from _geometry span every k-simplex
         vals = vals * L._geometry(L.simplices_of_dim(k)[:1])[0][rows]
     else:
         vals = vals / math.factorial(k)
     if K is not L:
         rows = K._rows(k, list(map(L.simplices_of_dim(k).__getitem__, rows.tolist())))
-        rows, vals = rows[rows >= 0], vals[rows >= 0]
-    out[rows] = vals
-    return out
+        cols, rows, vals = cols[rows >= 0], rows[rows >= 0], vals[rows >= 0]
+    return cols * len(K.simplices_of_dim(k)) + rows, vals
+
+
+def _image(L: MetricComplex, K: MetricComplex, k: int, parts: list, weighted: bool) -> np.ndarray:
+    """`_first_carrier` of one column's parts (m, rows, values), over the k-simplices of K."""
+    keys, vals = _first_carrier(L, K, k, [(m, r, 0 * r, v) for m, r, v in parts], weighted)
+    return np.bincount(keys, weights=vals, minlength=len(K.simplices_of_dim(k)))
 
 
 def derham_map(
@@ -130,7 +194,7 @@ def derham_map(
     if k != omega.degree:
         raise BadDimension(f"cannot integrate a {omega.degree}-form over {k}-simplices")
     parts = [(m, rows, _integrals(union, dense)) for m, rows, union, dense in _carriers(omega)]
-    return Cochain._from_vector(K, k, _first_carrier(omega.complex, K, k, parts, weighted))
+    return Cochain._from_vector(K, k, _image(omega.complex, K, k, parts, weighted))
 
 
 def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> SplitReport:
@@ -143,13 +207,14 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
     the weighted one is k! * vol times it.  So the identity holds exactly on
     non-regular complexes too.
 
-    Each sample is a random cochain c on min(4, n) of the n k-simplices.
-    Its image is the sum of c(sigma) times the cached image of sigma's
-    rescaled indicator, computed by `whitney` and `derham_map` the first time
-    sigma is drawn.  The sum goes into one length-n residual, from which c is
-    subtracted; the rows the sample touched give its error and are zeroed
-    again.  No n x n array is built.  A drawn simplex of zero volume has
-    no rescaling and raises DegenerateSimplex.
+    Each sample is a random cochain c on min(4, n) of the n k-simplices.  All
+    samples are drawn first; the rescaled indicators of the drawn simplices
+    then go through the Whitney kernel and the first-carrier rule as one
+    batch, one column each.  The entries of each sample's image, c(sigma)
+    times its columns' entries, and of -c are summed by (sample, row); the
+    largest sum is the error.  Memory grows with the entries, not with n
+    times the columns.  A drawn simplex of zero volume has no rescaling and
+    raises DegenerateSimplex.
     """
     if not 0 <= k <= K.dim:
         raise BadDimension(f"no {k}-cochains on a complex of dimension {K.dim}")
@@ -157,29 +222,25 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
         raise ValueError(f"samples = {samples}: at least 1 required")
     if not (sigmas := K.simplices_of_dim(k)):
         raise BadDegree(f"no {k}-simplices to draw cochains on")
-    rng = np.random.default_rng(seed)
-    columns: dict[SimplexKey, tuple[np.ndarray, np.ndarray]] = {}
-    residual = np.zeros(len(sigmas))  # zero again after every sample
-    max_err = 0.0
-    for _ in range(samples):
-        support = rng.choice(len(sigmas), size=min(4, len(sigmas)), replace=False)
-        vals = [float(rng.normal()) for _ in support]
-        touched = [support]  # a column may lack its own row if that value is 0
-        for i, v in zip(support, vals):
-            s = sigmas[i]
-            if s not in columns:
-                if not (vol := K.volume(s)):
-                    raise DegenerateSimplex(f"{s} has zero volume, so W(chi) has no weighted rescaling")
-                chi = Cochain(k, {s: 1.0 / (math.factorial(k) * vol)}, K)
-                image = derham_map(whitney(chi), K, k, weighted=True).values
-                columns[s] = (K._rows(k, image), np.array([*image.values()], dtype=float))
-            rows, col = columns[s]
-            residual[rows] += v * col  # rows are distinct within a column
-            touched.append(rows)
-        residual[support] -= vals
-        touched = np.concatenate(touched)
-        max_err = max(max_err, float(np.abs(residual[touched]).max()))
-        residual[touched] = 0.0
+    rng, n = np.random.default_rng(seed), len(sigmas)
+    size = min(4, n)
+    draws = [(rng.choice(n, size=size, replace=False), rng.normal(size=size)) for _ in range(samples)]
+    support, vals = (np.concatenate(a) for a in zip(*draws))
+    if not (vol := K._geometry(sigmas[:1])[0])[support].all():  # over every k-simplex
+        s = sigmas[support[vol[support] == 0.0][0]]
+        raise DegenerateSimplex(f"{s} has zero volume, so W(chi) has no weighted rescaling")
+    drawn, column = np.unique(support, return_inverse=True)
+    chi = 1.0 / (math.factorial(k) * vol[drawn])
+    parts = [(m, tops, cols, _integrals(keys, coeffs)) for m, tops, cols, keys, coeffs
+             in _whitney(K, k, drawn, np.arange(len(drawn)), chi)]
+    keys, image = _first_carrier(K, K, k, parts, True)
+    start = np.searchsorted(keys, np.arange(len(drawn)) * n)
+    count = np.diff(np.append(start, len(keys)))[column]  # per drawn entry of a sample
+    at, sample = _ranges(start[column], count), np.arange(samples).repeat(size)
+    _, where = np.unique(np.concatenate([sample.repeat(count) * n + keys[at] % n,
+                                         sample * n + support]), return_inverse=True)
+    terms = np.concatenate([vals.repeat(count) * image[at], -vals])  # summed in this order
+    max_err = float(np.abs(np.bincount(where, weights=terms)).max())
     return SplitReport(max_identity_error=max_err, sample_count=samples)
 
 
@@ -196,8 +257,8 @@ def verify_stokes(omega: PolyForm, K: MetricComplex) -> StokesReport:
         images, d = _dense([dict(_unit_d(key, m)) for key in union])  # d omega's term keys
         if (live := ((coefficients := dense @ d) != 0.0).any(axis=1)).any():
             exact.append((m, rows[live], _integrals(images, coefficients[live])))
-    lhs = _first_carrier(omega.complex, K, k + 1, exact, False)
-    rhs = _coboundary(K, k, _first_carrier(omega.complex, K, k, plain, False))
+    lhs = _image(omega.complex, K, k + 1, exact, False)
+    rhs = _coboundary(K, k, _image(omega.complex, K, k, plain, False))
     err = float(np.abs(lhs - rhs).max())
     return StokesReport(max_stokes_error=err, sample_count=len(taus))
 

@@ -27,11 +27,14 @@ Riemannian k-volume.  The metric-free (affine-invariant) integral, which
 satisfies Stokes' theorem exactly against the alternating-sum coboundary,
 is available with weighted=False; it differs by the factor k! * vol.
 
-Pointwise values have one path, `_coefficients`, which lays out pieces of
-one dimension as an exponent matrix E (keys x m) over the union of their
-term keys and a coefficient tensor A (pieces x keys x dt_I columns); then
-V = prod(pts ** E) @ A, and |omega|^2 = V G V^T with G the covector Gram
-matrices.  `lp_norm` takes all pieces of one dimension in one such pass.
+A form keeps the layout of its pieces per dimension, `PolyForm._layout`:
+their rows in key order, the union of their term keys and their dense
+coefficients over it, built on first read through `_dense` or handed over
+by `derham.whitney`, so `pieces` must not be changed after construction.
+Pointwise values have one path, `_coefficients`, which turns a layout into
+an exponent matrix E (keys x m) and a coefficient tensor A (pieces x keys x
+dt_I columns); then V = prod(pts ** E) @ A, and |omega|^2 = V G V^T with G
+the covector Gram matrices.  `lp_norm` takes each dimension in one pass.
 
 LRU caches keyed by reference data, never by a complex, serve the hot
 paths: `_unit_pullback` (one term key pulled back along B, almost always a
@@ -48,7 +51,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,19 +186,19 @@ def _dense(pieces: Sequence[Terms]) -> tuple[Terms, np.ndarray]:
     return union, dense.reshape(len(pieces), len(union))
 
 
-def _coefficients(pieces: Sequence[Terms], m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """E and A of the module docstring; column j of A is the j-th ascending
+def _coefficients(union, dense: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """E and A of the module docstring for term keys union and the pieces'
+    coefficients dense over them; column j of A is the j-th ascending
     k-subset I of 1..m in `itertools.combinations` order."""
-    union, dense = _dense(pieces)
     col = _columns(m, k)
-    A = np.zeros((len(pieces), len(union), len(col)))
+    A = np.zeros((len(dense), len(union), len(col)))
     A[:, np.arange(len(union)), [col[I] for _, I in union]] = dense
     return np.array([e for e, _ in union], dtype=int).reshape(len(union), m), A
 
 
 def _components_at(terms: Terms, pts: np.ndarray, k: int) -> np.ndarray:
     """The dt_I components of degree-k terms at the rows of pts, one column per I."""
-    E, A = _coefficients([terms], pts.shape[1], k)
+    E, A = _coefficients(*_dense([terms]), pts.shape[1], k)
     return np.prod(pts[:, None, :] ** E, axis=2) @ A[0]
 
 
@@ -306,12 +309,37 @@ class PolyForm:
     degree: int
     complex: MetricComplex
     pieces: dict[SimplexKey, Terms]
+    _memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if missing := [T for T in self.pieces if not self.complex.has_simplex(T)]:
             raise MissingSimplex(f"piece on {missing[0]}, which is not a simplex of the complex")
         clean = {T: t_clean(p) for T, p in self.pieces.items()}
         object.__setattr__(self, "pieces", {T: p for T, p in clean.items() if p})
+
+    @classmethod
+    def _from_layout(cls, k: int, K: MetricComplex, pieces: dict, layout: tuple) -> "PolyForm":
+        """The form with these pieces and `_layout`; the keys are K's own and
+        no coefficient is 0, so nothing is checked."""
+        form = object.__new__(cls)
+        form.__dict__.update(degree=k, complex=K, pieces=pieces, _memo=layout)
+        return form
+
+    def _layout(self) -> tuple:
+        """Per dimension m of the pieces, ascending: m, their rows among the
+        m-simplices, ascending, and `_dense` of their pieces in that order,
+        the union as a tuple.  Built on first read; read-only."""
+        if self._memo is None:
+            layout = []
+            for group in _by_dimension(self.pieces):
+                rows = np.sort(self.complex._rows(m := len(group[0]) - 1, group))
+                union, dense = _dense([*map(self.pieces.__getitem__, map(
+                    self.complex.simplices_of_dim(m).__getitem__, rows.tolist()))])
+                for a in (rows, dense):
+                    a.setflags(write=False)
+                layout.append((m, rows, tuple(union), dense))
+            object.__setattr__(self, "_memo", tuple(layout))
+        return self._memo
 
     # -- construction -------------------------------------------------------
 
@@ -429,9 +457,10 @@ class PolyForm:
         if not (math.isfinite(p) and p >= 1):
             raise BadExponent(f"p = {p} is not a finite number >= 1")
         k, K = self.degree, self.complex
-        layouts = [(vol[rows], *_coefficients([self.pieces[T] for T in tops], len(tops[0]) - 1, k),
-                    G[rows]) for tops in _by_dimension(self.pieces) if len(tops[0]) > k
-                   for vol, G, rows in [K._geometry(tops, k)]]
+        layouts = [(vol[rows], *_coefficients(union, dense, m, k), G[rows])
+                   for m, rows, union, dense in self._layout() if m >= k
+                   for vol, G, _ in [K._geometry([*map(K.simplices_of_dim(m).__getitem__,
+                                                       rows.tolist())], k)]]
         if not layouts:
             return 0.0
         e = math.frexp(max(float((np.abs(A).max(axis=(1, 2)) * np.sqrt(G.max(axis=(1, 2)))).max())

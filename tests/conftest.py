@@ -70,6 +70,23 @@ def reference_coboundary(c):
     return Cochain(c.degree + 1, out, K)
 
 
+def reference_whitney(c):
+    """The loop over the cochain's values that the batched Whitney kernel
+    replaced, kept as its reference: each value times the cached local form
+    of its face, added into each maximal carrier's piece in turn."""
+    from lpiforms.derham import _local_whitney
+    from lpiforms.polyform import PolyForm
+
+    K = c.complex
+    pieces = {}
+    for sigma, val in c.values.items():
+        for T in K.carriers[sigma]:
+            piece = pieces.setdefault(T, {})
+            for key, v in _local_whitney(tuple(map(T.index, sigma)), len(T) - 1):
+                piece[key] = piece.get(key, 0.0) + val * v
+    return PolyForm(c.degree, K, pieces)
+
+
 # a triangle, a dangling edge and an isolated vertex
 TRIANGLE_EDGE_VERTEX = (
     {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 3: (2.0, 2.0), 4: (5.0, 0.0)},

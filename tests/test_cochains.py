@@ -14,7 +14,7 @@ from lpiforms.cochains import (
     read_cochain,
     write_cochain,
 )
-from lpiforms.complexes import PiSequence, barycentric_subdivide, ray_complex
+from lpiforms.complexes import MetricComplex, PiSequence, barycentric_subdivide, ray_complex
 from lpiforms.derham import whitney
 from lpiforms.errors import (
     BadCarrier,
@@ -195,3 +195,18 @@ def test_coboundary_of_a_shuffled_cochain_is_within_rounding(case):
         got, want = coboundary(shuffled), reference_coboundary(shuffled)
         scale = max(abs(v) for _, v in items)
         assert max(abs(got(s) - want(s)) for s in K.simplices_of_dim(k + 1)) <= 1e-15 * scale
+
+
+def test_coboundary_reads_the_value_vector(monkeypatch):
+    # the keys of a cochain built from a dict are hashed into rows once; a
+    # coboundary hands its value vector to its result, so dd hashes no more
+    K = COCHAIN_COMPLEXES["tetrahedron"]()
+    c = _key_ordered(K, 0, np.random.default_rng(65))
+    calls = []
+    rows = MetricComplex._rows
+    monkeypatch.setattr(MetricComplex, "_rows", lambda L, m, keys: calls.append(m) or rows(L, m, keys))
+    d = coboundary(c)
+    dd = coboundary(d)
+    assert calls == [0]
+    assert d.values == reference_coboundary(c).values
+    assert dd.values == reference_coboundary(d).values

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from lpiforms import derham
 from lpiforms.cochains import Cochain, coboundary, indicator
-from lpiforms.complexes import barycentric_subdivide, build_complex, skeleton
+from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex, skeleton
 from lpiforms.derham import (
     derham_map,
     verify_split,
@@ -28,7 +29,7 @@ from lpiforms.polyform import (
 )
 
 from conftest import (COCHAIN_COMPLEXES, TRIANGLE_EDGE_VERTEX, reference_coboundary,
-                      regular_simplex, simplex_complex)
+                      reference_whitney, regular_simplex, simplex_complex)
 
 
 def test_whitney_vertex_is_barycentric_function():
@@ -118,16 +119,25 @@ def _split_per_sample(K, k, samples, seed):
     return max_err
 
 
-def _patch_derham_map(monkeypatch, error):
-    """Replace derham_map by the exact map plus error(image, k-simplices),
-    a linear function of the image given as a cochain's values."""
-    exact = derham.derham_map
+def _patch_kernel(monkeypatch, error):
+    """Replace the Whitney kernel by the exact one applied to each input
+    column c plus error(c, k-simplices), a linear function of c given as a
+    cochain.  verify_split and whitney both call the kernel, so the error
+    reaches verify_split's batch and `_split_per_sample` alike."""
+    exact = derham._whitney
 
-    def patched(omega, K, k, weighted=False):
-        image = exact(omega, K, k, weighted)
-        return image + Cochain(k, error(image, K.simplices_of_dim(k)), K)
+    def patched(K, k, rows, cols, vals):
+        sig = K.simplices_of_dim(k)
+        batch = [], [], []
+        for j in dict.fromkeys(cols.tolist()):
+            c = Cochain(k, {sig[r]: v for r, v in zip(rows[cols == j].tolist(), vals[cols == j])}, K)
+            c = c + Cochain(k, error(c, sig), K)
+            batch[0].extend(K._rows(k, c.values).tolist())
+            batch[1].extend([j] * len(c.values))
+            batch[2].extend(c.values.values())
+        yield from exact(K, k, *(np.array(a, dtype=t) for a, t in zip(batch, (int, int, float))))
 
-    monkeypatch.setattr(derham, "derham_map", patched)
+    monkeypatch.setattr(derham, "_whitney", patched)
 
 
 LINEAR_ERRORS = {
@@ -142,9 +152,10 @@ LINEAR_ERRORS = {
 
 @pytest.mark.parametrize("error", LINEAR_ERRORS)
 def test_verify_split_matches_the_per_sample_pipeline(subdivided_triangle, monkeypatch, error):
-    # under any linear map the cached columns and the per-sample pipeline
-    # report the same error, and a perturbed map's error shows
-    _patch_derham_map(monkeypatch, LINEAR_ERRORS[error])
+    # under any linear kernel the batch of drawn indicators and the
+    # per-sample pipeline report the same error, and a perturbed kernel's
+    # error shows
+    _patch_kernel(monkeypatch, LINEAR_ERRORS[error])
     for K in (subdivided_triangle, barycentric_subdivide(simplex_complex(3))):
         for k in range(K.dim + 1):
             rep = verify_split(K, k, samples=30, seed=11)
@@ -156,31 +167,28 @@ def test_verify_split_matches_the_per_sample_pipeline(subdivided_triangle, monke
 
 @pytest.mark.parametrize("scale", [1e-8, -1.0], ids=["off_by_1e-8", "dropped"])
 def test_verify_split_catches_one_wrong_face(subdivided_triangle, monkeypatch, scale):
-    # a dropped face leaves no entry in its own image, so its residual is
-    # the sample's value alone
+    # the kernel gets the last k-simplex's value times 1 + scale; dropped, its
+    # column's image is all zeros, so its residual is the sample's value alone
     K = subdivided_triangle
     for k in range(K.dim + 1):
         bad = K.simplices_of_dim(k)[-1]
-        _patch_derham_map(monkeypatch, lambda c, sig: {bad: scale * c(bad)})
+        _patch_kernel(monkeypatch, lambda c, sig: {bad: scale * c(bad)})
         assert verify_split(K, k, samples=25, seed=4).max_identity_error > 1e-10, k
 
 
 def test_verify_split_runs_the_pipeline_once_per_drawn_simplex(monkeypatch):
+    # one kernel call per verify_split, with one column for each drawn
+    # simplex: its rescaled indicator
     K = barycentric_subdivide(simplex_complex(3))
     samples, seed = 60, 5
-    whitney_supports, derham_calls = [], []
-    exact_whitney, exact_derham = derham.whitney, derham.derham_map
+    calls = []
+    exact = derham._whitney
 
-    def counted_whitney(c):
-        whitney_supports.extend(c.values)
-        return exact_whitney(c)
+    def counted(K, k, rows, cols, vals):
+        calls.append((rows, cols, vals))
+        return exact(K, k, rows, cols, vals)
 
-    def counted_derham(*args, **kwargs):
-        derham_calls.append(args[2])
-        return exact_derham(*args, **kwargs)
-
-    monkeypatch.setattr(derham, "whitney", counted_whitney)
-    monkeypatch.setattr(derham, "derham_map", counted_derham)
+    monkeypatch.setattr(derham, "_whitney", counted)
     for k in range(K.dim + 1):
         sigmas = K.simplices_of_dim(k)
         rng = np.random.default_rng(seed)
@@ -190,12 +198,30 @@ def test_verify_split_runs_the_pipeline_once_per_drawn_simplex(monkeypatch):
             for i in support:
                 drawn.add(sigmas[i])
                 rng.normal()
-        whitney_supports.clear()
-        derham_calls.clear()
+        calls.clear()
         assert verify_split(K, k, samples, seed).max_identity_error <= 1e-10
         assert len(drawn) < 4 * samples
-        assert sorted(whitney_supports) == sorted(drawn), k
-        assert len(derham_calls) == len(drawn), k
+        assert len(calls) == 1, k
+        rows, cols, vals = calls[0]
+        assert sorted(cols.tolist()) == list(range(len(drawn))), k
+        assert sorted(sigmas[r] for r in rows.tolist()) == sorted(drawn), k
+        want = [1.0 / (math.factorial(k) * K.volume(sigmas[r])) for r in rows.tolist()]
+        assert vals.tolist() == want, k
+
+
+def test_verify_split_memory_grows_with_the_entries():
+    # an n_k x columns array of floats would take 8 * n_k * columns bytes,
+    # about 32 MB here for up to 400 drawn simplices; the batch keeps only
+    # its entries, and must stay below an eighth of that
+    K = barycentric_subdivide(ray_complex(2, 500))
+    n_k, columns = len(K.simplices_of_dim(1)), 4 * 100
+    tracemalloc.start()
+    try:
+        assert verify_split(K, 1, 100).max_identity_error <= 1e-10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_k * columns, peak
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -411,6 +437,56 @@ def test_derham_map_equals_the_face_integrals_reference(case):
             if k < K.dim:  # into a skeleton of the form's complex
                 S = skeleton(K, K.dim - 1)
                 assert derham_map(om, S, k).values == reference_derham_map(om, S, k).values
+
+
+def _cochains(K, k, rng):
+    """A key-ordered k-cochain with a value on every k-simplex, one with a
+    value on about a third of them, and the second in a shuffled order."""
+    sig = K.simplices_of_dim(k)
+    full = Cochain(k, {s: float(rng.normal()) for s in sig}, K)
+    sparse = Cochain(k, {s: float(rng.normal()) for s in sig if rng.random() < 1 / 3}, K)
+    items = list(sparse.values.items())
+    return full, sparse, Cochain(k, dict(items[i] for i in rng.permutation(len(items))), K)
+
+
+@pytest.mark.parametrize("case", COCHAIN_COMPLEXES)
+def test_whitney_equals_the_reference_loop(case):
+    # the kernel sums each piece in ascending face position, the order the
+    # loop meets a key-ordered cochain's faces, so its pieces are bit for bit
+    # the loop's; in another insertion order the loop sums in another order
+    K = COCHAIN_COMPLEXES[case]()
+    rng = np.random.default_rng(66)
+    for k in range(K.dim + 1):
+        *ordered, shuffled = _cochains(K, k, rng)
+        for c in ordered:
+            assert whitney(c).pieces == reference_whitney(c).pieces, k
+        got, want = whitney(shuffled).pieces, reference_whitney(shuffled).pieces
+        assert got.keys() == want.keys(), k
+        scale = max((abs(v) for p in want.values() for v in p.values()), default=0.0)
+        for T, p in want.items():
+            assert got[T].keys() == p.keys(), (k, T)
+            assert max(abs(got[T][key] - v) for key, v in p.items()) <= 1e-15 * scale, (k, T)
+
+
+@pytest.mark.parametrize("case", COCHAIN_COMPLEXES)
+def test_a_whitney_form_integrates_as_its_pieces_rebuilt_from_dicts(case):
+    # whitney hands its layout to the form; the same pieces as dicts lay
+    # themselves out through _dense, to the same arrays and the same results
+    K = COCHAIN_COMPLEXES[case]()
+    rng = np.random.default_rng(67)
+    for k in range(K.dim + 1):
+        for c in _cochains(K, k, rng):
+            form = whitney(c)
+            rebuilt = PolyForm(k, K, dict(form.pieces))
+            for (m, rows, union, dense), want in zip(form._layout(), rebuilt._layout(), strict=True):
+                assert (m, union) == want[::2] and np.array_equal(rows, want[1]), k
+                assert dense.tobytes() == want[3].tobytes() and not dense.flags.writeable, k
+            for weighted in (False, True):
+                assert derham_map(form, K, k, weighted).values == derham_map(
+                    rebuilt, K, k, weighted).values, k
+            if k < K.dim:
+                assert verify_stokes(form, K) == verify_stokes(rebuilt, K), k
+            assert [form.lp_norm(p) for p in (2.0, 3.0)] == [rebuilt.lp_norm(p) for p in (2.0, 3.0)]
 
 
 def test_derham_map_takes_the_first_carrier_in_key_order():

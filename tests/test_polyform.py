@@ -665,13 +665,15 @@ def test_face_table_matches_the_symbolic_pullback():
 
 def test_face_tables_pull_nothing_back():
     # derham_map(whitney(c)) pulls back only the reference Whitney forms:
-    # k + 1 unit terms for each face position `_local_whitney` builds
+    # k + 1 unit terms for each face position `_local_whitney` builds (for
+    # the kernel's table of each (m, k), built anew once its cache is cleared)
     rng = np.random.default_rng(31)
     K = cube_boundary_complex(2)
     for k in (0, 1):
         polyform._unit_pullback.cache_clear()
         polyform._face_table.cache_clear()
         derham._local_whitney.cache_clear()
+        derham._whitney_table.cache_clear()
         c = Cochain(k, {s: float(rng.normal()) for s in K.simplices_of_dim(k)}, K)
         image = derham_map(whitney(c), K, k)
         assert image.values == pytest.approx(c.values, abs=1e-12)
