@@ -31,12 +31,14 @@ equality or repr.  `barycentric_subdivide` and `skeleton` hand them back to
 the build, the volumes gather coordinates through the ranks, `assemble`
 and `coboundary` read the signs from the face table, `derham` takes each
 face's first carrier through the face tables composed (`_face_rows`) and
-the places, and `polyform` builds its prisms from the ranks.  Keys map to
-rows through one dict per dimension (`_rows`).
+the places, `polyform` builds its prisms from the ranks, and the
+connectivity check walks the edges' ranks.  Keys map to rows through one
+dict per dimension (`_rows`).
 
 Geometry (`volume`, `covector_gram`) is built per dimension on first use, by
 one stacked pass over the Gram matrices of its simplices (batched det, inverse
 and minors), and kept in a private memo, which takes no part in equality or repr.
+It is read by rows (`_geometry_at`); a key goes through `_rows` first.
 """
 
 from __future__ import annotations
@@ -100,13 +102,27 @@ class MetricComplex:
         return grams[i]
 
     def _geometry(self, keys, k: int = 0):
-        """(volumes, covector Grams of degree k, the row of each key): read-only
-        arrays over all simplices of the dimension the keys share."""
-        if missing := [s for s in keys if s not in self.cofaces]:
-            raise MissingSimplex(f"{missing[0]} is not a simplex of the complex")
+        """(volumes, covector Grams of degree k, the row of each key): the
+        `_geometry_at` the keys' rows, which must all be of one dimension."""
         m = len(keys[0]) - 1
+        if not 0 <= k <= m:  # refused before anything is built, a missing key first
+            known = set(self.simplices_of_dim(m))
+            if missing := [s for s in keys if s not in known]:
+                raise MissingSimplex(f"{missing[0]} is not a simplex of the complex")
+            raise BadDimension(f"no {k}-covectors on a {m}-simplex")
+        rows = self._rows(m, keys)
+        if (rows < 0).any():
+            raise MissingSimplex(f"{keys[int(np.argmin(rows))]} is not a simplex of the complex")
+        return (*self._geometry_at(m, rows, k), rows)
+
+    def _geometry_at(self, m: int, rows: np.ndarray, k: int = 0):
+        """(volumes, covector Grams of degree k): read-only arrays over all
+        m-simplices, built once per m.  The rows must be rows of m-simplices,
+        of positive volume when k >= 1."""
         if not 0 <= k <= m:
             raise BadDimension(f"no {k}-covectors on a {m}-simplex")
+        if len(rows) and not 0 <= rows.min() <= rows.max() < len(self.simplices_of_dim(m)):
+            raise MissingSimplex(f"rows {rows.min()}..{rows.max()} are not all {m}-simplices")
         if m not in self._memo:
             coords = np.array([*map(self.vertices.__getitem__, sorted(self.vertices))], dtype=float)
             pts = coords[self._tables[0][m]]
@@ -119,14 +135,14 @@ class MetricComplex:
             vol.setflags(write=False)
             self._memo[m] = (vol, ginv, {})
         vol, ginv, grams = self._memo[m]
-        rows = self._rows(m, keys)
         if k and not vol[rows].all():
-            raise DegenerateSimplex(f"{keys[int(np.argmin(vol[rows]))]} has zero volume")
+            row = rows[int(np.argmin(vol[rows]))]
+            raise DegenerateSimplex(f"{self.simplices_of_dim(m)[row]} has zero volume")
         if k not in grams:
             sub = np.array([*itertools.combinations(range(m), k)], dtype=int)
             grams[k] = np.linalg.det(ginv[:, sub[:, None, :, None], sub[None, :, None, :]])
             grams[k].setflags(write=False)
-        return vol, grams[k], rows
+        return vol, grams[k]
 
     def _rows(self, m: int, keys) -> np.ndarray:
         """The row of each key among the m-simplices, -1 for a key that is
@@ -307,12 +323,16 @@ def build_complex(
 
 
 def _is_connected(K: MetricComplex) -> bool:
-    seen = set(stack := list(K.vertices)[:1])
+    nbrs = [[] for _ in K.vertices]  # by vertex rank, from the edge table
+    for a, b in K._tables[0][1].tolist() if K.dim >= 1 else []:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    seen = set(stack := [0] if nbrs else [])
     while stack:
-        new = {w for edge, _sign in K.cofaces[(stack.pop(),)] for w in edge} - seen
+        new = set(nbrs[stack.pop()]) - seen
         seen |= new
         stack.extend(new)
-    return len(seen) == len(K.vertices)
+    return len(seen) == len(nbrs)
 
 
 def validate_bounded_geometry(K: MetricComplex, L: float, N: int) -> GeometryReport:
@@ -320,7 +340,7 @@ def validate_bounded_geometry(K: MetricComplex, L: float, N: int) -> GeometryRep
     if not (L >= 1 and N >= 1):  # NaN fails too
         raise ValueError("require L >= 1 and N >= 1")
     edges = K.simplices_of_dim(1)
-    lengths = K._geometry(edges)[0].tolist() if edges else []  # in edges order
+    lengths = K._geometry_at(1, np.arange(len(edges)))[0].tolist() if edges else []
     violations = [(e, f"edge length {ell:.6g} outside [{1/L:.6g}, {L:.6g}]")
                   for e, ell in zip(edges, lengths) if not (1.0 / L - 1e-12 <= ell <= L + 1e-12)]
     # a vertex's degree is the number of edges holding its rank

@@ -3,9 +3,12 @@ an inductively constructed contracting homotopy on acyclic complexes.
 
 A MatrixComplex holds its dense, read-only D_i (so `assemble` is capped at
 SIZE_LIMIT simplices) and their nonzero pattern, built once: the (row, column,
-value) triples of each D_i, reachable by row and by column.  Each D_i is ranked
-once, by SVD and, as the exact oracle, by sparse column elimination over the
-rationals with lowest-row pivots (Edelsbrunner-Letscher-Zomorodian 2002).
+value) triples of each D_i, reachable by row and by column.  `assemble` takes
+the triples from the complex's face table and fills each D_i from them, so an
+assembled complex is never scanned; a hand-built one copies and scans its
+matrices.  Each D_i is ranked once, by SVD and, as the exact oracle, by sparse
+column elimination over the rationals with lowest-row pivots
+(Edelsbrunner-Letscher-Zomorodian 2002).
 
 The contraction is the paper's descending induction h^i = eta^i (1 - h^{i+1}
 D_i), with eta from a coreduction matching on the nonzero pattern of the D_i
@@ -13,10 +16,12 @@ D_i), with eta from a coreduction matching on the nonzero pattern of the D_i
 with it, and when none is left the lowest unpaired cell is critical.  In
 removal order D_{i-1}[U, L] (upper by lower partners) is triangular, so eta^i
 is a forward substitution, integer for +-1 pivots, that reads U and writes L:
-h^i = eta^i.  As D D = 0, D eta + eta D = 1 - g f for the chain maps f, g to
-and from the Morse complex on the critical cells; h^i += g pinv(f D g) f
-contracts its block too.  Each degree is checked, from the top, by its defect
-|D h + h D - 1|, summed from the nonzero products over the pattern.
+h^i = eta^i.  Pairing u with l fills the row of l from the rows of u's facets
+already paired as lower cells, the only nonzero ones.  As D D = 0, D eta +
+eta D = 1 - g f for the chain maps f, g to and from the Morse complex on the
+critical cells; h^i += g pinv(f D g) f contracts its block too.  Each degree
+is checked, from the top, by its defect |D h + h D - 1|, summed from the
+nonzero products over the pattern.
 """
 
 from __future__ import annotations
@@ -80,6 +85,21 @@ class MatrixComplex:
         if not all(np.isfinite(by_row[2]).all() for by_row, _ in self._incidence):
             raise ValueError("a coboundary matrix has a non-finite entry")
 
+    @classmethod
+    def _from_triples(cls, dims: tuple[int, ...], triples: list) -> "MatrixComplex":
+        """The complex whose D_i has the finite nonzero triples (rows, columns,
+        values) triples[i], row-major as `_scan` returns them: each D_i is
+        filled here, so nothing is copied, scanned or checked."""
+        mats = []
+        for i, (r, c, v) in enumerate(triples):
+            mats.append(np.zeros((dims[i + 1], dims[i])))
+            mats[-1][r, c] = v
+            mats[-1].setflags(write=False)
+        M = object.__new__(cls)
+        M.__dict__.update(dims=dims, matrices=tuple(mats), _incidence=tuple(
+            _incidence(*t, D.shape) for t, D in zip(triples, mats)))
+        return M
+
     @property
     def top(self) -> int:
         return len(self.dims) - 1
@@ -112,13 +132,15 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
         raise TooLarge(f"complex has {K.simplex_count()} simplices; "
                        f"dense limit is {SIZE_LIMIT}")
     dims = [len(K.simplices_of_dim(k)) for k in range(K.dim + 1)]
-    mats = []
+    triples = []
     for k, faces in enumerate(K._tables[1][1:]):  # D_k[tau, tau without v_i] = (-1)^i
-        mats.append(np.zeros((len(faces), dims[k])))
-        mats[-1][np.arange(len(faces))[:, None], faces] = (-1.0) ** np.arange(k + 2)
+        # tau without v_i falls as i rises, so the columns ascend in reverse
+        triples.append((np.arange(len(faces)).repeat(k + 2), faces[:, ::-1].ravel(),
+                        np.tile((-1.0) ** np.arange(k + 1, -1, -1), len(faces))))
     if augmented:
-        dims, mats = [1] + dims, [np.ones((dims[0], 1))] + mats
-    return MatrixComplex(tuple(dims), tuple(mats))
+        ones = (np.arange(dims[0]), np.zeros(dims[0], dtype=int), np.ones(dims[0]))
+        dims, triples = [1] + dims, [ones] + triples
+    return MatrixComplex._from_triples(tuple(dims), triples)
 
 
 def _rank(D: np.ndarray) -> int:
@@ -202,6 +224,7 @@ def _coreduce(M: MatrixComplex):
     facets = [[[]] * M.dims[0]] + [by_row[3] for by_row, _ in M._incidence]
     cofaces = [by_col[3] for _, by_col in M._incidence] + [[[]] * M.dims[-1]]
     alive, critical = [[True] * d for d in M.dims], [[] for _ in M.dims]
+    lower = [[False] * d for d in M.dims]  # paired with a cell one degree up
     eta = {i: np.zeros((M.dims[i - 1], M.dims[i])) for i in range(1, len(M.dims))}
     cells = [(i, c) for i, d in enumerate(M.dims) for c in range(d)]
     queue = deque(cells)
@@ -215,8 +238,14 @@ def _coreduce(M: MatrixComplex):
             i, u = queue.popleft()
             live = [j for j in facets[i][u] if alive[i - 1][j]]
             if alive[i][u] and len(live) == 1:  # pair u with l, its one unpaired facet
-                l, D, fs = live[0], M.matrices[i - 1], facets[i][u]  # eta[i][l] is 0 so far
-                eta[i][l] = (np.eye(1, M.dims[i], u)[0] - D[u, fs] @ eta[i][fs]) / D[u, l]
+                l, D, E = live[0], M.matrices[i - 1], eta[i]
+                row = E[l]  # 0 so far; (e_u - D[u] E) / D[u, l], where only the
+                for f in facets[i][u]:  # rows of facets paired as lower cells are not 0
+                    if lower[i - 1][f]:
+                        row -= D[u, f] * E[f]
+                row[u] += 1.0
+                row /= D[u, l]
+                lower[i - 1][l] = True
                 remove(i, u)
                 remove(i - 1, l)
         if alive[low[0]][low[1]]:  # the lowest cell left, so its facets are gone

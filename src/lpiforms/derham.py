@@ -169,8 +169,8 @@ def _first_carrier(L: MetricComplex, K: MetricComplex, k: int, parts: list,
     key, keep = key[order], np.ones(len(key), dtype=bool)
     keep[1:] = key[1:] != key[:-1]
     (cols, rows), vals = np.divmod(key[keep], n), vals[order[keep]]
-    if weighted:  # the volumes from _geometry span every k-simplex
-        vals = vals * L._geometry(L.simplices_of_dim(k)[:1])[0][rows]
+    if weighted:
+        vals = vals * L._geometry_at(k, rows)[0][rows]
     else:
         vals = vals / math.factorial(k)
     if K is not L:
@@ -226,7 +226,7 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
     size = min(4, n)
     draws = [(rng.choice(n, size=size, replace=False), rng.normal(size=size)) for _ in range(samples)]
     support, vals = (np.concatenate(a) for a in zip(*draws))
-    if not (vol := K._geometry(sigmas[:1])[0])[support].all():  # over every k-simplex
+    if not (vol := K._geometry_at(k, support)[0])[support].all():
         s = sigmas[support[vol[support] == 0.0][0]]
         raise DegenerateSimplex(f"{s} has zero volume, so W(chi) has no weighted rescaling")
     drawn, column = np.unique(support, return_inverse=True)

@@ -459,8 +459,7 @@ class PolyForm:
         k, K = self.degree, self.complex
         layouts = [(vol[rows], *_coefficients(union, dense, m, k), G[rows])
                    for m, rows, union, dense in self._layout() if m >= k
-                   for vol, G, _ in [K._geometry([*map(K.simplices_of_dim(m).__getitem__,
-                                                       rows.tolist())], k)]]
+                   for vol, G in [K._geometry_at(m, rows, k)]]
         if not layouts:
             return 0.0
         e = math.frexp(max(float((np.abs(A).max(axis=(1, 2)) * np.sqrt(G.max(axis=(1, 2)))).max())

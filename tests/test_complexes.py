@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lpiforms.complexes import (
     MetricComplex,
     PiSequence,
+    _is_connected,
     barycentric_subdivide,
     build_complex,
     cube_boundary_complex,
@@ -467,6 +468,61 @@ def test_a_degenerate_simplex_leaves_its_dimension_intact():
         with pytest.raises(DegenerateSimplex):
             K.covector_gram((0, 1, 3), k)
     assert K.covector_gram((0, 1, 3), 0).tolist() == [[1.0]]  # no metric needed
+
+
+@pytest.mark.parametrize("case", GEOMETRY_CASES)
+def test_geometry_by_rows_equals_geometry_by_keys(case):
+    K = GEOMETRY_CASES[case]()
+    for m, keys in K.simplices.items():
+        for k in range(m + 1):
+            vol, grams, rows = K._geometry(keys, k)
+            at = K._geometry_at(m, rows, k)
+            assert at[0] is vol and at[1] is grams
+            assert rows.tolist() == list(range(len(rows)))
+
+
+def test_geometry_by_rows_refuses_like_geometry_by_keys():
+    verts = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.3, 0.8), 3: (2.0, 0.0)}
+    K = build_complex(verts, [(0, 1, 2), (0, 1, 3)])  # (0, 1, 3) is collinear
+    assert K.simplices_of_dim(2) == ((0, 1, 2), (0, 1, 3))
+    for rows in ([2], [-1], [0, 2]):
+        with pytest.raises(MissingSimplex):
+            K._geometry_at(2, np.array(rows))
+    with pytest.raises(MissingSimplex):
+        K._geometry([(0, 1, 2), (1, 2, 3)])  # a key off the complex, with its row -1
+    with pytest.raises(MissingSimplex):
+        K._geometry([(0, 1, 2), (1, 2)])  # a key of another dimension
+    with pytest.raises(BadDimension):
+        K._geometry_at(2, np.array([0]), 3)
+    for k in (1, 2):
+        with pytest.raises(DegenerateSimplex, match=r"\(0, 1, 3\)"):
+            K._geometry_at(2, np.array([0, 1]), k)
+        assert K._geometry_at(2, np.array([0]), k)[1] is K._geometry([(0, 1, 2)], k)[1]
+    assert K._geometry_at(2, np.array([1]))[0].tolist() == [K.volume((0, 1, 2)), 0.0]
+
+
+def _connected_by_cofaces(K):
+    """The walk `_is_connected` made over the coface dicts before it read the
+    edge table, kept as its reference."""
+    seen = set(stack := list(K.vertices)[:1])
+    while stack:
+        new = {w for edge, _sign in K.cofaces[(stack.pop(),)] for w in edge} - seen
+        seen |= new
+        stack.extend(new)
+    return len(seen) == len(K.vertices)
+
+
+@pytest.mark.parametrize("build, connected", [
+    (lambda: barycentric_subdivide(ray_complex(2, 6)), True),
+    (lambda: build_complex({0: (0.0,), 1: (1.0,), 2: (3.0,), 3: (4.0,)}, [(0, 1), (2, 3)]), False),
+    (lambda: build_complex({0: (0.0,), 1: (1.0,), 2: (5.0,)}, [(0, 1), (2,)]), False),
+    (lambda: build_complex({7: (0.0, 0.0)}, [(7,)]), True),
+    (lambda: build_complex({}, []), True),
+], ids=["strip", "two_components", "isolated_vertex", "one_vertex", "empty"])
+def test_connectivity_matches_the_coface_walk(build, connected):
+    K = build()
+    assert _is_connected(K) is connected
+    assert _connected_by_cofaces(K) is connected
 
 
 def test_io_round_trip(subdivided_triangle):

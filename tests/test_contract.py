@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -59,6 +60,31 @@ def test_assemble_matches_the_coface_loop(build):
         for D, ref in zip(got, want):
             assert (D.dtype, D.shape) == (ref.dtype, ref.shape)
             assert D.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: barycentric_subdivide(ray_complex(2, 48)),
+    lambda: barycentric_subdivide(simplex_complex(3)),
+    lambda: skeleton(barycentric_subdivide(simplex_complex(3)), 2),
+    lambda: ray_complex(1, 999),
+    lambda: build_complex({}, []),
+], ids=["sd_strip_48", "sd_tetrahedron", "skeleton", "path_999", "empty"])
+def test_assembled_incidence_equals_the_scanned_one(build):
+    # assemble hands its triples over unscanned; a copy through the public
+    # constructor scans the same matrices
+    K = build()
+    for augmented in (False, True):
+        M = assemble(K, augmented=augmented)
+        ref = MatrixComplex(M.dims, M.matrices)
+        assert len(M._incidence) == len(ref._incidence) == len(M.matrices)
+        for got, want in zip(M._incidence, ref._incidence):
+            for (*arrays, lists), (*ref_arrays, ref_lists) in zip(got, want):
+                for a, b in zip(arrays, ref_arrays):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b)
+                assert lists == ref_lists
+        for D in M.matrices:
+            with pytest.raises(ValueError):
+                D[...] = 5.0
 
 
 def test_dd_zero_matrix():
@@ -168,6 +194,57 @@ def _random_integer_complex(rng) -> MatrixComplex:
     inverses = [np.rint(np.linalg.inv(P)).astype(np.int64) for P in bases]
     mats = [bases[i + 1] @ D @ inverses[i] for i, D in enumerate(mats)]
     return MatrixComplex(tuple(dims), tuple(D.astype(float) for D in mats))
+
+
+def reference_coreduce(M: MatrixComplex):
+    """The matching with the dense eta row update `_coreduce` made before it
+    read only the rows of facets paired as lower cells: e_u minus a gathered
+    block of eta rows times D[u, facets], over D[u, l].  Kept as the
+    reference it must match byte for byte."""
+    facets = [[[]] * M.dims[0]] + [by_row[3] for by_row, _ in M._incidence]
+    cofaces = [by_col[3] for _, by_col in M._incidence] + [[[]] * M.dims[-1]]
+    alive, critical = [[True] * d for d in M.dims], [[] for _ in M.dims]
+    eta = {i: np.zeros((M.dims[i - 1], M.dims[i])) for i in range(1, len(M.dims))}
+    cells = [(i, c) for i, d in enumerate(M.dims) for c in range(d)]
+    queue = deque(cells)
+
+    def remove(i, c):
+        alive[i][c] = False
+        queue.extend((i + 1, r) for r in cofaces[i][c])
+
+    for low in cells:
+        while queue:
+            i, u = queue.popleft()
+            live = [j for j in facets[i][u] if alive[i - 1][j]]
+            if alive[i][u] and len(live) == 1:
+                l, D, fs = live[0], M.matrices[i - 1], facets[i][u]
+                eta[i][l] = (np.eye(1, M.dims[i], u)[0] - D[u, fs] @ eta[i][fs]) / D[u, l]
+                remove(i, u)
+                remove(i - 1, l)
+        if alive[low[0]][low[1]]:
+            critical[low[0]].append(low[1])
+            remove(*low)
+    return eta, critical
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble(barycentric_subdivide(ray_complex(2, 48))),
+    lambda: assemble(barycentric_subdivide(ray_complex(2, 48)), augmented=True),
+    lambda: assemble(barycentric_subdivide(simplex_complex(3))),
+    lambda: assemble(barycentric_subdivide(simplex_complex(3)), augmented=True),
+    lambda: assemble(ray_complex(1, 999), augmented=True),
+    lambda: MatrixComplex((2, 2), (np.array([[1.0, 1.0], [1.0, -1.0]]),)),
+    lambda: MatrixComplex((1, 1), (np.array([[2.0]]),)),
+], ids=["sd_strip_48", "sd_strip_48_augmented", "sd_tetrahedron", "sd_tetrahedron_augmented",
+        "path_999_augmented", "stalled", "pivot-2"])
+def test_coreduce_matches_the_dense_row_update(make):
+    M = make()
+    (eta, critical), (ref, ref_critical) = _coreduce(M), reference_coreduce(M)
+    assert critical == ref_critical
+    assert eta.keys() == ref.keys()
+    for i in ref:
+        assert (eta[i].dtype, eta[i].shape) == (ref[i].dtype, ref[i].shape)
+        assert eta[i].tobytes() == ref[i].tobytes()
 
 
 def test_contract_on_random_integer_complexes():
