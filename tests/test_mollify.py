@@ -470,9 +470,9 @@ def test_restricted_loop_is_exact(monkeypatch, n, k, eps, select, block):
     cfg = MollifierConfig(eps, n=n)
     full = regularize(omega, cfg)
     nodes = select(omega)
-    if block is not None:  # blocks of the node subset end mid-row
+    if block is not None:  # bands of one row in 2-D, of 7 nodes in 1-D
         assert (nodes & omega.mask()).sum() > 2 * block
-        monkeypatch.setattr(mollify, "_BLOCK", block)
+        monkeypatch.setattr(mollify, "_BAND_NODES", block)
     got, = mollify._regularize_all([omega], cfg, nodes)
     assert got.degree == k and got.components.keys() == full.components.keys()
     for a, arr in full.components.items():
@@ -491,13 +491,13 @@ def test_support_residual_is_the_public_operator_on_the_inner_disc(eps):
 
 @pytest.mark.parametrize("eps", [0.2, 0.05])
 def test_support_control_interpolates_only_at_the_inner_disc(monkeypatch, eps):
-    real, points = mollify._stencil, []
+    real, points = mollify._cells, []
 
-    def counting_stencil(pts, h, npts):
+    def counting_cells(pts, h, npts):
         points.append(pts.shape[1])
         return real(pts, h, npts)
 
-    monkeypatch.setattr(mollify, "_stencil", counting_stencil)
+    monkeypatch.setattr(mollify, "_cells", counting_cells)
     g, cfg = _criterion_5_form(), MollifierConfig(eps, n=2)
     rep = verify_support_control(g, cfg, r=0.4)
     assert 0 < sum(points) <= len(cfg.nodes) * rep.detail["checked"]
@@ -517,14 +517,25 @@ def _blocked_outputs():
 
 def test_results_do_not_depend_on_the_block_size(monkeypatch):
     default = _blocked_outputs()
-    nodes = int(_sample(2, 1 / 128, 0, seed=30).mask().sum())
-    for size in (1000, nodes):  # block edges mid-row; one block
-        monkeypatch.setattr(mollify, "_BLOCK", size)
-        assert len(mollify._blocks(nodes)) == -(-nodes // size)
+    real, built = mollify._table, []
+
+    def counting_table(c, lo, hi):
+        built.append((lo, hi))
+        return real(c, lo, hi)
+
+    monkeypatch.setattr(mollify, "_table", counting_table)
+    omega = _sample(2, 1 / 128, 0, seed=30)
+    # bands of 3 rows, which end mid-disc and share each build of the tables
+    # with the next ones; bands of 62 rows; one band, one build
+    for size in (1000, 16000, omega.mask().size):
+        monkeypatch.setattr(mollify, "_BAND_NODES", size)
         got = _blocked_outputs()
         assert len(got) == len(default)
         for a, b in zip(got, default):
             assert np.array_equal(a, b)
+    built.clear()  # still one band
+    regularize(omega, MollifierConfig(0.1, kernel_grid=5, n=2))
+    assert len(built) == 1
 
 
 def test_kernel_built_once_per_grid_and_dimension(monkeypatch):
@@ -591,3 +602,145 @@ def test_homotopy_2d_h_sweep():
         res.append(verify_homotopy(om, MollifierConfig(0.1, n=2), tol=1e-2).residual)
     assert max(res) <= 1e-2
     assert res[0] > res[1] > res[2]
+
+
+# ---------------------------------------------------------------------------
+# the kernel loop's cell tables against the corner-weight stencil they replace
+# ---------------------------------------------------------------------------
+
+def _stencil(pts, h, npts):
+    """Multilinear interpolation stencil of points pts (n, N) in [-1,1]^n on
+    a grid of npts^n nodes: the flat indices of the 2^n corners, (2^n, N),
+    whose row has the corner bit of axis d as its bit d, and their weights,
+    the products of the per-axis factors 1 - f and f, also (2^n, N)."""
+    n = len(pts)
+    u = np.clip((pts + 1.0) / h, 0.0, npts - 1.000001)
+    i0 = u.astype(np.intp)
+    f = u - i0
+    base, offset, w = 0, 0, 1.0
+    for d in range(n):
+        shape = (1,) * (n - 1 - d) + (2,) + (1,) * d + (-1,)
+        base = base * npts + i0[d]
+        offset = offset * npts + np.arange(2).reshape(shape)
+        w = w * np.stack([1.0 - f[d], f[d]]).reshape(shape)
+    return (base + offset).reshape(2**n, -1), w.reshape(2**n, -1)
+
+
+def _gather(flat, stencil):
+    """Values of the raveled grid array `flat` interpolated on a stencil."""
+    idx, w = stencil
+    return (np.take(flat, idx) * w).sum(axis=0)
+
+
+def _table_values(c, h, pts):
+    """The kernel loop's interpolant of the grid array c at points pts (n, N),
+    through one table of all its cells."""
+    npts = c.shape[0]
+    i0, f = mollify._cells(pts, h, npts)
+    cell = i0[0] if c.ndim == 1 else i0[0] * (npts - 1) + i0[1]
+    return mollify._interp(mollify._table(c, 0, npts - 1), cell, f)
+
+
+def _test_points(n, h, rng):
+    """Random points of [-1,1]^n, points on grid nodes, and points on the top
+    edge of each axis, where the stencil is clipped into the last cell."""
+    axis = mollify.grid_axis(h)
+    pts = [rng.uniform(-1.0, 1.0, (n, 500)), rng.choice(axis, (n, 200))]
+    for d in range(n):
+        edge = rng.uniform(-1.0, 1.0, (n, 50))
+        edge[d] = 1.0
+        pts.append(edge)
+    return np.concatenate(pts, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("h", [1 / 16, 2 / 31, 1 / 128])
+def test_table_interpolant_matches_the_stencil(n, h):
+    rng = np.random.default_rng(int(7 / h) + n)
+    c = rng.uniform(-3.0, 3.0, (len(mollify.grid_axis(h)),) * n)
+    pts = _test_points(n, h, rng)
+    ref = _gather(c.ravel(), _stencil(pts, h, c.shape[0]))
+    assert np.abs(_table_values(c, h, pts) - ref).max() <= 1e-15 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_table_interpolant_is_zero_where_every_corner_is(n):
+    # criterion 5 rests on this: R omega is a sum of exact zeros where omega
+    # vanishes at every corner of every pulled-back point's cell
+    h = 1 / 32
+    rng = np.random.default_rng(n)
+    c = rng.uniform(0.5, 2.0, (len(mollify.grid_axis(h)),) * n)
+    c[tuple(slice(10, 40) for _ in range(n))] = 0.0
+    pts = _test_points(n, h, rng)
+    idx, _ = _stencil(pts, h, c.shape[0])
+    zero = np.all(c.ravel()[idx] == 0.0, axis=0)
+    assert zero.sum() > 50
+    assert np.all(_table_values(c, h, pts)[zero] == 0.0)
+
+
+@pytest.mark.parametrize("n,h", [(1, 1 / 128), (2, 1 / 32)])
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.9])
+@pytest.mark.parametrize("block", [None, 40])
+def test_pulled_back_cells_lie_in_their_tables(monkeypatch, n, h, eps, block):
+    """Every cell that the kernel loop looks up lies in the rows of the
+    tables built last, and no cell row is built more than 3 times."""
+    events = []
+    real_table, real_cells = mollify._table, mollify._cells
+
+    def recording_table(c, lo, hi):
+        events.append(("table", lo, hi))
+        return real_table(c, lo, hi)
+
+    def recording_cells(pts, h, npts):
+        i0, f = real_cells(pts, h, npts)
+        events.append(("cells", int(i0[0].min()), int(i0[0].max())))
+        return i0, f
+
+    monkeypatch.setattr(mollify, "_table", recording_table)
+    monkeypatch.setattr(mollify, "_cells", recording_cells)
+    if block is not None:  # bands of one row in 2-D, of 40 nodes in 1-D
+        monkeypatch.setattr(mollify, "_BAND_NODES", block)
+    omega = _sample(n, h, 0, seed=60 + n)
+    regularize(omega, MollifierConfig(eps, n=n))
+    builds, lookups = 0, 0
+    built = np.zeros(len(omega.axis()) - 1, dtype=int)
+    for kind, a, b in events:
+        if kind == "table":
+            lo, hi = a, b
+            built[lo:hi] += 1
+            builds += 1
+        else:
+            assert lo <= a and b < hi
+            lookups += 1
+    assert builds > 0 and lookups > 0
+    assert built.max() <= 3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 64, 1 / 128])
+def test_displacement_bound_equals_the_full_walk(n, h):
+    # the full walk: every ball node under every kernel node
+    omega = _sample(n, h, 0, seed=70 + n)
+    xs = omega.axis()[np.array(np.nonzero(omega.mask()))]
+    y = mollify._h_inv(xs.T).T
+    for eps in (0.01, 0.05, 0.1, 0.2, 0.5, 1.0):
+        cfg = MollifierConfig(eps, n=n)
+        worst = 0.0
+        for v in cfg.nodes:
+            z = y + (eps * v)[:, None]
+            ys = z / np.sqrt(1.0 + (z**2).sum(axis=0)) if np.any(v) else xs
+            worst = max(worst, float(np.linalg.norm(ys - xs, axis=0).max()))
+        assert displacement_bound(omega, cfg) == worst
+
+
+def test_displacement_bound_evaluates_few_nodes(monkeypatch):
+    real, evaluated = mollify._shift, []
+
+    def counting_shift(y, xs, ev):
+        evaluated.append(y.shape[1])
+        return real(y, xs, ev)
+
+    monkeypatch.setattr(mollify, "_shift", counting_shift)
+    g = _criterion_5_form()
+    displacement_bound(g, MollifierConfig(0.05, n=2))
+    assert 0 < max(evaluated) < 0.01 * g.mask().sum()
