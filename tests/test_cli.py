@@ -8,6 +8,7 @@ from lpiforms import cli
 from lpiforms.cli import main
 from lpiforms.cochains import Cochain, write_cochain
 from lpiforms.complexes import build_complex, ray_complex, read_complex, write_complex
+from lpiforms.nontrivial import integral_test_brackets
 
 from conftest import simplex_complex, sphere_complex
 
@@ -353,6 +354,24 @@ def test_verify_nontrivial_csv(tmp_path, capsys):
     ])
     assert code == 0
     assert csv.read_text().startswith("m,S_pk,S_pk1,tail_bound")
+
+
+@pytest.mark.parametrize("trunc", ["1e15", "999999999999999"])
+def test_verify_nontrivial_at_a_large_truncation(trunc, tmp_path, capsys):
+    # the partial sums are in closed form, so 10^15 terms cost no memory; the
+    # last row is the truncation itself, never the next power of ten
+    csv = tmp_path / "big.csv"
+    assert main(["verify", "nontrivial", "--trunc", trunc, "--csv", str(csv)]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert int(rows[-1][0]) == int(float(trunc))
+    assert [int(r[0]) for r in rows[:-1]] == [10**j for j in range(1, 15)]
+    pk, pk1, eps = (cli._OPTIONS[o]["default"] for o in ("pk", "pk1", "eps"))
+    decay = 1.0 / (pk1 - eps)
+    for row in rows:
+        m = int(row[0])
+        for p, s in ((pk, float(row[1])), (pk1, float(row[2]))):
+            lo, hi = integral_test_brackets(p * decay, m)
+            assert lo <= s <= hi, (m, p)
 
 
 def test_verify_nontrivial_kernel_residual_is_exactly_zero(capsys):

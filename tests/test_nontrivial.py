@@ -1,12 +1,14 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpiforms import nontrivial, polyform
+from lpiforms.cochains import Cochain, coboundary
 from lpiforms.complexes import PiSequence
 from lpiforms.errors import BadEpsilon, BadExponent, NotACounterexample
 from lpiforms.mollify import GridForm, cone_S
@@ -219,12 +221,75 @@ def test_bump_profile_is_elementwise_for_n1():
 
 @pytest.mark.parametrize("a", [2.0 / 3.0, 4.0 / 3.0])
 def test_p_series_in_place_matches_cumsum(a):
+    # a second reference: the float64 cumsum of every term is itself up to
+    # 2.6e-13 off at M = 10^6 (the mpmath oracle below pins the sums tighter)
     M = 10**6
     ref = np.cumsum(np.arange(1, M + 1, dtype=float) ** (-a))
-    checkpoints = [10**j for j in range(1, 7)]
-    assert p_series(a, checkpoints).partial_sums == tuple(
-        (m, float(ref[m - 1])) for m in checkpoints
-    )
+    checkpoints = [1, 5, 64, 65, *(10**j for j in range(1, 7))]
+    got = p_series(a, checkpoints).partial_sums
+    assert [m for m, _ in got] == sorted(checkpoints)
+    for m, s in got:
+        assert abs(s - ref[m - 1]) <= 1e-12 * ref[m - 1]
+
+
+def _exact_partial_sum(a: float, m: int):
+    """sum_{i <= m} i^(-a) at 40 digits: the harmonic number at a = 1, else
+    zeta(a) - zeta(a, m + 1) (Hurwitz), both in closed form in mpmath."""
+    if a == 1.0:
+        return mpmath.harmonic(m)
+    return mpmath.zeta(mpmath.mpf(a)) - mpmath.zeta(mpmath.mpf(a), m + 1)
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 2.0 / 3.0, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 4.0 / 3.0,
+                               2.0, 3.0, 4.0])
+def test_p_series_matches_mpmath(a):
+    # the first 64 terms are summed directly, the rest by Euler-Maclaurin;
+    # a numpy exponent still gives plain floats, which the CSV prints by repr
+    marks = [1, 5, 64, 65, 10**2, 10**3, 10**6, 10**12, 10**15]
+    got = p_series(np.float64(a), marks).partial_sums
+    assert [m for m, _ in got] == marks
+    with mpmath.workdps(40):
+        for m, s in got:
+            assert type(s) is float
+            exact = _exact_partial_sum(a, m)
+            assert abs((s - exact) / exact) <= 1e-14, (a, m)
+
+
+@pytest.mark.parametrize("delta", [1e-15, 1e-12, 1e-9, 1e-6, -1e-15, -1e-12, -1e-9, -1e-6])
+@pytest.mark.parametrize("m", [1, 10, 10**6, 10**15])
+def test_integral_test_brackets_near_one_match_mpmath(delta, m):
+    # (b^(1-a) - 1)/(1 - a) cancels as a nears 1: 0.11 % off at a = 1 + 1e-15
+    a = 1.0 + delta
+    with mpmath.workdps(40):
+        A = mpmath.mpf(a)
+        F = lambda b: (mpmath.mpf(b) ** (1 - A) - 1) / (1 - A)
+        for got, exact in zip(integral_test_brackets(a, m), (F(m + 1), 1 + F(m))):
+            assert abs((got - exact) / exact) <= 1e-12
+
+
+@pytest.mark.parametrize("j", range(1, 19))
+def test_checkpoints_never_pass_the_truncation(j):
+    # a float log10 rounds 10^j - 1 up to j for j >= 15
+    for M in (10**j - 1, 10**j, 10**j + 1):
+        marks = nontrivial._checkpoints(M)
+        assert marks[-1] == M
+        assert all(m <= M for m in marks)
+        decades = [10**i for i in range(1, 20) if 10**i <= M]
+        assert marks == decades + ([] if decades[-1:] == [M] else [M])
+
+
+def test_subdivision_image_matches_the_cochain_built_key_by_key():
+    # the reference builds omega's cochain from a {vertex: value} dict and
+    # reads every half-edge entry by key
+    fam = build_family(0, PI, 1.0, 1000)
+    rep = subdivision_image(fam)
+    omega = nontrivial._omega_at_vertices(fam)[1]
+    Kp, geo = fam.subdivided, fam.geometry_cap
+    ref = coboundary(Cochain(0, {(v,): w for v, w in enumerate(omega.tolist())}, Kp))
+    assert rep.cochain == ref
+    vals = np.array([[ref((j - 1, geo + j)), ref((j, geo + j))] for j in range(1, geo + 1)])
+    w = fam.weight(np.arange(1, geo + 1))[:, None] / math.e
+    assert rep.max_constant_error == float(np.max(np.abs(np.abs(vals) - w)))
 
 
 def test_verify_nontriviality_and_csv():
