@@ -13,6 +13,7 @@ suite can also emit a CSV of partial sums.
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import sys
 import time
@@ -233,11 +234,13 @@ def _positive_int(text: str) -> int:
 
 
 def _finite(low: float, cast=float):
-    """The option type of a finite number >= low, such as 1e6, passed through cast."""
+    """The option type of a finite number >= low, such as 1e6; whole and exact for cast=int."""
     def number(text: str):
         value = float(text)
         if not (math.isfinite(value) and value >= low):
             raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        if cast is int and (value := decimal.Decimal(text)) != value.to_integral_value():
+            raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}")
         return cast(value)
     return number
 

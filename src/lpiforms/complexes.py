@@ -4,41 +4,33 @@ A complex stores embedded vertex coordinates and, per dimension, the ordered
 set of simplex keys (strictly increasing vertex-id tuples).  Complexes are
 immutable after construction; every operation returns a new complex.
 
-Incidence is built once, with the complex, and other modules only look it
-up.  Both maps have one key per simplex; on bounded geometry their entries
-have bounded length.  `cofaces[sigma]` holds one pair (tau, (-1)**i), in
-ascending tau, for each (k+1)-simplex tau = (v_0 < ... < v_{k+1}) with
-sigma = tau minus v_i: the coboundary sign, (dc)(tau) = sum_i (-1)^i
-c(tau \\ v_i).  `carriers[sigma]` holds the maximal simplices containing
-sigma (sigma itself if it is maximal), in ascending key order.
-
 The build works on integer arrays, not one face tuple at a time.  Vertices
 are ranked by id (V of them), and the k-simplices are one sorted array of
 integer codes per dimension, from one sort of the codes of the tops'
 (k+1)-vertex subsets.  A k-simplex's code is (the row of its first k
 vertices among the (k-1)-simplices) * V + its last rank: codes stay below
 N_{k-1} * V, in int64 at any size that fits in memory, and `searchsorted`
-on them finds rows.  One stable argsort of the face tables groups the
-signed cofaces; the carriers pass from each maximal simplex down the face
-tables, with one sort per dimension dropping repeats.  The dicts are then
-made in bulk.
+on them finds rows.
 
-The complex keeps three tables per dimension k, in key order: the vertex
-ranks of each k-simplex, its face table, the row of each k-simplex without
-each of its vertices, and its place among the maximal simplices in key
-order (-1 if it is not maximal).  They are private and take no part in
-equality or repr.  `barycentric_subdivide` and `skeleton` hand them back to
-the build, the volumes gather coordinates through the ranks, `assemble`
-and `coboundary` read the signs from the face table, `derham` takes each
-face's first carrier through the face tables composed (`_face_rows`) and
-the places, `polyform` builds its prisms from the ranks, and the
-connectivity check walks the edges' ranks.  Keys map to rows through one
-dict per dimension (`_rows`).
+The complex keeps three private tables per dimension k, in key order,
+outside equality and repr: the vertex ranks of each k-simplex, its face
+table (the row of each k-simplex without each of its vertices), and its
+place among the maximal simplices in key order (-1 if it is not maximal: no
+face table names it).  Subdivisions, skeletons, prisms, volumes, `assemble`,
+`coboundary`, `derham` (through `_face_rows`, the face tables composed) and
+the connectivity check read them.  Keys map to rows through one dict per
+dimension (`_rows`), which `has_simplex` reads too.  Geometry (`volume`,
+`covector_gram`) is built per dimension on first use, in one stacked pass
+over the Gram matrices (batched det, inverse and minors), kept in a private
+memo and read by rows (`_geometry_at`).
 
-Geometry (`volume`, `covector_gram`) is built per dimension on first use, by
-one stacked pass over the Gram matrices of its simplices (batched det, inverse
-and minors), and kept in a private memo, which takes no part in equality or repr.
-It is read by rows (`_geometry_at`); a key goes through `_rows` first.
+The incidence maps are views on the tables, built on first read and kept,
+with one key per simplex in (dimension, key) order.  `cofaces[sigma]` holds
+one pair (tau, (-1)**i), in ascending tau, for each (k+1)-simplex
+tau = (v_0 < ... < v_{k+1}) with sigma = tau minus v_i: the coboundary
+sign, (dc)(tau) = sum_i (-1)^i c(tau \\ v_i).  `carriers[sigma]` holds the
+maximal simplices containing sigma (sigma itself if it is maximal), in
+ascending key order.
 """
 
 from __future__ import annotations
@@ -63,16 +55,37 @@ class MetricComplex:
 
     vertices: dict[int, tuple[float, ...]]
     simplices: dict[int, tuple[SimplexKey, ...]]  # dim -> sorted keys
-    cofaces: dict[SimplexKey, tuple[tuple[SimplexKey, int], ...]]
-    carriers: dict[SimplexKey, tuple[SimplexKey, ...]]
     dim: int
     # per dimension: the vertex ranks, the face table and the places (see the module docstring)
     _tables: tuple[list[np.ndarray], ...] = field(compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    @functools.cached_property
+    def cofaces(self) -> dict[SimplexKey, tuple[tuple[SimplexKey, int], ...]]:
+        """Each simplex's signed cofaces; a view built on first read."""
+        out = {}
+        for k, f in enumerate(self._tables[1][1:] + [np.zeros(0, dtype=int)]):
+            # f[tau, i] is tau's face without vertex i, which has the coface (tau, (-1) ** i)
+            signs = [(-1) ** i for i in range(k + 2)]
+            pairs = [*itertools.product(self.simplices_of_dim(k + 1), signs)]
+            out.update(_group(self.simplices_of_dim(k), f.ravel(), pairs))
+        return out
+
+    @functools.cached_property
+    def carriers(self) -> dict[SimplexKey, tuple[SimplexKey, ...]]:
+        """The maximal simplices containing each simplex; a view built on first read."""
+        out, places, tops = {}, self._tables[2], sorted(self.maximal_simplices())
+        for k in range(len(places)):
+            # (the row of a k-face) * n + the place of a maximal simplex holding it
+            code = np.sort(np.concatenate([(self._face_rows(m, k)[p >= 0] * len(tops)
+                                            + p[p >= 0, None]).ravel()
+                                           for m, p in enumerate(places[k:], k)]))
+            out.update(_group(self.simplices_of_dim(k), code // len(tops),
+                              [*map(tops.__getitem__, (code % len(tops)).tolist())]))
+        return out
+
     def has_simplex(self, key: SimplexKey) -> bool:
-        # `cofaces` has one entry for every simplex of the complex
-        return key in self.cofaces
+        return key in self._row_of(len(key) - 1)
 
     def simplices_of_dim(self, k: int) -> tuple[SimplexKey, ...]:
         return self.simplices.get(k, ())
@@ -84,7 +97,9 @@ class MetricComplex:
     def maximal_simplices(self) -> tuple[SimplexKey, ...]:
         """Simplices that are not a proper face of any other simplex, by
         dimension and then by key."""
-        return tuple(key for key, cof in self.cofaces.items() if not cof)
+        return tuple(itertools.chain.from_iterable(
+            map(self.simplices_of_dim(m).__getitem__, np.flatnonzero(places >= 0).tolist())
+            for m, places in enumerate(self._tables[2])))
 
     def simplex_count(self) -> int:
         return sum(len(v) for v in self.simplices.values())
@@ -144,13 +159,15 @@ class MetricComplex:
             grams[k].setflags(write=False)
         return vol, grams[k]
 
+    def _row_of(self, m: int) -> dict[SimplexKey, int]:
+        """{key: row} over the m-simplices, built on first use."""
+        if (rows := self._memo.get(("rows", m))) is None:
+            rows = self._memo["rows", m] = {s: i for i, s in enumerate(self.simplices_of_dim(m))}
+        return rows
+
     def _rows(self, m: int, keys) -> np.ndarray:
-        """The row of each key among the m-simplices, -1 for a key that is
-        none, from one {key: row} dict per dimension, built on first use."""
-        if ("rows", m) not in self._memo:
-            self._memo["rows", m] = {s: i for i, s in enumerate(self.simplices_of_dim(m))}
-        rows = map(self._memo["rows", m].get, keys, itertools.repeat(-1))
-        return np.fromiter(rows, int, len(keys))
+        """The row of each key among the m-simplices, -1 for a key that is none."""
+        return np.fromiter(map(self._row_of(m).get, keys, itertools.repeat(-1)), int, len(keys))
 
     def _face_rows(self, m: int, k: int) -> np.ndarray:
         """The row of each k-face of each m-simplex, one column per face in
@@ -166,11 +183,6 @@ class MetricComplex:
             self._memo[m, k] = np.column_stack(cols)
             self._memo[m, k].setflags(write=False)
         return self._memo[m, k]
-
-    def _places(self, m: int) -> np.ndarray:
-        """Each m-simplex's place among the maximal simplices in key order,
-        -1 if it is not maximal.  Read-only."""
-        return self._tables[2][m]
 
 
 @dataclass(frozen=True)
@@ -229,21 +241,22 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate([[True], a[1:] != a[:-1]])]
 
 
-def _split(items: list, counts: np.ndarray) -> list[tuple]:
-    """`items` cut into consecutive tuples of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [tuple(items[a:b]) for a, b in zip([0, *ends], ends)]
+def _group(keys, owners: np.ndarray, items: list) -> dict:
+    """{key: the tuple of the items whose owner is its row, in their order}."""
+    ends = np.cumsum(np.bincount(owners, minlength=len(keys))).tolist()
+    items = [*map(items.__getitem__, np.argsort(owners, kind="stable").tolist())]
+    return {key: tuple(items[a:b]) for key, a, b in zip(keys, [0, *ends], ends)}
 
 
 def _close_and_index(vertices: dict[int, tuple[float, ...]],
                      tops: dict[int, np.ndarray]) -> MetricComplex:
-    """The face closure of `tops`, with its signed cofaces and carriers.
+    """The face closure of `tops`, with its tables.
 
     `tops[m]` holds m-simplices as rows of m + 1 ascending ranks into
     sorted(vertices); rows may repeat and need not be maximal.
     """
     if not vertices:
-        return MetricComplex({}, {}, {}, {}, 0, ([], [], []))
+        return MetricComplex({}, {}, 0, ([], [], []))
     ids = sorted(vertices)
     V, dim = len(ids), max(tops, default=0)
     # per dimension k: the sorted codes, the vertex ranks, the keys, and
@@ -264,39 +277,21 @@ def _close_and_index(vertices: dict[int, tuple[float, ...]],
         drop = last[:, None] if k == 1 else np.searchsorted(
             codes[k - 1], faces[k - 1][prefix, :k] * V + last[:, None])
         faces.append(np.column_stack([drop, prefix]))
-    # every simplex by its place g in (dimension, key) order
-    every = [key for ks in keys for key in ks]
+    # a simplex is maximal when no face table names it; the maximal ones are
+    # numbered in key order by their ranks, padded with -1 so a prefix sorts first
     first = [0, *itertools.accumulate(map(len, keys))]
-    face = np.concatenate([f.ravel() + first[k - 1] for k, f in enumerate(faces)])  # none at k = 0
-    ncof = np.bincount(face, minlength=len(every))
-    # (tau, (-1) ** i) in the order of `face`: tau's face without vertex i
-    pairs = [*itertools.chain.from_iterable(
-        itertools.product(keys[k], [(-1) ** i for i in range(k + 1)]) for k in range(1, dim + 1))]
-    # a stable sort keeps each face's cofaces in ascending tau
-    cofaces = _split(list(map(pairs.__getitem__, np.argsort(face, kind="stable").tolist())), ncof)
-    # carriers as codes g * n + the carrier's place among the n maximal
-    # simplices in key order; each dimension adds its maximal simplices to
-    # the faces of the one above, and unique sorts and drops repeats
-    maximal = np.flatnonzero(ncof == 0)
-    by_key = sorted(maximal.tolist(), key=every.__getitem__)
-    n = len(by_key)
-    place = np.full(len(every), -1)
-    place[by_key] = np.arange(n)
-    places = [place[a:b] for a, b in zip(first, first[1:])]
-    own = maximal * n + place[maximal]
-    cuts = np.searchsorted(maximal, first).tolist()
-    carried = [own[cuts[dim]:]]
-    for k in range(dim, 0, -1):
-        g, o = np.divmod(carried[-1], n)
-        down = (faces[k][g - first[k]] + first[k - 1]) * n + o[:, None]
-        carried.append(_unique(np.concatenate([own[cuts[k - 1]:cuts[k]], down.ravel()])))
-    g, o = np.divmod(np.concatenate(carried[::-1]), n)
-    carriers = _split([*map([every[i] for i in by_key].__getitem__, o.tolist())],
-                      np.bincount(g, minlength=len(every)))
+    named = [np.bincount(f.ravel(), minlength=len(r))
+             for r, f in zip(ranks, faces[1:] + [np.zeros(0, int)])]
+    maximal = np.flatnonzero(np.concatenate(named) == 0)
+    padded = np.full((first[-1], dim + 1), -1)
+    for k, r in enumerate(ranks):
+        padded[first[k]:first[k + 1], :k + 1] = r
+    place = np.full(first[-1], -1)
+    place[maximal[np.lexsort(padded[maximal].T[::-1])]] = np.arange(len(maximal))
+    places = np.split(place, first[1:-1])
     for table in ranks + faces + places:
         table.setflags(write=False)
-    return MetricComplex(vertices, {k: tuple(ks) for k, ks in enumerate(keys)},
-                         dict(zip(every, cofaces)), dict(zip(every, carriers)), dim,
+    return MetricComplex(vertices, {k: tuple(ks) for k, ks in enumerate(keys)}, dim,
                          (ranks, faces, places))
 
 

@@ -10,8 +10,8 @@ barycentric coordinates l_0..l_k of the reference k-simplex, along the
 selection matrix that sends vertex i to w_i's position in T.  One kernel,
 `_whitney`, builds the forms of a batch of cochains from one fixed local
 table per (m, k) of those pullbacks.  `whitney` is its one-column case and
-hands the form the kernel's layout (`PolyForm._layout`), so the form's
-pieces must not be changed after construction.
+hands the form the kernel's layout (`PolyForm._layout`), from which the
+form builds its `pieces` on first read.
 
 With the metric-free form integral the composite I o W is the identity on
 cochains, on any complex; with the volume-weighted integral I o W is
@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochains import Cochain, _coboundary
-from .complexes import MetricComplex, SimplexKey
+from .complexes import MetricComplex
 from .errors import BadDegree, BadDimension, DegenerateSimplex
-from .polyform import PolyForm, Terms, _dense, _integrals, _unit_d, pullback, selection
+from .polyform import PolyForm, _dense, _integrals, _unit_d, pullback, selection
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _whitney(K: MetricComplex, k: int, rows: np.ndarray, cols: np.ndarray, vals:
     count = np.bincount(rows, minlength=len(K.simplices_of_dim(k)))
     start = np.cumsum(count) - count
     for m in range(k, K.dim + 1):
-        if not (tops := np.flatnonzero(K._places(m) >= 0)).size:
+        if not (tops := np.flatnonzero(K._tables[2][m] >= 0)).size:
             continue
         faces = K._face_rows(m, k)[tops]
         if not (hit := np.flatnonzero(count[faces])).size:  # (top, position) pairs with entries
@@ -121,10 +121,9 @@ def _whitney(K: MetricComplex, k: int, rows: np.ndarray, cols: np.ndarray, vals:
 
 def whitney(c: Cochain) -> PolyForm:
     """Piecewise-linear Whitney form of a cochain, linear in c: the kernel's
-    one-column case, whose layout the form keeps."""
+    one-column case, whose layout the form keeps and builds its pieces from."""
     K, vec = c.complex, c._vector()
     rows = np.flatnonzero(vec)
-    pieces: dict[SimplexKey, Terms] = {}
     layout: list[tuple] = []
     for m, tops, _, keys, coeffs in _whitney(K, c.degree, rows, 0 * rows, vec[rows]):
         # no piece is 0: its values are not, a face through T's first vertex alone gives
@@ -133,21 +132,17 @@ def whitney(c: Cochain) -> PolyForm:
         # the keys in `_dense`'s order for these pieces: by first piece, then in table order
         cols = np.argsort(nonzero.argmax(axis=0), kind="stable")
         cols = cols[nonzero.any(axis=0)[cols]]
-        union, dense = tuple(map(keys.__getitem__, cols.tolist())), coeffs[:, cols]
-        terms = [*map(dict, map(zip, itertools.repeat(union), dense.tolist()))]
-        for at, zero in zip(*(a.tolist() for a in np.nonzero(dense == 0.0))):
-            del terms[at][union[zero]]  # a piece keeps its nonzero terms
-        pieces.update(zip(map(K.simplices_of_dim(m).__getitem__, tops.tolist()), terms))
+        dense = coeffs[:, cols]
         for a in (tops, dense):
             a.setflags(write=False)
-        layout.append((m, tops, union, dense))
-    return PolyForm._from_layout(c.degree, K, pieces, tuple(layout))
+        layout.append((m, tops, tuple(map(keys.__getitem__, cols.tolist())), dense))
+    return PolyForm._from_layout(c.degree, K, tuple(layout))
 
 
 def _carriers(omega: PolyForm):
     """`PolyForm._layout` of omega's pieces on maximal simplices of its complex."""
     for m, rows, union, dense in omega._layout():
-        if (live := omega.complex._places(m)[rows] >= 0).any():  # only these carry faces
+        if (live := omega.complex._tables[2][m][rows] >= 0).any():  # only these carry faces
             yield m, rows[live], union, dense[live]
 
 
@@ -159,7 +154,7 @@ def _first_carrier(L: MetricComplex, K: MetricComplex, k: int, parts: list,
     value of its first carrier in key order: as column * n + row over the n
     k-simplices of K, ascending, and the values.  Faces off K are dropped."""
     n = len(L.simplices_of_dim(k))
-    if not (parts := [(L._face_rows(m, k)[rows], L._places(m)[rows], cols, v)
+    if not (parts := [(L._face_rows(m, k)[rows], L._tables[2][m][rows], cols, v)
                       for m, rows, cols, v in parts if m >= k]):
         return np.zeros(0, dtype=int), np.zeros(0)
     key = np.concatenate([(c[:, None] * n + f).ravel() for f, _, c, _ in parts])

@@ -30,7 +30,8 @@ is available with weighted=False; it differs by the factor k! * vol.
 A form keeps the layout of its pieces per dimension, `PolyForm._layout`:
 their rows in key order, the union of their term keys and their dense
 coefficients over it, built on first read through `_dense` or handed over
-by `derham.whitney`, so `pieces` must not be changed after construction.
+by `derham.whitney`, whose forms build `pieces` from it on first read, so
+`pieces` must not be changed after construction.
 Pointwise values have one path, `_coefficients`, which turns a layout into
 an exponent matrix E (keys x m) and a coefficient tensor A (pieces x keys x
 dt_I columns); then V = prod(pts ** E) @ A, and |omega|^2 = V G V^T with G
@@ -318,12 +319,22 @@ class PolyForm:
         object.__setattr__(self, "pieces", {T: p for T, p in clean.items() if p})
 
     @classmethod
-    def _from_layout(cls, k: int, K: MetricComplex, pieces: dict, layout: tuple) -> "PolyForm":
-        """The form with these pieces and `_layout`; the keys are K's own and
-        no coefficient is 0, so nothing is checked."""
+    def _from_layout(cls, k: int, K: MetricComplex, layout: tuple) -> "PolyForm":
+        """The form with this `_layout`, whose rows are K's own and none of
+        whose pieces is 0, so nothing is checked; `pieces` is built on first read."""
         form = object.__new__(cls)
-        form.__dict__.update(degree=k, complex=K, pieces=pieces, _memo=layout)
+        form.__dict__.update(degree=k, complex=K, _memo=layout)
         return form
+
+    def __getattr__(self, name: str):
+        """The pieces of a `_from_layout` form, built from its layout on first read."""
+        if name != "pieces":
+            raise AttributeError(name)
+        self.__dict__["pieces"] = {
+            self.complex.simplices_of_dim(m)[r]: {key: v for key, v in zip(union, coeffs) if v}
+            for m, rows, union, dense in self._memo
+            for r, coeffs in zip(rows.tolist(), dense.tolist())}
+        return self.pieces
 
     def _layout(self) -> tuple:
         """Per dimension m of the pieces, ascending: m, their rows among the
@@ -391,10 +402,8 @@ class PolyForm:
         k = self.degree + other.degree
         if any(k > len(T) - 1 for T in set(self.pieces) | set(other.pieces)):
             raise BadDimension("wedge degree exceeds carrier dimension")
-        pieces = {}
-        for T in set(self.pieces) & set(other.pieces):
-            pieces[T] = t_wedge(self.pieces[T], other.pieces[T])
-        return PolyForm(k, K, pieces)
+        common = set(self.pieces) & set(other.pieces)
+        return PolyForm(k, K, {T: t_wedge(self.pieces[T], other.pieces[T]) for T in common})
 
     def trace_on(self, sigma: SimplexKey) -> Terms:
         """Tangential trace onto a simplex, in sigma's reduced coordinates.
@@ -403,12 +412,10 @@ class PolyForm:
         invariant makes the choice immaterial.  Without one the trace is {}.
         """
         sigma = tuple(sigma)
-        for T in self.complex.carriers.get(sigma, ()):
-            if T in self.pieces:
-                if T == sigma:
-                    return self.pieces[T]
-                return pullback(self.pieces[T], selection(T, sigma))
-        return {}
+        T = next((T for T in self.complex.carriers.get(sigma, ()) if T in self.pieces), None)
+        if T is None:
+            return {}
+        return self.pieces[T] if T == sigma else pullback(self.pieces[T], selection(T, sigma))
 
     def evaluate(self, T: SimplexKey, t: np.ndarray) -> dict[tuple[int, ...], float]:
         """Components at reduced barycentric coordinates t on piece T."""

@@ -374,6 +374,30 @@ def test_verify_nontrivial_at_a_large_truncation(trunc, tmp_path, capsys):
             assert lo <= s <= hi, (m, p)
 
 
+def test_verify_nontrivial_reads_an_integer_truncation_exactly(tmp_path, capsys):
+    # through a float, 9007199254740993 = 2**53 + 1 became 2**53
+    csv = tmp_path / "exact.csv"
+    assert main(["verify", "nontrivial", "--trunc", "9007199254740993", "--csv", str(csv)]) == 0
+    assert csv.read_text().splitlines()[-1].startswith("9007199254740993,")
+
+
+@pytest.mark.parametrize("text, value", [("1e6", 10**6), ("2.5e3", 2500), ("1000", 1000),
+                                         ("1e20", 10**20), ("12.0", 12)])
+def test_verify_nontrivial_reads_a_whole_truncation_in_any_notation(text, value):
+    got = cli._OPTIONS["trunc"]["type"](text)
+    assert got == value and type(got) is int
+
+
+@pytest.mark.parametrize("trunc", ["2.5", "1000.0001", "9007199254740993.5"])
+def test_verify_nontrivial_refuses_a_truncation_that_is_not_whole(trunc, capsys):
+    # 2.5 once ran as 2; the last one is whole once rounded to a float
+    assert main(["verify", "nontrivial", "--trunc", trunc]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"lpiforms verify nontrivial: error: argument --trunc: must be a whole number, got {trunc!r}"]
+
+
 def test_verify_nontrivial_kernel_residual_is_exactly_zero(capsys):
     # every bump vanishes at the host vertices, and the edge integrals are
     # differences of those values, so the residual carries no rounding

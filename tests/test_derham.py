@@ -8,7 +8,8 @@ import pytest
 
 from lpiforms import derham
 from lpiforms.cochains import Cochain, coboundary, indicator
-from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex, skeleton
+from lpiforms.complexes import (PiSequence, barycentric_subdivide, build_complex, ray_complex,
+                                skeleton)
 from lpiforms.derham import (
     derham_map,
     verify_split,
@@ -16,6 +17,7 @@ from lpiforms.derham import (
     whitney,
 )
 from lpiforms.errors import BadDegree, BadDimension, DegenerateSimplex
+from lpiforms.nontrivial import verify_nontriviality
 from lpiforms.polyform import (
     PolyForm,
     _by_dimension,
@@ -460,12 +462,42 @@ def test_whitney_equals_the_reference_loop(case):
         *ordered, shuffled = _cochains(K, k, rng)
         for c in ordered:
             assert whitney(c).pieces == reference_whitney(c).pieces, k
+            # built from the layout on first read: by dimension and key, each
+            # piece's terms in the order of its dimension's term keys
+            form = whitney(c)
+            assert list(form.pieces) == sorted(form.pieces, key=lambda T: (len(T), T)), k
+            order = {(m, key): i for m, _, union, _ in form._layout() for i, key in enumerate(union)}
+            for T, p in form.pieces.items():
+                assert [order[len(T) - 1, key] for key in p] == sorted(
+                    order[len(T) - 1, key] for key in p), (k, T)
         got, want = whitney(shuffled).pieces, reference_whitney(shuffled).pieces
         assert got.keys() == want.keys(), k
         scale = max((abs(v) for p in want.values() for v in p.values()), default=0.0)
         for T, p in want.items():
             assert got[T].keys() == p.keys(), (k, T)
             assert max(abs(got[T][key] - v) for key, v in p.items()) <= 1e-15 * scale, (k, T)
+
+
+def test_the_array_readers_build_no_view():
+    # the incidence maps and a Whitney form's pieces are built on first read,
+    # and neither the counterexample on its default family nor the form
+    # layer on a subdivided strip reads them
+    rep = verify_nontriviality(PiSequence((2.0, 4.0), 1), 0.1, [10**6])
+    K = barycentric_subdivide(host := ray_complex(2, 8))
+    rng = np.random.default_rng(3)
+    for k in range(K.dim + 1):
+        c = Cochain(k, {s: float(rng.normal()) for s in K.simplices_of_dim(k)}, K)
+        form = whitney(c)
+        for weighted in (False, True):
+            derham_map(form, K, k, weighted)
+        if k < K.dim:
+            verify_stokes(form, K)
+            coboundary(c)
+        form.lp_norm(2.0)
+        assert "pieces" not in vars(form), k
+    for L in (rep.family.subdivided, host, K):
+        assert not {"cofaces", "carriers"} & vars(L).keys()
+    assert form.pieces and K.carriers and "pieces" in vars(form) and "carriers" in vars(K)
 
 
 @pytest.mark.parametrize("case", COCHAIN_COMPLEXES)
