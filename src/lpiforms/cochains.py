@@ -118,8 +118,9 @@ def lp_norm(c: Cochain, p: float) -> float:
         raise BadExponent(f"p = {p} is not a finite number >= 1")
     if not c.values:
         return 0.0
-    scale = math.ldexp(1.0, math.frexp(max(abs(v) for v in c.values.values()))[1])
-    return sum((abs(v) / scale) ** p for v in c.values.values()) ** (1.0 / p) * scale
+    a = np.abs(np.fromiter(c.values.values(), float, len(c.values)))
+    scale = math.ldexp(1.0, math.frexp(a.max())[1])
+    return float(np.sum((a / scale) ** p) ** (1.0 / p) * scale)
 
 
 def pi_norm(c: Cochain, pi: PiSequence) -> float:

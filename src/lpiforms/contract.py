@@ -1,14 +1,13 @@
 """Finite-dimensional chain-complex utilities: cohomology dimensions and
 an inductively constructed contracting homotopy on acyclic complexes.
 
-A MatrixComplex holds its dense, read-only D_i (so `assemble` is capped at
-SIZE_LIMIT simplices) and their nonzero pattern, built once: the (row, column,
-value) triples of each D_i, reachable by row and by column.  `assemble` takes
-the triples from the complex's face table and fills each D_i from them, so an
-assembled complex is never scanned; a hand-built one copies and scans its
-matrices.  Each D_i is ranked once, by SVD and, as the exact oracle, by sparse
-column elimination over the rationals with lowest-row pivots
-(Edelsbrunner-Letscher-Zomorodian 2002).
+Matrices are kept as the row-major (row, column, value) triples of their
+nonzero entries; a dense matrix is a read-only view built on first read.  A
+MatrixComplex keeps each D_i's triples, also grouped by row and by column:
+`assemble` takes them from the face table (up to SIZE_LIMIT simplices); a
+hand-built complex copies its matrices and scans each once.  The cohomology
+ranks each dense D_i once, by SVD and, as the exact oracle, by lowest-pivot
+column elimination over the rationals (Edelsbrunner-Letscher-Zomorodian 2002).
 
 The contraction is the paper's descending induction h^i = eta^i (1 - h^{i+1}
 D_i), with eta from a coreduction matching on the nonzero pattern of the D_i
@@ -16,12 +15,12 @@ D_i), with eta from a coreduction matching on the nonzero pattern of the D_i
 with it, and when none is left the lowest unpaired cell is critical.  In
 removal order D_{i-1}[U, L] (upper by lower partners) is triangular, so eta^i
 is a forward substitution, integer for +-1 pivots, that reads U and writes L:
-h^i = eta^i.  Pairing u with l fills the row of l from the rows of u's facets
-already paired as lower cells, the only nonzero ones.  As D D = 0, D eta +
-eta D = 1 - g f for the chain maps f, g to and from the Morse complex on the
-critical cells; h^i += g pinv(f D g) f contracts its block too.  Each degree
-is checked, from the top, by its defect |D h + h D - 1|, summed from the
-nonzero products over the pattern.
+h^i = eta^i.  Pairing u with l fills the sparse row of l from the rows of
+u's facets already paired as lower cells, the only nonzero ones.  As D D = 0,
+D eta + eta D = 1 - g f for the chain maps f, g to and from the Morse complex
+on the critical cells; h^i += g pinv(f D g) f contracts its block too, on
+that degree's dense D and h.  Each degree of h is checked, from the top, by
+its defect |D h + h D - 1|, summed from the nonzero products by row blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import BadDegree, BadDimension, TooLarge
 SIZE_LIMIT = 2000
 RANK_RTOL = 1e-10
 STEP_TOL = 1e-8
+_BLOCK = 1 << 16  # defect bins reduced at a time
 
 
 def _scan(h: np.ndarray):
@@ -46,7 +47,15 @@ def _scan(h: np.ndarray):
     return j, c, h[j, c]
 
 
-def _incidence(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
+def _fill(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The read-only matrix of the given shape with the triples (r, c, v)."""
+    out = np.zeros(shape)
+    out[r, c] = v
+    out.setflags(write=False)
+    return out
+
+
+def _incidence(shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray):
     """The nonzero triples (r, c, v) of one matrix, grouped by row and by column
     as (ptr, other index, value, other index per group as a list): group g is
     the slice ptr[g]:ptr[g + 1]."""
@@ -61,12 +70,13 @@ def _incidence(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, in
 
 @dataclass(frozen=True)
 class MatrixComplex:
-    """Coboundary matrices D_i: R^{dims[i]} -> R^{dims[i+1]}, i = 0..n-1, stored
-    as read-only copies with their nonzero pattern (`_incidence`, one scan per
-    matrix, built once)."""
+    """Coboundary matrices D_i: R^{dims[i]} -> R^{dims[i+1]}, i = 0..n-1, kept as
+    `_triples` (shape, rows, columns, values) and `_incidence`.  `matrices` are
+    read-only copies, or for an assembled complex built on first read."""
 
     dims: tuple[int, ...]
     matrices: tuple[np.ndarray, ...] = field(repr=False)
+    _triples: tuple = field(init=False, compare=False, repr=False)
     _incidence: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -80,25 +90,17 @@ class MatrixComplex:
         for D in mats:
             D.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "_incidence", tuple(
-            _incidence(*_scan(D), D.shape) for D in mats))
-        if not all(np.isfinite(by_row[2]).all() for by_row, _ in self._incidence):
+        object.__setattr__(self, "_triples", tuple((D.shape, *_scan(D)) for D in mats))
+        object.__setattr__(self, "_incidence", tuple(_incidence(*t) for t in self._triples))
+        if not all(np.isfinite(v).all() for *_, v in self._triples):
             raise ValueError("a coboundary matrix has a non-finite entry")
 
-    @classmethod
-    def _from_triples(cls, dims: tuple[int, ...], triples: list) -> "MatrixComplex":
-        """The complex whose D_i has the finite nonzero triples (rows, columns,
-        values) triples[i], row-major as `_scan` returns them: each D_i is
-        filled here, so nothing is copied, scanned or checked."""
-        mats = []
-        for i, (r, c, v) in enumerate(triples):
-            mats.append(np.zeros((dims[i + 1], dims[i])))
-            mats[-1][r, c] = v
-            mats[-1].setflags(write=False)
-        M = object.__new__(cls)
-        M.__dict__.update(dims=dims, matrices=tuple(mats), _incidence=tuple(
-            _incidence(*t, D.shape) for t, D in zip(triples, mats)))
-        return M
+    def __getattr__(self, name: str):
+        """The `matrices` of an assembled complex, built on first read."""
+        if name != "matrices":
+            raise AttributeError(name)
+        self.__dict__["matrices"] = tuple(_fill(*t) for t in self._triples)
+        return self.matrices
 
     @property
     def top(self) -> int:
@@ -106,16 +108,31 @@ class MatrixComplex:
 
     def matrix(self, i: int) -> np.ndarray:
         """D_i, for 0 <= i < top."""
-        if not 0 <= i < len(self.matrices):
-            raise BadDimension(f"no D_{i}: the complex has D_0..D_{len(self.matrices) - 1}")
+        if not 0 <= i < len(self._triples):
+            raise BadDimension(f"no D_{i}: the complex has D_0..D_{len(self._triples) - 1}")
         return self.matrices[i]
 
 
 @dataclass(frozen=True)
 class Contraction:
-    """Degree-lowering maps h^i: R^{dims[i]} -> R^{dims[i-1]}, i >= 1."""
+    """Degree-lowering maps h^i: R^{dims[i]} -> R^{dims[i-1]}, i >= 1.  One from
+    `contract` keeps each h^i's triples and builds `maps` on first read."""
 
     maps: dict[int, np.ndarray] = field(repr=False)
+
+    def __getattr__(self, name: str):
+        """The `maps` of a contraction from `contract`, read-only."""
+        if name != "maps":
+            raise AttributeError(name)
+        self.__dict__["maps"] = {i: _fill(*t) for i, t in self._triples.items()}
+        return self.maps
+
+    def _nonzeros(self) -> dict:
+        """Per degree, h^i's shape and its row-major triples, kept or scanned; a map
+        that is not 2-D gets no triples, as `verify_contraction` refuses its shape."""
+        if "_triples" in self.__dict__:
+            return self._triples
+        return {i: (m.shape, *(_scan(m) if m.ndim == 2 else ())) for i, m in self.maps.items()}
 
 
 @dataclass(frozen=True)
@@ -140,7 +157,10 @@ def assemble(K: MetricComplex, augmented: bool = False) -> MatrixComplex:
     if augmented:
         ones = (np.arange(dims[0]), np.zeros(dims[0], dtype=int), np.ones(dims[0]))
         dims, triples = [1] + dims, [ones] + triples
-    return MatrixComplex._from_triples(tuple(dims), triples)
+    M = object.__new__(MatrixComplex)  # finite row-major triples: nothing to fill, copy or scan
+    t = tuple(((dims[i + 1], dims[i]), *x) for i, x in enumerate(triples))
+    M.__dict__.update(dims=tuple(dims), _triples=t, _incidence=tuple(_incidence(*x) for x in t))
+    return M
 
 
 def _rank(D: np.ndarray) -> int:
@@ -185,47 +205,58 @@ def rational_cohomology_dims(M: MatrixComplex) -> list[int]:
     return _cohomology(M, _exact_rank)
 
 
-def _products(by_col, D: np.ndarray, j: np.ndarray, c: np.ndarray, v: np.ndarray):
-    """(row, column, value) of each product of a nonzero D[r, j] and a nonzero
-    h[j, c] = v in D @ h, with D grouped by column.  A non-finite h[j, c] also
-    meets the zeros of column j, as in D @ h (0 * inf is NaN); its other
-    products then count twice, which changes no IEEE sum."""
-    ptr, rows, vals, _ = by_col
-    n = ptr[j + 1] - ptr[j]
-    at = np.arange(n.sum()) + np.repeat(ptr[j] - np.cumsum(n) + n, n)
-    out = [rows[at], np.repeat(c, n), vals[at] * np.repeat(v, n)]
-    if (bad := ~np.isfinite(v)).any():
-        m = D.shape[0]
-        full = (np.repeat(np.arange(m), bad.sum()), np.tile(c[bad], m),
-                (D[:, j[bad]] * v[bad]).ravel())
-        out = [np.concatenate(p) for p in zip(out, full)]
-    return out
+def _products(left: tuple, right: tuple):
+    """(row, column, value) of each product left[r, j] right[j, c] of nonzeros, ascending in
+    r, then j, then c; both are grouped by row as (ptr, columns, values, ...)."""
+    (lp, lc, lv, *_), (rp, rc, rv, *_) = left, right
+    n = rp[lc + 1] - rp[lc]
+    at = np.arange(n.sum()) + np.repeat(rp[lc] - np.cumsum(n) + n, n)
+    return (np.repeat(np.repeat(np.arange(len(lp) - 1), np.diff(lp)), n), rc[at],
+            np.repeat(lv, n) * rv[at])
 
 
 def _defect(M: MatrixComplex, nz: dict, i: int):
     """(max or -1.0 if empty, size, first (row, column) of the max) of |D_{i-1} h^i + h^{i+1}
-    D_i - 1| (no h^{i+1} term at the top), summed from the nonzero products over M's incidence
-    from nz[i] = `_scan(h^i)`; reduced here, so callers hold one dense n x n array at a time."""
-    n = M.dims[i]
-    terms = [_products(M._incidence[i - 1][1], M.matrix(i - 1), *nz[i]),
-             (np.arange(n), np.arange(n), -np.ones(n))]
-    if i + 1 in nz:  # h' D = (D^T h'^T)^T, and D^T by column is D by row
-        a, r, v = nz[i + 1]  # row-major, so each bin (a, b) sums its products in ascending r
-        b, a, v = _products(M._incidence[i][0], M.matrix(i).T, r, a, v)
-        terms.append((a, b, v))
-    r, c, v = map(np.concatenate, zip(*terms))
-    a = np.bincount(r * n + c, v, minlength=n * n)
-    np.abs(a, out=a)
-    return a.max(initial=-1.0), a.size, divmod(int(a.argmax()), n) if a.size else None
+    D_i - 1| (no h^{i+1} term at the top) from nz = {i: (shape, rows, columns, values) of h^i},
+    by blocks of rows.  Each bin sums its products in the order of one n x n `bincount` over
+    D_{i-1} h^i, -1 and h^{i+1} D_i; a non-finite h entry also meets the zeros of D (0 * inf
+    is NaN), and its other products count twice, which changes no IEEE sum."""
+    n, ((m, _), j, c, v), d = M.dims[i], nz[i], np.arange(M.dims[i] + 1)
+    terms = [_products(M._incidence[i - 1][0], (np.searchsorted(j, np.arange(m + 1)), c, v))]
+    if (bad := ~np.isfinite(v)).any():
+        terms.append((d[:-1].repeat(bad.sum()), np.tile(c[bad], n),
+                      (_fill(*M._triples[i - 1])[:, j[bad]] * v[bad]).ravel()))
+    terms.append((d[:-1], d[:-1], -np.ones(n)))
+    if i + 1 in nz:
+        _, a, j, v = nz[i + 1]
+        terms.append(_products((np.searchsorted(a, d), j, v), M._incidence[i][0]))
+        if (bad := ~np.isfinite(v)).any():
+            terms.append((a[bad].repeat(n), np.tile(d[:-1], bad.sum()),
+                          (_fill(*M._triples[i])[j[bad]] * v[bad, None]).ravel()))
+    starts = [*range(0, n, max(_BLOCK // max(n, 1), 1)), n]
+    terms = [(r * n + c, v, np.searchsorted(r, starts).tolist()) for r, c, v in terms]
+    peak, at = -1.0, None
+    for b, (r0, r1) in enumerate(zip(starts, starts[1:])):
+        a = np.bincount(np.concatenate([k[e[b]:e[b + 1]] for k, _, e in terms]) - r0 * n,
+                        np.concatenate([v[e[b]:e[b + 1]] for _, v, e in terms]),
+                        minlength=(r1 - r0) * n)
+        np.abs(a, out=a)
+        if (top := a.max()) > peak or np.isnan(top):  # the first max, or the first NaN
+            peak, at = top, divmod(r0 * n + int(a.argmax()), n)
+            if np.isnan(top):
+                break
+    return peak, n * n, at
 
 
 def _coreduce(M: MatrixComplex):
-    """eta^i per degree i >= 1 and the critical cells, from the matching."""
+    """eta^i per degree i >= 1, as the row-major triples of its nonzeros, and
+    the critical cells, from the matching."""
     facets = [[[]] * M.dims[0]] + [by_row[3] for by_row, _ in M._incidence]
     cofaces = [by_col[3] for _, by_col in M._incidence] + [[[]] * M.dims[-1]]
+    starts = [[]] + [by_row[0].tolist() for by_row, _ in M._incidence]
+    values = [[]] + [by_row[2].tolist() for by_row, _ in M._incidence]
     alive, critical = [[True] * d for d in M.dims], [[] for _ in M.dims]
-    lower = [[False] * d for d in M.dims]  # paired with a cell one degree up
-    eta = {i: np.zeros((M.dims[i - 1], M.dims[i])) for i in range(1, len(M.dims))}
+    eta = {i: {} for i in range(1, len(M.dims))}  # eta[i][l]: (columns, values) of row l
     cells = [(i, c) for i, d in enumerate(M.dims) for c in range(d)]
     queue = deque(cells)
 
@@ -238,19 +269,26 @@ def _coreduce(M: MatrixComplex):
             i, u = queue.popleft()
             live = [j for j in facets[i][u] if alive[i - 1][j]]
             if alive[i][u] and len(live) == 1:  # pair u with l, its one unpaired facet
-                l, D, E = live[0], M.matrices[i - 1], eta[i]
-                row = E[l]  # 0 so far; (e_u - D[u] E) / D[u, l], where only the
-                for f in facets[i][u]:  # rows of facets paired as lower cells are not 0
-                    if lower[i - 1][f]:
-                        row -= D[u, f] * E[f]
-                row[u] += 1.0
-                row /= D[u, l]
-                lower[i - 1][l] = True
+                l, fs, p, rows = live[0], facets[i][u], starts[i][u], eta[i]
+                row = {}  # (e_u - D[u] eta) / D[u, l], where only the rows of
+                for f, d in zip(fs, values[i][p:p + len(fs)]):  # facets paired below are not 0
+                    for c, x in zip(*rows.get(f, ((), ()))):
+                        row[c] = row.get(c, 0.0) - d * x
+                row[u] = 1.0  # u is paired only now, so no row holds it yet
+                pivot = values[i][p + fs.index(l)]
+                rows[l] = list(row), [x / pivot for x in row.values()]
                 remove(i, u)
                 remove(i - 1, l)
         if alive[low[0]][low[1]]:  # the lowest cell left, so its facets are gone
             critical[low[0]].append(low[1])
             remove(*low)
+    for i, rows in eta.items():
+        r = np.repeat(np.fromiter(rows, int, len(rows)), [len(c) for c, _ in rows.values()])
+        c = np.fromiter(chain.from_iterable(c for c, _ in rows.values()), int, len(r))
+        v = np.fromiter(chain.from_iterable(v for _, v in rows.values()), float, len(r))
+        o = np.argsort(r * M.dims[i] + c, kind="stable")
+        o = o[v[o] != 0]  # exact zeros go; NaN stays, as in `_scan`
+        eta[i] = (M.dims[i - 1], M.dims[i]), r[o], c[o], v[o]
     return eta, critical
 
 
@@ -260,17 +298,18 @@ def contract(M: MatrixComplex) -> Contraction | ContractionFailure:
     top, where a residual exceeds STEP_TOL: where the right-inverse equation
     d eta = 1 is unsolvable on the cycles, i.e. where cohomology is present."""
     h, K = _coreduce(M)
-    nz = {}
-    for i, D in reversed([*enumerate(M.matrices, 1)]):  # D = D_{i-1}
+    for i in range(M.top, 0, -1):
         if K[i] and K[i - 1]:  # the Morse correction (see the module docstring)
-            f = np.eye(M.dims[i])[K[i]] - D[K[i]] @ h[i]
-            g = np.eye(M.dims[i - 1])[:, K[i - 1]] - h[i] @ D[:, K[i - 1]]
-            h[i] = h[i] + g @ np.linalg.pinv(f @ D @ g, rcond=RANK_RTOL) @ f
-        nz[i] = _scan(h[i])
-        residual = float(max(_defect(M, nz, i)[0], 0.0))  # a NaN max stays NaN
+            D, hi = _fill(*M._triples[i - 1]), _fill(*h[i])
+            f = np.eye(M.dims[i])[K[i]] - D[K[i]] @ hi
+            g = np.eye(M.dims[i - 1])[:, K[i - 1]] - hi @ D[:, K[i - 1]]
+            h[i] = (hi.shape, *_scan(hi + g @ np.linalg.pinv(f @ D @ g, rcond=RANK_RTOL) @ f))
+        residual = float(max(_defect(M, h, i)[0], 0.0))  # a NaN max stays NaN
         if not residual <= STEP_TOL:  # NaN fails too
             return ContractionFailure(degree=i, residual=residual)
-    return Contraction(h)
+    out = object.__new__(Contraction)
+    out.__dict__["_triples"] = h
+    return out
 
 
 @dataclass(frozen=True)
@@ -291,12 +330,12 @@ def verify_contraction(
     must hold h^i for every degree 1 <= i <= top, and some entry must be compared."""
     if M.top < 1:
         raise BadDegree("the complex has no degree >= 1 to contract")
-    if missing := [i for i in range(1, M.top + 1) if i not in h.maps]:
+    nz = h._nonzeros()
+    if missing := [i for i in range(1, M.top + 1) if i not in nz]:
         raise BadDegree(f"the contraction has no h^i for degrees {missing}")
-    if wrong := {i: m.shape for i, m in h.maps.items()  # products would miss extra rows
-                 if not 0 < i <= M.top or m.shape != (M.dims[i - 1], M.dims[i])}:
+    if wrong := {i: t[0] for i, t in nz.items()  # products would miss extra rows
+                 if not 0 < i <= M.top or t[0] != (M.dims[i - 1], M.dims[i])}:
         raise BadDimension(f"shapes {wrong} are not (dims[i - 1], dims[i]) for dims {M.dims}")
-    nz = {i: _scan(m) for i, m in h.maps.items()}
     peaks = {i: _defect(M, nz, i) for i in range(1, M.top + 1)}
     residuals = {i: float(max(m, 0.0)) for i, (m, _, _) in peaks.items()}  # a NaN m stays
     checked = sum(size for _, size, _ in peaks.values())

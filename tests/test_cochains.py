@@ -101,6 +101,20 @@ def test_lp_norm_neither_overflows_nor_underflows():
     assert lp_norm(huge, 3.0) == pytest.approx(2.0 ** (1 / 3) * 1e200, rel=1e-14)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 400.0])
+def test_lp_norm_matches_an_exactly_rounded_sum(p):
+    # the summed powers may round differently from one exactly rounded sum, by
+    # a few ulps; the values stay in dict order
+    K = barycentric_subdivide(ray_complex(2, 128))
+    n, rng = len(K.simplices_of_dim(1)), np.random.default_rng(21)
+    for values in (rng.normal(size=n), 1e-200 * rng.normal(size=n),
+                   1e200 * rng.standard_cauchy(size=n)):
+        c = Cochain(1, dict(zip(K.simplices_of_dim(1), values.tolist())), K)
+        scale = math.ldexp(1.0, math.frexp(max(abs(v) for v in c.values.values()))[1])
+        want = math.fsum((abs(v) / scale) ** p for v in c.values.values()) ** (1 / p) * scale
+        assert lp_norm(c, p) == pytest.approx(want, rel=1e-15)
+
+
 @pytest.mark.parametrize("p", [math.inf, math.nan], ids=["inf", "nan"])
 def test_lp_norm_rejects_an_exponent_that_is_not_finite(p):
     c = Cochain(1, {(0, 1): 5.0, (0, 2): -7.0}, simplex_complex(2))

@@ -8,12 +8,14 @@ import sympy
 
 from lpiforms.complexes import barycentric_subdivide, build_complex, ray_complex, skeleton, star
 from lpiforms.contract import (
+    _BLOCK,
     RANK_RTOL,
     Contraction,
     ContractionFailure,
     MatrixComplex,
     _coreduce,
     _exact_rank,
+    _scan,
     assemble,
     cohomology_dims,
     contract,
@@ -238,13 +240,17 @@ def reference_coreduce(M: MatrixComplex):
 ], ids=["sd_strip_48", "sd_strip_48_augmented", "sd_tetrahedron", "sd_tetrahedron_augmented",
         "path_999_augmented", "stalled", "pivot-2"])
 def test_coreduce_matches_the_dense_row_update(make):
+    # the sparse rows keep every nonzero of the dense update, bit for bit; only
+    # the sign of a dense zero, which no triple holds, goes uncompared
     M = make()
     (eta, critical), (ref, ref_critical) = _coreduce(M), reference_coreduce(M)
     assert critical == ref_critical
     assert eta.keys() == ref.keys()
     for i in ref:
-        assert (eta[i].dtype, eta[i].shape) == (ref[i].dtype, ref[i].shape)
-        assert eta[i].tobytes() == ref[i].tobytes()
+        (shape, r, c, v), (ref_r, ref_c, ref_v) = eta[i], _scan(ref[i])
+        assert shape == ref[i].shape
+        assert np.array_equal(r, ref_r) and np.array_equal(c, ref_c)
+        assert (v.dtype, v.tobytes()) == (ref_v.dtype, ref_v.tobytes())
 
 
 def test_contract_on_random_integer_complexes():
@@ -348,9 +354,14 @@ def _dense_report(M, maps):
     for i in range(1, M.top + 1):
         acc = M.matrix(i - 1) @ maps[i] - np.eye(M.dims[i])
         defects[i] = np.abs(acc + maps[i + 1] @ M.matrix(i) if i < M.top else acc)
-    entries = [(i, *ix) for i, a in defects.items() for ix in np.ndindex(a.shape)]
-    worst = max(entries, key=lambda e: (np.isnan(defects[e[0]][e[1:]]), defects[e[0]][e[1:]]),
-                default=None)
+    flat, worst = np.concatenate([a.ravel() for a in defects.values()]), None
+    if flat.size:  # np.argmax: the first NaN, else the first largest entry
+        k = int(np.argmax(flat))
+        for i, a in defects.items():
+            if k < a.size:
+                worst = (i, *map(int, np.unravel_index(k, a.shape)))
+                break
+            k -= a.size
     return ({i: float(a.max(initial=0.0)) for i, a in defects.items()},
             sum(a.size for a in defects.values()), worst)
 
@@ -405,6 +416,51 @@ def test_sparse_defect_breaks_ties_in_row_major_order():
     # h^2 = 0 leaves 1 at (1, 0), (1, 1), (2, 0) and (2, 2) in degree 1, and 1s in degree 2
     rep = _assert_matches_dense(M, {**h, 2: np.zeros_like(h[2])})
     assert rep.residuals == {1: 1.0, 2: 1.0, 3: 0.0} and rep.worst == (1, 1, 0)
+
+
+def test_sparse_defect_over_several_blocks_of_rows():
+    # in degree 2 the 962 x 962 defect spans several blocks of rows: a tie across a
+    # block edge goes to the row-major first, and a non-finite entry in the last
+    # block beats the finite maxima of the earlier ones
+    M = assemble(barycentric_subdivide(ray_complex(2, 48)), augmented=True)
+    h, n, rng = contract(M).maps, M.dims[2], np.random.default_rng(33)
+    edge = _BLOCK // n
+    assert 0 < edge < n - 10 and n * n > 4 * _BLOCK
+    shapes = {i: m.shape for i, m in h.items()}
+    _assert_matches_dense(M, {i: _sparse(rng, s, rng.integers(-3, 4, s).astype(float))
+                              for i, s in shapes.items()})
+    _assert_matches_dense(M, {i: _sparse(rng, s, rng.normal(size=s))
+                              for i, s in shapes.items()}, rel=1e-14)
+    tie = {i: m.copy() for i, m in h.items()}
+    tie[3][edge - 1, 0] = tie[3][edge, 1] = 0.5  # |h^3 D_2| = 0.5 on rows edge - 1 and edge
+    rep = _assert_matches_dense(M, tie)
+    assert rep.max_residual == 0.5 and rep.worst[:2] == (2, edge - 1)
+    late = {i: m.copy() for i, m in h.items()}
+    late[3][n - 10, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        rep = _assert_matches_dense(M, late)
+    assert np.isnan(rep.max_residual) and rep.worst[:2] == (2, n - 10)
+
+
+def test_the_contraction_path_builds_no_dense_matrix():
+    # assemble, contract and verify_contraction work on triples; `matrices` and
+    # `maps` are views, built on first read, read-only
+    K = barycentric_subdivide(ray_complex(2, 48))
+    M = assemble(K, augmented=True)
+    h = contract(M)
+    assert verify_contraction(M, h).max_residual == 0.0
+    assert "matrices" not in M.__dict__ and "maps" not in h.__dict__
+    eta, critical = reference_coreduce(M)
+    assert not any(critical)  # so h is eta
+    assert np.array_equal(M.matrices[0], np.ones((M.dims[1], 1)))
+    for D, ref in zip(M.matrices[1:], reference_coboundaries(K), strict=True):
+        assert np.array_equal(D, ref)
+    assert h.maps.keys() == eta.keys()
+    for i, ref in eta.items():
+        assert np.array_equal(h.maps[i], ref)
+    for m in (*M.matrices, *h.maps.values()):
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
