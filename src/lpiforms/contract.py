@@ -102,6 +102,12 @@ class MatrixComplex:
         self.__dict__["matrices"] = tuple(_fill(*t) for t in self._triples)
         return self.matrices
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MatrixComplex):
+            return NotImplemented
+        return self.dims == other.dims and all(
+            np.array_equal(a, b) for a, b in zip(self.matrices, other.matrices))
+
     @property
     def top(self) -> int:
         return len(self.dims) - 1
@@ -126,6 +132,12 @@ class Contraction:
             raise AttributeError(name)
         self.__dict__["maps"] = {i: _fill(*t) for i, t in self._triples.items()}
         return self.maps
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Contraction):
+            return NotImplemented
+        return self.maps.keys() == other.maps.keys() and all(
+            np.array_equal(m, other.maps[i]) for i, m in self.maps.items())
 
     def _nonzeros(self) -> dict:
         """Per degree, h^i's shape and its row-major triples, kept or scanned; a map

@@ -19,9 +19,9 @@ closed forms; with p = h(z), the point the kernel loop interpolates at,
     Dh^{-1}(x) = (r2 I + x x^T) / r2^{3/2},   r2 = 1 - |x|^2,
 
 with determinants rs^4 and r2^{-2} in 2-D.  So the kernel loop computes
-h^{-1}(x) once per call, accumulates w rs (c - p (c . p)) (or w rs^4 c) over
-the kernel nodes, c the values interpolated at p, and applies Dh^{-1}(x)
-once at the end.
+h^{-1}(x) once per band of nodes, accumulates w rs (c - p (c . p)) (or
+w rs^4 c) over the kernel nodes, c the values interpolated at p, and applies
+Dh^{-1}(x) once at the end of the band.
 
 The kernel loop runs only at the nodes its caller reads: `regularize`
 passes the whole ball, `verify_homotopy` its interior region grown by the
@@ -35,15 +35,21 @@ per-cell coefficient tables of only the grid rows it can reach: one 32-byte
 row per cell, read with one `take` per point and component.  At a wide eps
 one build of the tables serves several bands, so that no row is built more
 than 3 times.  Within a band, each kernel node gets one shift and one cell
-lookup, and every component of every form averaged in that call is
+lookup, written into buffers of the band's size, so that a kernel node
+allocates no array; the kernel nodes run over a tensor grid in row-major
+order, so z_0 = y_0 + eps v_0 and z_0^2 are built once per grid coordinate
+of axis 0.  Every component of every form averaged in that call is
 interpolated through them: `regularize` passes one form, and
 `verify_homotopy` passes S omega and g = S d omega - omega together.  R is
 linear, so A d omega - (R - 1) omega = (R - 1) g, and one regularization of
 g stands in for those of omega and S d omega: a 2-D 1-form check
 interpolates 3 components per kernel node, one of S omega and two of g.
 `displacement_bound` evaluates only the nodes that a bound on ||Dh|| does
-not rule out.  The ray points t x of `cone_S` form a grid again, so it
-interpolates one axis at a time, in bands of `_BAND` grid rows.  Each
+not rule out.  The ray points t x of `cone_S` form a grid again, so per
+Gauss node t and band of `_BAND` output rows it interpolates along the
+columns, on only the input rows that the band's points read (about t of
+them per output row), and then along the rows, with the rule's weight
+folded into the row weights; x multiplies the sum over t once.  Each
 node's arithmetic is the same whatever the bands and other nodes, so the
 results do not depend on `_BAND_NODES`, `_BAND` or the node set.
 
@@ -93,6 +99,16 @@ def _grid_points(n: int, h: float) -> np.ndarray:
     return np.stack([X, Y], axis=-1)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_radius(n: int, h: float) -> np.ndarray:
+    """|x| at the nodes of the (n, h) grid, built once per (n, h); read-only,
+    since every GridForm on that grid shares it.  Fewer grids are kept than
+    masks: a float array takes 8 times the bytes of a mask."""
+    rad = np.linalg.norm(_grid_points(n, h), axis=-1)
+    rad.setflags(write=False)
+    return rad
+
+
 @functools.lru_cache(maxsize=32)
 def _ball_mask(n: int, h: float) -> np.ndarray:
     """The mask of the open unit ball on the (n, h) grid, built once per
@@ -139,7 +155,8 @@ class GridForm:
         return _grid_points(self.n, self.h)
 
     def radius(self) -> np.ndarray:
-        return np.linalg.norm(self.points(), axis=-1)
+        """|x| at every node; shared per (n, h), read-only."""
+        return _grid_radius(self.n, self.h)
 
     def mask(self) -> np.ndarray:
         """The nodes in the open unit ball; shared per (n, h), read-only."""
@@ -148,6 +165,14 @@ class GridForm:
     def component(self, axes: AxisSet) -> np.ndarray:
         shape = (len(self.axis()),) * self.n
         return self.components.get(tuple(axes), np.zeros(shape))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridForm):
+            return NotImplemented
+        return ((self.n, self.h, self.degree) == (other.n, other.h, other.degree)
+                and self.components.keys() == other.components.keys()
+                and all(np.array_equal(arr, other.components[a])
+                        for a, arr in self.components.items()))
 
     def __add__(self, other: "GridForm") -> "GridForm":
         if other.degree != self.degree:
@@ -283,14 +308,19 @@ def ball_diffeo_jacobian(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 # interpolation
 # ---------------------------------------------------------------------------
 
-def _cells(pts: np.ndarray, h: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
+def _cells(pts: np.ndarray, h: float, npts: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The cells of points pts (n, N) in [-1,1]^n on a grid of npts nodes per
     axis: per axis, the index i0 of the cell's first node and the fraction f
-    of the way to the next, both (n, N); a point on the top edge is clipped
-    into the last cell, at f just below 1."""
-    u = np.minimum((pts + 1.0) / h, npts - 1.000001)
-    i0 = u.astype(np.intp)  # floor, as u >= 0
-    return i0, u - i0
+    of the way to the next, both (n, N), written to the pair of arrays `out`
+    if given; a point on the top edge is clipped into the last cell, at f
+    just below 1."""
+    i0, f = out if out is not None else (np.empty(pts.shape, np.intp), np.empty(pts.shape))
+    np.add(pts, 1.0, out=f)
+    f /= h
+    np.minimum(f, npts - 1.000001, out=f)
+    np.copyto(i0, f, casting="unsafe")  # floor, as f >= 0
+    f -= i0
+    return i0, f
 
 
 def _table(c: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -312,12 +342,20 @@ def _table(c: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return t.reshape(-1, 4)
 
 
-def _interp(tab: np.ndarray, cell: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Values of a `_table` at points in its cells `cell` with fractions f."""
-    t = tab.take(cell, axis=0)
-    if len(f) == 1:
-        return t[:, 0] + t[:, 1] * f[0]
-    return t[:, 0] + t[:, 1] * f[0] + f[1] * (t[:, 2] + t[:, 3] * f[0])
+def _interp(tab: np.ndarray, cell: np.ndarray, f: np.ndarray, out) -> np.ndarray:
+    """Values of a `_table` at points in its cells `cell` with fractions f,
+    written to out[0]: `out` holds three buffers for N = len(cell) points,
+    (N,), (N,) and (N, 2^n), for the values, scratch and the gathered rows."""
+    v, tmp, t = out
+    tab.take(cell, axis=0, out=t, mode="clip")  # every cell lies in the table
+    np.multiply(t[:, 1], f[0], out=v)  # a + b f0
+    v += t[:, 0]
+    if len(f) == 2:  # + f1 (c + d f0)
+        np.multiply(t[:, 3], f[0], out=tmp)
+        tmp += t[:, 2]
+        tmp *= f[1]
+        v += tmp
+    return v
 
 
 def _axis_sets(n: int, k: int):
@@ -338,22 +376,16 @@ def _check_dimension(omega: GridForm, cfg: MollifierConfig) -> None:
         raise BadDimension(f"a {cfg.n}-D kernel on a {omega.n}-D grid")
 
 
-def _active_nodes(omega: GridForm) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of the open ball and its nodes as an (n, N) array."""
-    mask = omega.mask()
-    return mask, omega.axis()[np.array(np.nonzero(mask))]
-
-
 # Grid nodes per band of the kernel loop: its bands are the most whole rows
-# (axis 0) that hold no more, and at least one row; 36 rows, with 1.6 MB of
-# tables, in the 2-D check at h = 1/128.  Blocks of 2,048-32,768 nodes ran
-# fastest at 8,192, and bands of 64 rows at any grid raised the benchmark's
-# peak RSS by 3.5 % (2-vCPU Xeon).
-_BAND_NODES = 8192
+# (axis 0) that hold no more, and at least one row; 26 rows, with 1.3 MB of
+# tables and 1.1 MB of buffers, in the 2-D check at h = 1/128.  Bands of
+# 6,144 and 8,192 nodes ran that check as fast (137 ms, against 148 ms at
+# 4,096; 2-vCPU Xeon), and the kernel loop's tracemalloc peak is 6.5 MB at
+# 6,144 against 7.3 MB at 8,192.
+_BAND_NODES = 6144
 
-# Grid rows per band of `cone_S`; a gathered band takes about 1 MB.  Of
-# 16-128 rows and whole grids, a 1-form and a 2-form cone at h = 1/128 and
-# 1/256 ran fastest at 64 (40/156 ms against 43/192 ms whole; 2-vCPU Xeon).
+# Grid rows per band of `cone_S`.  A 1-form cone at h = 1/128 ran in 15 ms
+# at 64 and 128 rows, 17 ms at 32 and 16 ms in one band (2-vCPU Xeon).
 _BAND = 64
 
 
@@ -362,15 +394,18 @@ _BAND = 64
 # ---------------------------------------------------------------------------
 
 def _kernel_sums(comps: list[list[np.ndarray]], degrees: list[int], nodes: np.ndarray,
-                 xs: np.ndarray, y: np.ndarray, cfg: MollifierConfig, h: float) -> list[np.ndarray]:
-    """Per form, given by its grid components `comps` and its degree, the sum
-    over the kernel nodes v of w_v times its values at s_{eps v}(x), times
-    Dh(z) for 1-forms and det Dh(z) for 2-forms, at the nodes x of the
-    boolean grid `nodes`: xs (n, N) in row-major order, y = h^{-1}(xs)."""
-    n, N, npts = xs.shape[0], xs.shape[1], nodes.shape[0]
+                 cfg: MollifierConfig, h: float) -> list[np.ndarray]:
+    """R of each form, given by its grid components `comps` and its degree,
+    at the nodes x of the boolean grid `nodes`, in row-major order, one row
+    per component: the sum over the kernel nodes v of w_v times the values
+    at s_{eps v}(x), times Dh(z) for 1-forms and det Dh(z) for 2-forms, then
+    times Dh^{-1}(x) or its determinant, band by band."""
+    n, npts = nodes.ndim, nodes.shape[0]
+    N = int(np.count_nonzero(nodes))
     sums = [np.zeros((len(cs), N)) for cs in comps]
     if not N:
         return sums
+    axis = grid_axis(h)
     per_row = np.count_nonzero(nodes.reshape(npts, -1), axis=1)
     start = np.concatenate([[0], np.cumsum(per_row)])  # each row's first node
     filled = np.flatnonzero(per_row)
@@ -383,26 +418,85 @@ def _kernel_sums(comps: list[list[np.ndarray]], degrees: list[int], nodes: np.nd
     # one build of the tables serves the bands of `span` >= reach rows, so
     # that no cell row is built more than 3 times however wide eps is
     span = band * -(-reach // band)
+    firsts = range(filled[0], filled[-1] + 1, band)
+    # buffers for the largest band, which every band and kernel node writes into
+    size = int(max(start[min(r + band, npts)] - start[r] for r in firsts))
+    points = np.empty((3, n, size))
+    scalars = np.empty((5, size))
+    values = np.empty((2, max(len(cs) for cs in comps), size))
+    indices = np.empty((n + 1, size), np.intp)
+    gathered = np.empty((size, 2**n))
+    moves = shifts.any(axis=1).tolist()
     lo = hi = -1
-    for r in range(filled[0], filled[-1] + 1, band):
+    for r in firsts:
         b = slice(start[r], start[min(r + band, npts)])
         if max(r - reach, 0) < lo or min(r + band + reach, npts - 1) > hi:
             tabs = None  # freed before the next ones are built
             lo, hi = max(r - reach, 0), min(r + span + reach, npts - 1)
             tabs = [[_table(c, lo, hi) for c in cs] for cs in comps]
-        xb, yb = xs[:, b], y[:, b]
-        for ev, w in zip(shifts, ws):
-            ps, rs = _shift(yb, xb, ev)
-            i0, f = _cells(ps, h, npts)
-            cell = i0[0] - lo if n == 1 else (i0[0] - lo) * (npts - 1) + i0[1]
+        at = np.array(np.nonzero(nodes[r:r + band]))  # the band's nodes
+        at[0] += r
+        x = axis[at]
+        r2 = np.maximum(1.0 - (x**2).sum(axis=0), 1e-300)  # as in `_h_inv`
+        m = len(r2)
+        y, p, f = points[..., :m]
+        z0, z02, s, rs, wr = scalars[:, :m]
+        vals, tmp = values[..., :m]
+        i0, cell = indices[:n, :m], indices[n, :m]
+        np.divide(x, np.sqrt(r2), out=y)  # h^{-1}(x)
+        e0 = None
+        for ev, w, moved in zip(shifts, ws, moves):
+            # z = y + ev and s = (1 + |z|^2)^{1/2}, as in `_shift`; the kernel
+            # nodes run over a tensor grid in row-major order, so z_0 and
+            # z_0^2 change only with its axis-0 coordinate; z_1 is kept in p
+            if ev[0] != e0:
+                e0 = ev[0]
+                np.add(y[0], e0, out=z0)
+                np.multiply(z0, z0, out=z02)
+            if n == 2:
+                np.add(y[1], ev[1], out=p[1])
+                np.multiply(p[1], p[1], out=s)
+                s += z02
+                s += 1.0
+            else:
+                np.add(z02, 1.0, out=s)
+            np.sqrt(s, out=s)
+            np.divide(1.0, s, out=rs)
+            if moved:  # s_ev(x) = h(z)
+                np.divide(z0, s, out=p[0])
+                p[1:] /= s
+            ps = p if moved else x
+            _cells(ps, h, npts, (i0, f))
+            np.subtract(i0[0], lo, out=cell)
+            if n == 2:
+                cell *= npts - 1
+                cell += i0[1]
             for k, ts, acc in zip(degrees, tabs, sums):
-                vals = np.array([_interp(t, cell, f) for t in ts])
+                v, t = vals[:len(ts)], tmp[:len(ts)]
+                for tab, vj, tj in zip(ts, v, t):
+                    _interp(tab, cell, f, (vj, tj, gathered[:m]))
                 if k == 0:
-                    acc[:, b] += w * vals
-                elif k == 1:  # the row vector vals^T Dh(z)
-                    acc[:, b] += (w * rs) * (vals - ps * (vals * ps).sum(axis=0))
-                else:  # det Dh(z)
-                    acc[:, b] += (w * rs**4) * vals
+                    np.multiply(v, w, out=t)
+                elif k == 1:  # the row vector v^T Dh(z) = rs (v - ps (v . ps))
+                    np.multiply(v, ps, out=t)
+                    if n == 2:
+                        np.add(t[0], t[1], out=wr)
+                    else:
+                        wr[:] = t[0]
+                    np.multiply(ps, wr, out=t)
+                    np.subtract(v, t, out=t)
+                    np.multiply(rs, w, out=wr)
+                    t *= wr
+                else:  # det Dh(z) = rs^4
+                    np.power(rs, 4, out=wr)
+                    wr *= w
+                    np.multiply(v, wr, out=t)
+                acc[:, b] += t
+        for k, acc in zip(degrees, sums):  # times Dh^{-1}(x) = (r2 I + x x^T) / r2^{3/2}
+            if k == 1:
+                acc[:, b] = (r2 * acc[:, b] + x * (acc[:, b] * x).sum(axis=0)) / r2**1.5
+            elif k == 2:
+                acc[:, b] /= r2**2
     return sums
 
 
@@ -420,20 +514,13 @@ def _regularize_all(forms: list[GridForm], cfg: MollifierConfig,
         return [GridForm(n, h, f.degree, {a: np.where(nodes, c, 0.0)
                                           for a, c in f.components.items()})
                 for f in forms]
-    mask, xs = _active_nodes(forms[0])
+    mask = forms[0].mask()
     nodes = nodes & mask  # R is 0 outside the ball
-    xs = np.ascontiguousarray(xs[:, nodes[mask]])
-    r2 = np.maximum(1.0 - (xs**2).sum(axis=0), 1e-300)
-    y = xs / np.sqrt(r2)  # h^{-1}(x), as in `_h_inv`
     axes = [_axis_sets(n, f.degree) for f in forms]
     comps = [[f.component(a) for a in ax] for f, ax in zip(forms, axes)]
-    sums = _kernel_sums(comps, [f.degree for f in forms], nodes, xs, y, cfg, h)
+    sums = _kernel_sums(comps, [f.degree for f in forms], nodes, cfg, h)
     out = []
     for f, ax, acc in zip(forms, axes, sums):
-        if f.degree == 1:  # times Dh^{-1}(x)
-            acc = (r2 * acc + xs * (acc * xs).sum(axis=0)) / r2**1.5
-        elif f.degree == 2:
-            acc = acc / r2**2
         grid = np.zeros((len(ax),) + mask.shape)
         grid[:, nodes] = acc
         out.append(GridForm(n, h, f.degree, dict(zip(ax, grid))))
@@ -466,42 +553,58 @@ def grid_d(omega: GridForm) -> GridForm:
     return GridForm(n, omega.h, k + 1, comps)
 
 
-def _lerp(arr: np.ndarray, idx: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
-    """`arr` interpolated along `axis` on a 1-D stencil: the indices idx and
-    weights w of each point's two nodes, both (2, N)."""
-    w = w.reshape(w.shape + (1,) * (arr.ndim - 1 - axis))
-    return np.take(arr, idx[0], axis=axis) * w[0] + np.take(arr, idx[1], axis=axis) * w[1]
-
-
 def cone_S(omega: GridForm) -> GridForm:
     """Radial homotopy (S omega)(x) = int_0^1 t^(k-1) iota_x omega(t x) dt,
-    by a 24-node Gauss-Legendre rule along each ray, with one 1-D stencil of
-    the grid axis per Gauss node; GridForm zeroes the nodes off the ball."""
+    by a 24-node Gauss-Legendre rule along each ray; GridForm zeroes the
+    nodes off the ball.
+
+    The ray points t x of the grid nodes form a grid again, so per Gauss node
+    t and band of `_BAND` output rows, each component is interpolated one
+    axis at a time: along the columns, on only the input rows that the band's
+    points read (about t of them per output row), then along the rows, with
+    the rule's weight w_t t^(k-1) folded into the row weights.  The sum over
+    t is kept per component, and x enters once, after it."""
     n, k = omega.n, omega.degree
     if k < 1:
         raise BadDegree("cone operator needs degree >= 1")
     t, wt = simplex_rule(1, 47)  # the 24-point Gauss-Legendre rule on [0, 1]
     xs = omega.axis()
     comps = [omega.component(a) for a in _axis_sets(n, k)]
-    rays = []
+    sums = [np.zeros(c.shape) for c in comps]
     for ti, wi in zip(t[:, 0], wt):
-        i0, f = _cells(ti * xs[None], omega.h, len(xs))
-        rays.append((ti, wi, np.vstack([i0, i0 + 1]), np.vstack([1.0 - f, f])))
-    ray = np.zeros(comps[0].shape)
-    for r in range(0, len(xs), _BAND):
-        b = slice(r, r + _BAND)
-        x = [xs[b, None], xs[None, :]] if n == 2 else [xs[b]]  # the nodes' coordinates
-        for ti, wi, idx, w in rays:
-            vals = [_lerp(c, idx[:, b], w[:, b], 0) for c in comps]  # rows, then columns
-            vals = [_lerp(v, idx, w, 1) for v in vals] if n == 2 else vals
-            if k == 1:
-                for j in range(n):
-                    ray[b] += wi * x[j] * vals[j]
-            else:
-                ray[b] += wi * ti * vals[0]
+        i0, f = (a[0] for a in _cells(ti * xs[None], omega.h, len(xs)))
+        wk = wi * ti if k == 2 else wi  # w_t t^(k-1)
+        w0, w1 = wk * (1.0 - f), wk * f
+        if n == 2:
+            w0, w1 = w0[:, None], w1[:, None]
+        for r in range(0, len(xs), _BAND):
+            b = slice(r, r + _BAND)
+            lo, hi = i0[b][0], i0[b][-1] + 2  # i0 rises with the row: the rows t x reads
+            for c, acc in zip(comps, sums):
+                if n == 2:  # columns first
+                    col = c[lo:hi].take(i0, axis=1)
+                    col *= 1.0 - f
+                    right = c[lo:hi].take(i0 + 1, axis=1)
+                    right *= f
+                    col += right
+                else:
+                    col = c[lo:hi]
+                g0 = col.take(i0[b] - lo, axis=0)
+                g0 *= w0[b]
+                g1 = col.take(i0[b] + 1 - lo, axis=0)
+                g1 *= w1[b]
+                g0 += g1
+                acc[b] += g0
+    ray = sums[0]
+    if k == 1:  # iota_x omega = sum_j x_j omega_j
+        x = [xs[:, None], xs[None, :]] if n == 2 else [xs]
+        ray *= x[0]
+        for xj, acc in zip(x[1:], sums[1:]):
+            acc *= xj
+            ray += acc
+        return GridForm(n, omega.h, 0, {(): ray})
     # k == 2, n == 2: iota_x (f dx0^dx1) = f * (x0 dx1 - x1 dx0)
-    out = {(): ray} if k == 1 else {(0,): -xs[None, :] * ray, (1,): xs[:, None] * ray}
-    return GridForm(n, omega.h, k - 1, out)
+    return GridForm(n, omega.h, 1, {(0,): -xs[None, :] * ray, (1,): xs[:, None] * ray})
 
 
 def homotopy_A(omega: GridForm, cfg: MollifierConfig) -> GridForm:
@@ -548,6 +651,7 @@ def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> Mollif
     s = [cone_S(omega)] if k > 0 else []
     *r_s, r_g = _regularize_all(s + [g], cfg, nodes)
     diff = r_g - g
+    del r_g, g  # freed before d A omega is built
     if s:  # plus d A omega
         diff = grid_d(r_s[0] - s[0]) + diff
     residual = diff.max_norm(region)
@@ -569,7 +673,7 @@ def displacement_bound(omega: GridForm, cfg: MollifierConfig) -> float:
     points furthest, gives a displacement d0, and a node whose bound is below
     d0 (by a margin for rounding) cannot attain the max."""
     _check_dimension(omega, cfg)
-    xs = _active_nodes(omega)[1]
+    xs = omega.axis()[np.array(np.nonzero(omega.mask()))]  # the ball's nodes, (n, N)
     if cfg.epsilon == 0.0 or not xs.size:
         return 0.0
     y = _h_inv(xs.T).T

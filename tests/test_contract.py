@@ -602,3 +602,27 @@ def test_rational_oracle_on_a_645_simplex_strip(augmented):
     exact = rational_cohomology_dims(M)
     assert time.perf_counter() - t0 < 1.0
     assert exact == cohomology_dims(M) == ([0, 0, 0, 0] if augmented else [1, 0, 0])
+
+
+def test_matrix_complex_equality_compares_dims_then_matrices():
+    M = assemble(ray_complex(1, 3))
+    assert M == assemble(ray_complex(1, 3))
+    assert M == MatrixComplex(M.dims, M.matrices)  # scanned against assembled
+    changed = [np.array(D) for D in M.matrices]
+    changed[-1][0, 0] += 1.0
+    other = MatrixComplex(M.dims, tuple(changed))
+    assert M != other and other != M
+    assert M != assemble(ray_complex(1, 3), augmented=True)  # other dims
+    assert M != "not a complex"
+
+
+def test_contraction_equality_compares_the_maps():
+    M = assemble(simplex_complex(2), augmented=True)
+    h = contract(M)
+    assert h == contract(M)
+    maps = {i: np.array(m) for i, m in h.maps.items()}
+    assert h == Contraction(maps)
+    i = max(maps)
+    maps[i][0, 0] += 1.0
+    assert h != Contraction(maps) and Contraction(maps) != h
+    assert h != Contraction({j: m for j, m in h.maps.items() if j != i})  # one map fewer

@@ -32,6 +32,17 @@ def test_kernel_weights_normalized_and_symmetric():
             assert key[tuple(-x for x in v)] == pytest.approx(w)
 
 
+def test_grid_form_equality_compares_fields_then_components():
+    f = _sample(2, 1 / 16, 1, seed=5)
+    copy = GridForm(2, 1 / 16, 1, {a: np.array(c) for a, c in f.components.items()})
+    assert f == copy and copy == f
+    changed = {a: np.array(c) for a, c in f.components.items()}
+    changed[(1,)][8, 8] += 1.0
+    assert f != GridForm(2, 1 / 16, 1, changed)
+    assert f != GridForm(2, 1 / 16, 1, {(0,): f.component((0,))})  # one component fewer
+    assert f != GridForm(2, 1 / 32, 1, {}) and f != f.components
+
+
 def test_grid_form_sum_rejects_mismatch():
     a = GridForm.from_function(1, 0.25, 0, {(): lambda x: x})
     with pytest.raises(BadCarrier):
@@ -448,6 +459,72 @@ def test_residual_matches_the_term_by_term_identity(n, k, eps):
         assert abs(got - _five_component_residual(omega, cfg)) <= 1e-14 * omega.max_norm()
 
 
+# ---------------------------------------------------------------------------
+# closed forms on multilinear data: multilinear interpolation is exact there,
+# and the 24-point rule integrates each ray exactly
+# ---------------------------------------------------------------------------
+
+def _multilinear(n, h, k, seed):
+    """A degree-k form whose components are c0 + c1 x in 1-D and
+    c0 + c1 x + c2 y + c3 x y in 2-D, and its coefficients, one row per
+    component."""
+    axes = list(itertools.combinations(range(n), k))
+    coef = np.random.default_rng(seed).uniform(-2.0, 2.0, (len(axes), 2**n))
+    fns = {a: functools.partial(_multilinear_value, c) for a, c in zip(axes, coef)}
+    return GridForm.from_function(n, h, k, fns), coef
+
+
+def _multilinear_value(c, *x):
+    """The multilinear function with coefficients c at coordinates x."""
+    if len(x) == 1:
+        return c[0] + c[1] * x[0]
+    return c[0] + c[1] * x[0] + c[2] * x[1] + c[3] * x[0] * x[1]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in CASES if k > 0])
+def test_cone_S_matches_the_closed_form_on_multilinear_data(n, k):
+    h = 1 / 32 if n == 1 else 1 / 16
+    omega, coef = _multilinear(n, h, k, seed=80 + 10 * n + k)
+    inner = omega.radius() < 1.0 - 2.0 * h  # every cell that t x reads lies in the ball
+    x = omega.points()[inner].T
+    # int_0^1 t^(k-1) c(t x) dt: the constant, linear and bilinear terms
+    # have the factors t^(k-1), t^k and t^(k+1)
+    ray = [c[0] / k + c[1] * x[0] / (k + 1) if n == 1 else
+           c[0] / k + (c[1] * x[0] + c[2] * x[1]) / (k + 1) + c[3] * x[0] * x[1] / (k + 2)
+           for c in coef]
+    want = ({(): sum(xj * r for xj, r in zip(x, ray))} if k == 1
+            else {(0,): -x[1] * ray[0], (1,): x[0] * ray[0]})
+    got = cone_S(omega)
+    for a, w in want.items():
+        assert np.abs(got.component(a)[inner] - w).max() <= 1e-13 * omega.max_norm()
+
+
+@pytest.mark.parametrize("n,k", CASES)
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_regularize_matches_the_closed_form_on_multilinear_data(n, k, eps):
+    h = 1 / 32 if n == 1 else 1 / 16
+    omega, coef = _multilinear(n, h, k, seed=90 + 10 * n + k)
+    cfg = MollifierConfig(eps, n=n)
+    # every pulled-back point lies within delta of its node
+    inner = omega.radius() < 1.0 - displacement_bound(omega, cfg) - 2.0 * h
+    assert inner.sum() > 10
+    x = omega.points()[inner]
+    want = {a: np.zeros(len(x)) for a in itertools.combinations(range(n), k)}
+    for v, w in zip(cfg.nodes, cfg.weights):  # sum_v w_v s_{eps v}^* omega
+        vals = [_multilinear_value(c, *ball_diffeo(eps * v, x).T) for c in coef]
+        J = ball_diffeo_jacobian(eps * v, x)
+        for a in want:
+            if k == 0:
+                want[a] += w * vals[0]
+            elif k == 1:
+                want[a] += w * sum(vals[j] * J[:, j, a[0]] for j in range(n))
+            else:
+                want[a] += w * vals[0] * np.linalg.det(J)
+    got = regularize(omega, cfg)
+    for a, arr in want.items():
+        assert np.abs(got.component(a)[inner] - arr).max() <= 1e-13 * omega.max_norm()
+
+
 def _ring(omega):
     r = omega.radius()
     return (r > 0.3) & (r < 0.7)
@@ -493,9 +570,9 @@ def test_support_residual_is_the_public_operator_on_the_inner_disc(eps):
 def test_support_control_interpolates_only_at_the_inner_disc(monkeypatch, eps):
     real, points = mollify._cells, []
 
-    def counting_cells(pts, h, npts):
+    def counting_cells(pts, h, npts, out=None):
         points.append(pts.shape[1])
-        return real(pts, h, npts)
+        return real(pts, h, npts, out)
 
     monkeypatch.setattr(mollify, "_cells", counting_cells)
     g, cfg = _criterion_5_form(), MollifierConfig(eps, n=2)
@@ -588,6 +665,29 @@ def test_mask_built_once_per_grid(monkeypatch):
         assert np.array_equal(mask, np.linalg.norm(f.points(), axis=-1) < 1.0)
 
 
+def test_radius_built_once_per_grid(monkeypatch):
+    real = mollify._grid_radius.__wrapped__
+    built = []
+
+    def counting_radius(n, h):
+        built.append((n, h))
+        return real(n, h)
+
+    monkeypatch.setattr(mollify, "_grid_radius",
+                        functools.lru_cache(maxsize=None)(counting_radius))
+    om = GridForm.from_function(2, 1 / 32, 1, {(0,): lambda x, y: x * y, (1,): lambda x, y: x})
+    verify_homotopy(om, MollifierConfig(0.1, n=2), tol=1.0)
+    cut = GridForm.from_function(2, 1 / 32, 0,
+                                 {(): lambda x, y: np.maximum(x**2 + y**2 - 0.16, 0.0)})
+    for eps in (0.1, 0.05):
+        verify_support_control(cut, MollifierConfig(eps, n=2), r=0.4)
+    assert interior_region(cut, 0.1).sum() > 0
+    assert built == [(2, 1 / 32)]
+    rad = cut.radius()
+    assert rad is om.radius() and not rad.flags.writeable
+    assert np.array_equal(rad, np.linalg.norm(cut.points(), axis=-1))
+
+
 def test_homotopy_2d_h_sweep():
     """The criterion 4 form in 2-D: the residual falls as h halves, at about
     first order (ratios near 1.5 and 1.9), not the h^2 of the 1-D case."""
@@ -635,10 +735,11 @@ def _gather(flat, stencil):
 def _table_values(c, h, pts):
     """The kernel loop's interpolant of the grid array c at points pts (n, N),
     through one table of all its cells."""
-    npts = c.shape[0]
+    npts, N = c.shape[0], pts.shape[1]
     i0, f = mollify._cells(pts, h, npts)
     cell = i0[0] if c.ndim == 1 else i0[0] * (npts - 1) + i0[1]
-    return mollify._interp(mollify._table(c, 0, npts - 1), cell, f)
+    out = np.empty(N), np.empty(N), np.empty((N, 2**c.ndim))
+    return mollify._interp(mollify._table(c, 0, npts - 1), cell, f, out)
 
 
 def _test_points(n, h, rng):
@@ -691,8 +792,8 @@ def test_pulled_back_cells_lie_in_their_tables(monkeypatch, n, h, eps, block):
         events.append(("table", lo, hi))
         return real_table(c, lo, hi)
 
-    def recording_cells(pts, h, npts):
-        i0, f = real_cells(pts, h, npts)
+    def recording_cells(pts, h, npts, out=None):
+        i0, f = real_cells(pts, h, npts, out)
         events.append(("cells", int(i0[0].min()), int(i0[0].max())))
         return i0, f
 
