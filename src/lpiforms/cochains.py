@@ -11,7 +11,7 @@ summed in descending i, the order in which the faces of tau ascend.
 
 A cochain keeps its value vector over the k-rows, built on first read or
 handed over by `_from_vector`, so `values` must not be changed after
-construction; `coboundary` and `derham.whitney` read the vector.
+construction; `coboundary`, `derham.whitney`, `+` and `scale` read it.
 """
 
 from __future__ import annotations
@@ -74,16 +74,18 @@ class Cochain:
             raise BadDimension("degree mismatch in cochain sum")
         if other.complex != self.complex:
             raise BadCarrier("complex mismatch in cochain sum")
-        vals = dict(self.values)
-        for k, v in other.values.items():
-            vals[k] = vals.get(k, 0.0) + v
-        return Cochain(self.degree, vals, self.complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, as with Python floats
+            return Cochain._from_vector(self.complex, self.degree, self._vector() + other._vector())
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1.0)
 
     def scale(self, a: float) -> "Cochain":
-        return Cochain(self.degree, {k: a * v for k, v in self.values.items()}, self.complex)
+        """a times the nonzero values; an absent key stays absent, also for a NaN or inf a."""
+        vec = self._vector()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.multiply(a, vec, out=np.zeros_like(vec), where=vec != 0.0)
+        return Cochain._from_vector(self.complex, self.degree, out)
 
     def __rmul__(self, a: float) -> "Cochain":
         return self.scale(a)

@@ -241,6 +241,12 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate([[True], a[1:] != a[:-1]])]
 
 
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[i], ..., start[i] + count[i] - 1 for each i in turn."""
+    ends = np.cumsum(count)
+    return np.arange(count.sum()) + np.repeat(start - ends + count, count)
+
+
 def _group(keys, owners: np.ndarray, items: list) -> dict:
     """{key: the tuple of the items whose owner is its row, in their order}."""
     ends = np.cumsum(np.bincount(owners, minlength=len(keys))).tolist()

@@ -32,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .complexes import MetricComplex
+from .complexes import MetricComplex, _ranges
 from .errors import BadDegree, BadDimension, TooLarge
 
 SIZE_LIMIT = 2000
@@ -222,7 +222,7 @@ def _products(left: tuple, right: tuple):
     r, then j, then c; both are grouped by row as (ptr, columns, values, ...)."""
     (lp, lc, lv, *_), (rp, rc, rv, *_) = left, right
     n = rp[lc + 1] - rp[lc]
-    at = np.arange(n.sum()) + np.repeat(rp[lc] - np.cumsum(n) + n, n)
+    at = _ranges(rp[lc], n)
     return (np.repeat(np.repeat(np.arange(len(lp) - 1), np.diff(lp)), n), rc[at],
             np.repeat(lv, n) * rv[at])
 

@@ -25,8 +25,7 @@ maximal carrier with a piece, in key order across dimensions, as
 `PolyForm.trace_on` does: the entries are sorted by column and face row and
 then by their carrier's place among the maximal simplices, and each face of
 a column keeps its first.  A simplex outside the form's complex gets 0.
-`verify_stokes` takes d omega's coefficients from `polyform._unit_d`, so it
-builds no `PolyForm.d`; a piece whose d is zero carries no face there.
+`verify_stokes` integrates `PolyForm.d`, which builds no `pieces` either.
 
 `verify_split` uses that both maps are linear: it sends the indicators of
 all drawn simplices through the kernel and the first-carrier rule as one
@@ -43,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochains import Cochain, _coboundary
-from .complexes import MetricComplex
+from .complexes import MetricComplex, _ranges
 from .errors import BadDegree, BadDimension, DegenerateSimplex
-from .polyform import PolyForm, _dense, _integrals, _unit_d, pullback, selection
+from .polyform import PolyForm, _integrals, pullback, selection
 
 
 @dataclass(frozen=True)
@@ -81,12 +80,6 @@ def _whitney_table(m: int, k: int) -> tuple[tuple, np.ndarray]:
     W = np.array([[form.get(key, 0.0) for key in keys] for form in forms])
     W.setflags(write=False)
     return keys, W
-
-
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """start[i], ..., start[i] + count[i] - 1 for each i in turn."""
-    ends = np.cumsum(count)
-    return np.arange(ends[-1]) + np.repeat(start - ends + count, count)
 
 
 def _whitney(K: MetricComplex, k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -132,18 +125,8 @@ def whitney(c: Cochain) -> PolyForm:
         # the keys in `_dense`'s order for these pieces: by first piece, then in table order
         cols = np.argsort(nonzero.argmax(axis=0), kind="stable")
         cols = cols[nonzero.any(axis=0)[cols]]
-        dense = coeffs[:, cols]
-        for a in (tops, dense):
-            a.setflags(write=False)
-        layout.append((m, tops, tuple(map(keys.__getitem__, cols.tolist())), dense))
+        layout.append((m, tops, tuple(map(keys.__getitem__, cols.tolist())), coeffs[:, cols]))
     return PolyForm._from_layout(c.degree, K, tuple(layout))
-
-
-def _carriers(omega: PolyForm):
-    """`PolyForm._layout` of omega's pieces on maximal simplices of its complex."""
-    for m, rows, union, dense in omega._layout():
-        if (live := omega.complex._tables[2][m][rows] >= 0).any():  # only these carry faces
-            yield m, rows[live], union, dense[live]
 
 
 def _first_carrier(L: MetricComplex, K: MetricComplex, k: int, parts: list,
@@ -174,9 +157,14 @@ def _first_carrier(L: MetricComplex, K: MetricComplex, k: int, parts: list,
     return cols * len(K.simplices_of_dim(k)) + rows, vals
 
 
-def _image(L: MetricComplex, K: MetricComplex, k: int, parts: list, weighted: bool) -> np.ndarray:
-    """`_first_carrier` of one column's parts (m, rows, values), over the k-simplices of K."""
-    keys, vals = _first_carrier(L, K, k, [(m, r, 0 * r, v) for m, r, v in parts], weighted)
+def _image(omega: PolyForm, K: MetricComplex, weighted: bool) -> np.ndarray:
+    """The integrals of omega over the k-simplices of K, k its degree, by
+    `_first_carrier` of its pieces on maximal simplices, the only carriers."""
+    L, k = omega.complex, omega.degree
+    parts = [(m, rows[live], 0 * rows[live], _integrals(union, dense[live]))
+             for m, rows, union, dense in omega._layout()
+             if (live := L._tables[2][m][rows] >= 0).any()]
+    keys, vals = _first_carrier(L, K, k, parts, weighted)
     return np.bincount(keys, weights=vals, minlength=len(K.simplices_of_dim(k)))
 
 
@@ -188,8 +176,7 @@ def derham_map(
     volume-weighted convention."""
     if k != omega.degree:
         raise BadDimension(f"cannot integrate a {omega.degree}-form over {k}-simplices")
-    parts = [(m, rows, _integrals(union, dense)) for m, rows, union, dense in _carriers(omega)]
-    return Cochain._from_vector(K, k, _image(omega.complex, K, k, parts, weighted))
+    return Cochain._from_vector(K, k, _image(omega, K, weighted))
 
 
 def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> SplitReport:
@@ -246,14 +233,7 @@ def verify_stokes(omega: PolyForm, K: MetricComplex) -> StokesReport:
     taus = K.simplices_of_dim(k + 1)
     if not taus:
         raise BadDegree(f"no {k + 1}-simplices to check a {k}-form against")
-    plain, exact = [], []
-    for m, rows, union, dense in _carriers(omega):
-        plain.append((m, rows, _integrals(union, dense)))
-        images, d = _dense([dict(_unit_d(key, m)) for key in union])  # d omega's term keys
-        if (live := ((coefficients := dense @ d) != 0.0).any(axis=1)).any():
-            exact.append((m, rows[live], _integrals(images, coefficients[live])))
-    lhs = _image(omega.complex, K, k + 1, exact, False)
-    rhs = _coboundary(K, k, _image(omega.complex, K, k, plain, False))
+    lhs, rhs = _image(omega.d(), K, False), _coboundary(K, k, _image(omega, K, False))
     err = float(np.abs(lhs - rhs).max())
     return StokesReport(max_stokes_error=err, sample_count=len(taus))
 

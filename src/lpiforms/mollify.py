@@ -175,17 +175,21 @@ class GridForm:
                         for a, arr in self.components.items()))
 
     def __add__(self, other: "GridForm") -> "GridForm":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "GridForm") -> "GridForm":
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "GridForm", op) -> "GridForm":
+        """self op other, component by component; a missing component is 0."""
         if other.degree != self.degree:
             raise BadDimension("degree mismatch in grid form sum")
         if (other.n, other.h) != (self.n, self.h):
             raise BadCarrier("grid mismatch in grid form sum")
-        comps = dict(self.components)  # read-only arrays; `+` below builds new ones
+        comps = dict(self.components)  # read-only arrays; `op` below builds new ones
         for a, arr in other.components.items():
-            comps[a] = comps.get(a, 0.0) + arr
+            comps[a] = op(comps.get(a, 0.0), arr)
         return GridForm(self.n, self.h, self.degree, comps)
-
-    def __sub__(self, other: "GridForm") -> "GridForm":
-        return self + other.scale(-1.0)
 
     def scale(self, s: float) -> "GridForm":
         return GridForm(
@@ -362,15 +366,6 @@ def _axis_sets(n: int, k: int):
     return list(itertools.combinations(range(n), k))
 
 
-def _shift(y: np.ndarray, xs: np.ndarray, ev: np.ndarray):
-    """For points xs (n, N) with y = h^{-1}(xs) and z = y + ev: s_ev(xs) =
-    h(z), which is xs itself when ev = 0 (as in `ball_diffeo`), and
-    rs = (1 + |z|^2)^{-1/2}, with which Dh(z) = rs (I - h(z) h(z)^T)."""
-    z = y + ev[:, None]
-    s = np.sqrt(1.0 + (z**2).sum(axis=0))
-    return (z / s if np.any(ev) else xs), 1.0 / s
-
-
 def _check_dimension(omega: GridForm, cfg: MollifierConfig) -> None:
     if cfg.n != omega.n:
         raise BadDimension(f"a {cfg.n}-D kernel on a {omega.n}-D grid")
@@ -446,7 +441,7 @@ def _kernel_sums(comps: list[list[np.ndarray]], degrees: list[int], nodes: np.nd
         np.divide(x, np.sqrt(r2), out=y)  # h^{-1}(x)
         e0 = None
         for ev, w, moved in zip(shifts, ws, moves):
-            # z = y + ev and s = (1 + |z|^2)^{1/2}, as in `_shift`; the kernel
+            # z = y + ev and s = (1 + |z|^2)^{1/2}, as in `_h_map`; the kernel
             # nodes run over a tensor grid in row-major order, so z_0 and
             # z_0^2 change only with its axis-0 coordinate; z_1 is kept in p
             if ev[0] != e0:
@@ -664,28 +659,34 @@ def verify_homotopy(omega: GridForm, cfg: MollifierConfig, tol: float) -> Mollif
 
 def displacement_bound(omega: GridForm, cfg: MollifierConfig) -> float:
     """Max displacement |s_{eps v}(x) - x| over the ball's grid nodes x and
-    the kernel nodes v.
+    the kernel nodes v; 0.0 when every shift eps v is 0.
 
     Only the nodes that can attain it are evaluated.  With U = eps max |v|
     and y = h^{-1}(x), ||Dh(z)|| = (1 + |z|^2)^{-1/2} bounds the displacement
     by U / sqrt(1 + (|y| - U)_+^2), which falls as |y| grows.  One exact seed
     pair, the longest shift u at the node nearest h(-u/2), where s_u moves
     points furthest, gives a displacement d0, and a node whose bound is below
-    d0 (by a margin for rounding) cannot attain the max."""
+    d0 (by a margin for rounding) cannot attain the max.  The nodes left move
+    under all nonzero shifts at once, `_BAND_NODES` (node, shift) pairs per
+    `_h_map` call, so that its arrays stay cache-sized."""
     _check_dimension(omega, cfg)
     xs = omega.axis()[np.array(np.nonzero(omega.mask()))]  # the ball's nodes, (n, N)
-    if cfg.epsilon == 0.0 or not xs.size:
+    shifts = cfg.epsilon * _kernel(cfg.kernel_grid, omega.n)[0]
+    if not (shifts := shifts[shifts.any(axis=1)]).size or not xs.size:
         return 0.0
     y = _h_inv(xs.T).T
-    shifts = cfg.epsilon * _kernel(cfg.kernel_grid, omega.n)[0]
     lengths = np.linalg.norm(shifts, axis=1)
     u, U = shifts[lengths.argmax()], lengths.max()
-    seed = [np.linalg.norm(xs - _h_map(-u / 2)[:, None], axis=0).argmin()]
-    d0 = np.linalg.norm(_shift(y[:, seed], xs[:, seed], u)[0] - xs[:, seed])
+    seed = np.linalg.norm(xs - _h_map(-u / 2)[:, None], axis=0).argmin()
+    d0 = np.linalg.norm(_h_map(y[:, seed] + u) - xs[:, seed])
     bound2 = U**2 / (1.0 + np.maximum(np.linalg.norm(y, axis=0) - U, 0.0) ** 2)
     near = bound2 * (1.0 + 1e-9) >= d0**2
-    xs, y = xs[:, near], y[:, near]
-    return max(float(np.linalg.norm(_shift(y, xs, v)[0] - xs, axis=0).max()) for v in shifts)
+    xs, y = xs.compress(near, axis=1), y.compress(near, axis=1)
+    step = max(1, _BAND_NODES // len(shifts))
+    # (axis, shift, node) arrays, whose .T hands `_h_map` the axes last but outermost in memory
+    return max(float(np.linalg.norm(_h_map((y[:, None, b:b + step] + shifts.T[:, :, None]).T)
+                                    - xs[:, None, b:b + step].T, axis=-1).max())
+               for b in range(0, xs.shape[1], step))
 
 
 def verify_support_control(

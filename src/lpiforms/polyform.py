@@ -28,10 +28,10 @@ satisfies Stokes' theorem exactly against the alternating-sum coboundary,
 is available with weighted=False; it differs by the factor k! * vol.
 
 A form keeps the layout of its pieces per dimension, `PolyForm._layout`:
-their rows in key order, the union of their term keys and their dense
-coefficients over it, built on first read through `_dense` or handed over
-by `derham.whitney`, whose forms build `pieces` from it on first read, so
-`pieces` must not be changed after construction.
+their rows in key order, a union of term keys that holds theirs and their
+dense coefficients over it, built on first read through `_dense` or handed
+over by `derham.whitney` and `PolyForm.d`, whose forms build `pieces` from
+it on first read, so `pieces` must not be changed after construction.
 Pointwise values have one path, `_coefficients`, which turns a layout into
 an exponent matrix E (keys x m) and a coefficient tensor A (pieces x keys x
 dt_I columns); then V = prod(pts ** E) @ A, and |omega|^2 = V G V^T with G
@@ -321,7 +321,11 @@ class PolyForm:
     @classmethod
     def _from_layout(cls, k: int, K: MetricComplex, layout: tuple) -> "PolyForm":
         """The form with this `_layout`, whose rows are K's own and none of
-        whose pieces is 0, so nothing is checked; `pieces` is built on first read."""
+        whose pieces is 0, so nothing is checked; its arrays are made
+        read-only, and `pieces` is built on first read."""
+        for _, rows, _, dense in layout:
+            rows.setflags(write=False)
+            dense.setflags(write=False)
         form = object.__new__(cls)
         form.__dict__.update(degree=k, complex=K, _memo=layout)
         return form
@@ -394,8 +398,14 @@ class PolyForm:
     # -- calculus -----------------------------------------------------------
 
     def d(self) -> "PolyForm":
-        pieces = {T: t_d(p, len(T) - 1) for T, p in self.pieces.items()}
-        return PolyForm(self.degree + 1, self.complex, pieces)
+        """Per dimension of the layout, its coefficients times the `_unit_d`
+        images of its term keys over their union; pieces whose d is 0 drop."""
+        layout = []
+        for m, rows, union, dense in self._layout():
+            images, unit = _dense([dict(_unit_d(key, m)) for key in union])
+            if (live := ((coeffs := dense @ unit) != 0.0).any(axis=1)).any():
+                layout.append((m, rows[live], tuple(images), coeffs[live]))
+        return PolyForm._from_layout(self.degree + 1, self.complex, tuple(layout))
 
     def wedge(self, other: "PolyForm") -> "PolyForm":
         K = self.complex
@@ -435,20 +445,18 @@ class PolyForm:
         The orientation is that of ascending vertex order; an odd
         permutation of tau flips the sign.  weighted=True applies the
         volume-weighted monomial formula; weighted=False is the metric-free
-        form integral (Stokes-exact).  The piece is the one `trace_on` picks.
+        form integral (Stokes-exact).  The integrand is `trace_on(tau)`.
         """
         tau = tuple(tau)
         k = self.degree
         if len(tau) - 1 != k:
             raise BadDimension(f"cannot integrate a {k}-form over {tau}")
         key = tuple(sorted(tau))
-        for T in self.complex.carriers.get(key, ()):
-            if T in self.pieces:
-                face = [*itertools.combinations(T, k + 1)].index(key)
-                plain = float(_integrals(*_dense([self.pieces[T]]))[0, face])
-                value = plain * self.complex.volume(key) if weighted else plain / math.factorial(k)
-                return _permutation_sign(tau) * value
-        return 0.0
+        if not (terms := self.trace_on(key)):
+            return 0.0
+        plain = float(_integrals(*_dense([terms]))[0, 0])
+        value = plain * self.complex.volume(key) if weighted else plain / math.factorial(k)
+        return _permutation_sign(tau) * value
 
     # -- norms --------------------------------------------------------------
 

@@ -224,3 +224,42 @@ def test_coboundary_reads_the_value_vector(monkeypatch):
     assert calls == [0]
     assert d.values == reference_coboundary(c).values
     assert dd.values == reference_coboundary(d).values
+
+
+def _reference_sum(a, b):
+    """The dict sum that `+` replaced, zeros dropped."""
+    vals = dict(a.values)
+    for key, v in b.values.items():
+        vals[key] = vals.get(key, 0.0) + v
+    return {key: v for key, v in vals.items() if v != 0.0}
+
+
+def _reference_scale(c, f):
+    return {key: f * v for key, v in c.values.items() if f * v != 0.0}
+
+
+def _assert_values(got, want):
+    assert got.keys() == want.keys()
+    assert np.array_equal([got[key] for key in want], list(want.values()), equal_nan=True)
+
+
+def test_cochain_arithmetic_matches_the_dict_reference():
+    # +, - and scale act on the value vectors; a sum that cancels drops its
+    # key, inf + -inf is NaN, and scale never forms f * 0, so a NaN or inf
+    # factor leaves an absent key absent and 0 drops every key
+    K = COCHAIN_COMPLEXES["strip_4"]()
+    rng = np.random.default_rng(70)
+    inf = math.inf
+    for k in range(K.dim + 1):
+        sig = K.simplices_of_dim(k)
+        a = Cochain(k, {s: float(rng.normal()) for s in sig if rng.random() < 0.5}, K)
+        b = Cochain(k, {s: float(rng.normal()) for s in sig if rng.random() < 0.5}, K)
+        first, last = sig[0], sig[-1]
+        c = Cochain(k, {**b.values, first: -a(first) or 1.0, last: inf}, K)
+        d = Cochain(k, {**a.values, last: -inf}, K)
+        for x, y in ((a, b), (b, a), (a, c), (c, d)):
+            _assert_values((x + y).values, _reference_sum(x, y))
+            _assert_values((x - y).values, _reference_sum(x, Cochain(k, _reference_scale(y, -1.0), K)))
+        for f in (2.5, -1.0, 1e308, 0.0, -0.0, math.nan, inf, -inf):  # 1e308 overflows
+            _assert_values(c.scale(f).values, _reference_scale(c, f))
+            _assert_values((f * a).values, _reference_scale(a, f))

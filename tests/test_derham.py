@@ -27,6 +27,7 @@ from lpiforms.polyform import (
     pullback,
     selection,
     t_add,
+    t_d,
     t_scale,
 )
 
@@ -409,9 +410,15 @@ def reference_derham_map(omega, K, k, weighted=False):
     return Cochain(k, {s: v for s, v in values.items() if K.has_simplex(s)}, K)
 
 
+def reference_d(omega):
+    """d piece by piece through `t_d`, with the pieces whose d is 0 dropped."""
+    pieces = {T: t_d(p, len(T) - 1) for T, p in omega.pieces.items()}
+    return PolyForm(omega.degree + 1, omega.complex, pieces)
+
+
 def reference_stokes_error(omega, K):
     k = omega.degree
-    lhs = reference_derham_map(omega.d(), K, k + 1)
+    lhs = reference_derham_map(reference_d(omega), K, k + 1)
     rhs = reference_coboundary(reference_derham_map(omega, K, k))
     return max(abs(lhs(s) - rhs(s)) for s in K.simplices_of_dim(k + 1))
 
@@ -494,7 +501,9 @@ def test_the_array_readers_build_no_view():
             verify_stokes(form, K)
             coboundary(c)
         form.lp_norm(2.0)
-        assert "pieces" not in vars(form), k
+        form.omega_pi_norm(PiSequence((2.0,) * (K.dim + 1), K.dim))
+        form.d().lp_norm(2.0)
+        assert "pieces" not in vars(form) and "pieces" not in vars(form.d()), k
     for L in (rep.family.subdivided, host, K):
         assert not {"cofaces", "carriers"} & vars(L).keys()
     assert form.pieces and K.carriers and "pieces" in vars(form) and "carriers" in vars(K)
@@ -519,6 +528,56 @@ def test_a_whitney_form_integrates_as_its_pieces_rebuilt_from_dicts(case):
             if k < K.dim:
                 assert verify_stokes(form, K) == verify_stokes(rebuilt, K), k
             assert [form.lp_norm(p) for p in (2.0, 3.0)] == [rebuilt.lp_norm(p) for p in (2.0, 3.0)]
+
+
+def _integer_pieces(rng, K, k):
+    """Random integer terms on about half of the simplices of dimension k or
+    more, maximal or not."""
+    simplices = [T for m in range(k, K.dim + 1) for T in K.simplices_of_dim(m) if rng.random() < 0.5]
+    return {T: {key: float(rng.integers(-9, 10)) for key in p}
+            for T, p in _random_pieces(rng, simplices, k).items()}
+
+
+@pytest.mark.parametrize("case", COCHAIN_COMPLEXES)
+def test_d_equals_the_piecewise_reference(case):
+    # d multiplies each dimension's coefficients by the term keys' unit
+    # derivatives; on Whitney forms (linear, so every product is exact) and on
+    # integer coefficients its pieces are t_d's bit for bit, and a piece whose
+    # d is 0 is dropped
+    K = COCHAIN_COMPLEXES[case]()
+    rng = np.random.default_rng(68)
+    for k in range(K.dim + 1):
+        forms = [whitney(c) for c in _cochains(K, k, rng)]
+        forms += [PolyForm(k, K, _integer_pieces(rng, K, k)) for _ in range(3)]
+        if k == 0:  # d is 0 on every piece
+            forms.append(PolyForm.constant(K, 2.0))
+        for om in forms:
+            d = om.d()
+            assert d.degree == k + 1 and d.pieces == reference_d(om).pieces, k
+            assert all(d.pieces.values()) and d.d().pieces == {}, k
+            for _, rows, _, dense in d._layout():
+                assert not rows.flags.writeable and not dense.flags.writeable
+
+
+@pytest.mark.parametrize("case", COCHAIN_COMPLEXES)
+def test_integrate_is_the_derham_map_on_every_simplex(case):
+    # integrate pulls `trace_on` back to the simplex, derham_map sums the face
+    # tables of the same first carrier: the same value up to rounding of the
+    # cochain's largest one, since a value that cancels to near 0 keeps an
+    # absolute error; conforming or not, weighted or not
+    K = COCHAIN_COMPLEXES[case]()
+    rng = np.random.default_rng(69)
+    off = tuple(range(len(K.vertices), len(K.vertices) + K.dim + 1))
+    for k in range(K.dim + 1):
+        forms = _whitney_forms(K, k, rng)
+        forms.append(PolyForm(k, K, _random_pieces(
+            rng, [T for T in K.maximal_simplices() if len(T) > k], k)))
+        for om, weighted in itertools.product(forms, (False, True)):
+            want = derham_map(om, K, k, weighted)
+            scale = max(map(abs, want.values.values()), default=0.0)
+            for s in K.simplices_of_dim(k):
+                assert abs(om.integrate(s, weighted) - want(s)) <= 1e-14 * scale, (k, s)
+            assert om.integrate(off[:k + 1], weighted) == 0.0
 
 
 def test_derham_map_takes_the_first_carrier_in_key_order():

@@ -824,24 +824,29 @@ def test_displacement_bound_equals_the_full_walk(n, h):
     omega = _sample(n, h, 0, seed=70 + n)
     xs = omega.axis()[np.array(np.nonzero(omega.mask()))]
     y = mollify._h_inv(xs.T).T
-    for eps in (0.01, 0.05, 0.1, 0.2, 0.5, 1.0):
-        cfg = MollifierConfig(eps, n=n)
+    # kernel_grid 1 has the one node v = 0, so every shift is 0; 2 has no zero node
+    for eps, grid in itertools.product((0.01, 0.05, 0.1, 0.2, 0.5, 1.0), (1, 2, 9)):
+        cfg = MollifierConfig(eps, kernel_grid=grid, n=n)
         worst = 0.0
         for v in cfg.nodes:
             z = y + (eps * v)[:, None]
             ys = z / np.sqrt(1.0 + (z**2).sum(axis=0)) if np.any(v) else xs
             worst = max(worst, float(np.linalg.norm(ys - xs, axis=0).max()))
-        assert displacement_bound(omega, cfg) == worst
+        assert displacement_bound(omega, cfg) == worst, (eps, grid)
+        assert worst > 0.0 or grid == 1
 
 
 def test_displacement_bound_evaluates_few_nodes(monkeypatch):
-    real, evaluated = mollify._shift, []
+    # the nodes moved under all kernel nodes at once: the first axis of the
+    # (grid node, kernel node, coordinate) arrays passed to _h_map
+    real, evaluated = mollify._h_map, []
 
-    def counting_shift(y, xs, ev):
-        evaluated.append(y.shape[1])
-        return real(y, xs, ev)
+    def counting_h_map(y):
+        if y.ndim == 3:
+            evaluated.append(y.shape[0])
+        return real(y)
 
-    monkeypatch.setattr(mollify, "_shift", counting_shift)
+    monkeypatch.setattr(mollify, "_h_map", counting_h_map)
     g = _criterion_5_form()
     displacement_bound(g, MollifierConfig(0.05, n=2))
-    assert 0 < max(evaluated) < 0.01 * g.mask().sum()
+    assert 0 < sum(evaluated) < 0.01 * g.mask().sum()

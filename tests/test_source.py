@@ -24,6 +24,24 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
+def test_every_private_helper_is_read():
+    # a helper whose job moved elsewhere must go with it: every private
+    # function, class or method defined in the library is read somewhere in
+    # it, as a name, an attribute or an import; through ast, so that a
+    # docstring or comment that names a helper does not count as a read
+    nodes = [node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))]
+    defined = {node.name for node in nodes
+               if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)
+               and node.name.startswith("_") and not (node.name[:2] == node.name[-2:] == "__")}
+    read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    read |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert defined
+    assert not sorted(defined - read), sorted(defined - read)
+
+
 def test_import_pulls_in_no_scipy():
     # numpy is the one numerical runtime dependency; a fresh interpreter
     # also catches scipy imported through another module
