@@ -265,23 +265,23 @@ def _coreduce(M: MatrixComplex):
     the critical cells, from the matching."""
     facets = [[[]] * M.dims[0]] + [by_row[3] for by_row, _ in M._incidence]
     cofaces = [by_col[3] for _, by_col in M._incidence] + [[[]] * M.dims[-1]]
-    starts = [[]] + [by_row[0].tolist() for by_row, _ in M._incidence]
-    values = [[]] + [by_row[2].tolist() for by_row, _ in M._incidence]
-    alive, critical = [[True] * d for d in M.dims], [[] for _ in M.dims]
+    starts, values = ([[]] + [by_row[j].tolist() for by_row, _ in M._incidence] for j in (0, 2))
+    unpaired, critical = [list(map(len, fs)) for fs in facets], [[] for _ in M.dims]
     eta = {i: {} for i in range(1, len(M.dims))}  # eta[i][l]: (columns, values) of row l
-    cells = [(i, c) for i, d in enumerate(M.dims) for c in range(d)]
-    queue = deque(cells)
+    queue = deque(cells := [(i, c) for i, d in enumerate(M.dims) for c in range(d)])
 
-    def remove(i, c):  # its cofaces may now have one unpaired facet
-        alive[i][c] = False
-        queue.extend((i + 1, r) for r in cofaces[i][c])
+    def remove(i, c):  # its count of live facets goes below 0, and its cofaces' falls by 1
+        unpaired[i][c] = -1
+        for r in cofaces[i][c]:
+            unpaired[i + 1][r] -= 1
+            queue.append((i + 1, r))
 
     for low in cells:
         while queue:
             i, u = queue.popleft()
-            live = [j for j in facets[i][u] if alive[i - 1][j]]
-            if alive[i][u] and len(live) == 1:  # pair u with l, its one unpaired facet
-                l, fs, p, rows = live[0], facets[i][u], starts[i][u], eta[i]
+            if unpaired[i][u] == 1:  # pair u with l, its one unpaired facet
+                fs, p, rows = facets[i][u], starts[i][u], eta[i]
+                l = next(j for j in fs if unpaired[i - 1][j] >= 0)
                 row = {}  # (e_u - D[u] eta) / D[u, l], where only the rows of
                 for f, d in zip(fs, values[i][p:p + len(fs)]):  # facets paired below are not 0
                     for c, x in zip(*rows.get(f, ((), ()))):
@@ -291,7 +291,7 @@ def _coreduce(M: MatrixComplex):
                 rows[l] = list(row), [x / pivot for x in row.values()]
                 remove(i, u)
                 remove(i - 1, l)
-        if alive[low[0]][low[1]]:  # the lowest cell left, so its facets are gone
+        if unpaired[low[0]][low[1]] >= 0:  # the lowest cell left, so its facets are gone
             critical[low[0]].append(low[1])
             remove(*low)
     for i, rows in eta.items():

@@ -179,6 +179,18 @@ def derham_map(
     return Cochain._from_vector(K, k, _image(omega, K, weighted))
 
 
+def _draw(rng, n: int, size: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """`samples` random cochains on `size` <= n of n simplices: the rows of
+    their supports, drawn by Floyd's algorithm (Bentley and Floyd 1987) for
+    all samples at once, one column per step, and their normal values."""
+    support = np.empty((samples, size), dtype=int)
+    for i, j in enumerate(range(n - size, n)):
+        # the i entries so far lie in 0..j-1: a repeated t is replaced by j
+        t = rng.integers(0, j + 1, size=samples)
+        support[:, i] = np.where((support[:, :i] == t[:, None]).any(axis=1), j, t)
+    return support, rng.normal(size=(samples, size))
+
+
 def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> SplitReport:
     """Check that volume-weighted integration is a retraction of the
     (rescaled) Whitney map on k-cochains, 0 <= k <= dim K (BadDegree if none).
@@ -190,13 +202,13 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
     non-regular complexes too.
 
     Each sample is a random cochain c on min(4, n) of the n k-simplices.  All
-    samples are drawn first; the rescaled indicators of the drawn simplices
-    then go through the Whitney kernel and the first-carrier rule as one
-    batch, one column each.  The entries of each sample's image, c(sigma)
-    times its columns' entries, and of -c are summed by (sample, row); the
-    largest sum is the error.  Memory grows with the entries, not with n
-    times the columns.  A drawn simplex of zero volume has no rescaling and
-    raises DegenerateSimplex.
+    samples are drawn first, in one batch by `_draw`; the rescaled
+    indicators of the drawn simplices then go through the Whitney kernel and
+    the first-carrier rule as one batch, one column each.  The entries of
+    each sample's image, c(sigma) times its columns' entries, and of -c are
+    summed by (sample, row); the largest sum is the error.  Memory grows with
+    the entries, not with n times the columns.  A drawn simplex of zero
+    volume has no rescaling and raises DegenerateSimplex.
     """
     if not 0 <= k <= K.dim:
         raise BadDimension(f"no {k}-cochains on a complex of dimension {K.dim}")
@@ -204,10 +216,8 @@ def verify_split(K: MetricComplex, k: int, samples: int, seed: int = 0) -> Split
         raise ValueError(f"samples = {samples}: at least 1 required")
     if not (sigmas := K.simplices_of_dim(k)):
         raise BadDegree(f"no {k}-simplices to draw cochains on")
-    rng, n = np.random.default_rng(seed), len(sigmas)
-    size = min(4, n)
-    draws = [(rng.choice(n, size=size, replace=False), rng.normal(size=size)) for _ in range(samples)]
-    support, vals = (np.concatenate(a) for a in zip(*draws))
+    n, size = len(sigmas), min(4, len(sigmas))
+    support, vals = (a.ravel() for a in _draw(np.random.default_rng(seed), n, size, samples))
     if not (vol := K._geometry_at(k, support)[0])[support].all():
         s = sigmas[support[vol[support] == 0.0][0]]
         raise DegenerateSimplex(f"{s} has zero volume, so W(chi) has no weighted rescaling")

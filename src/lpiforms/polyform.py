@@ -34,8 +34,10 @@ over by `derham.whitney` and `PolyForm.d`, whose forms build `pieces` from
 it on first read, so `pieces` must not be changed after construction.
 Pointwise values have one path, `_coefficients`, which turns a layout into
 an exponent matrix E (keys x m) and a coefficient tensor A (pieces x keys x
-dt_I columns); then V = prod(pts ** E) @ A, and |omega|^2 = V G V^T with G
-the covector Gram matrices.  `lp_norm` takes each dimension in one pass.
+dt_I columns); then V = P @ A, with P = prod(pts ** E) gathered by
+`_monomials` from one table of the powers of pts, and |omega|^2 = V G V^T
+with G the covector Gram matrices.  `lp_norm` takes each dimension in one
+pass, and at an even integer p in its one exact rule.
 
 LRU caches keyed by reference data, never by a complex, serve the hot
 paths: `_unit_pullback` (one term key pulled back along B, almost always a
@@ -197,10 +199,25 @@ def _coefficients(union, dense: np.ndarray, m: int, k: int) -> tuple[np.ndarray,
     return np.array([e for e, _ in union], dtype=int).reshape(len(union), m), A
 
 
+def _monomials(pts: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """prod(pts ** E): the monomial of each row of E at each row of pts, from
+    one table of the powers pts ** j, j <= E.max(), gathered per axis and
+    multiplied in axis order.  The result is C-contiguous, since the rounding
+    of a product with it depends on its layout.  With one factor or none it
+    is the product itself: numpy's power of a lone exponent 2 is x * x."""
+    if E.size <= 1:
+        return np.prod(pts[:, None, :] ** E, axis=2)
+    table = pts.T[:, :, None] ** np.arange(E.max() + 1)
+    out = table[0].take(E[:, 0], axis=1)
+    for a in range(1, E.shape[1]):
+        out *= table[a].take(E[:, a], axis=1)
+    return out
+
+
 def _components_at(terms: Terms, pts: np.ndarray, k: int) -> np.ndarray:
     """The dt_I components of degree-k terms at the rows of pts, one column per I."""
     E, A = _coefficients(*_dense([terms]), pts.shape[1], k)
-    return np.prod(pts[:, None, :] ** E, axis=2) @ A[0]
+    return _monomials(pts, E) @ A[0]
 
 
 def _norm_sq(V: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -399,12 +416,15 @@ class PolyForm:
 
     def d(self) -> "PolyForm":
         """Per dimension of the layout, its coefficients times the `_unit_d`
-        images of its term keys over their union; pieces whose d is 0 drop."""
+        images of its term keys over their union; pieces whose d is 0 drop, and
+        so do keys whose coefficients cancel to 0 on every piece (a NaN stays)."""
         layout = []
         for m, rows, union, dense in self._layout():
             images, unit = _dense([dict(_unit_d(key, m)) for key in union])
-            if (live := ((coeffs := dense @ unit) != 0.0).any(axis=1)).any():
-                layout.append((m, rows[live], tuple(images), coeffs[live]))
+            if (live := (nonzero := (coeffs := dense @ unit) != 0.0).any(axis=1)).any():
+                keep = nonzero.any(axis=0)  # the rows that drop are 0 in every column
+                layout.append((m, rows[live], tuple(itertools.compress(images, keep)),
+                               coeffs[live].compress(keep, axis=1)))
         return PolyForm._from_layout(self.degree + 1, self.complex, tuple(layout))
 
     def wedge(self, other: "PolyForm") -> "PolyForm":
@@ -479,17 +499,20 @@ class PolyForm:
             return 0.0
         e = math.frexp(max(float((np.abs(A).max(axis=(1, 2)) * np.sqrt(G.max(axis=(1, 2)))).max())
                            for _, _, A, G in layouts))[1]
-        degrees = _ADAPTIVE_DEGREES
+        total = 0.0
         if float(p).is_integer() and int(p) % 2 == 0:
             # |omega|^p = (V G V^T)^(p/2) has degree p * d for components of degree d
-            degrees = (int(p) * max(int(E.sum(axis=1).max()) for _, E, _, _ in layouts),)
+            deg = int(p) * max(int(E.sum(axis=1).max()) for _, E, _, _ in layouts)
+            for vol, E, A, G in layouts:
+                A *= math.ldexp(1.0, -e)
+                total += float(vol @ _power_sums(A, G, E, *simplex_rule(E.shape[1], deg), p))
+            return total ** (1.0 / p) * math.ldexp(1.0, e)
         # the 1 of the convergence test 1e-10 (1 + |acc|), in scaled units
         floor = math.exp(min(-e * p * math.log(2.0), 700.0))
-        total = 0.0
         for vol, E, A, G in layouts:
             A *= math.ldexp(1.0, -e)
             acc, live = np.full(len(vol), np.nan), np.arange(len(vol))
-            for deg in degrees:
+            for deg in _ADAPTIVE_DEGREES:
                 cur = _power_sums(A[live], G[live], E, *simplex_rule(E.shape[1], deg), p)
                 # a piece goes on until its last two rules agree (NaN never does)
                 keep = ~(np.abs(cur - acc[live]) <= 1e-10 * (floor + np.abs(cur)))
@@ -536,7 +559,7 @@ class PolyForm:
 def _power_sums(A: np.ndarray, G: np.ndarray, E: np.ndarray, pts: np.ndarray, wts: np.ndarray,
                 p: float) -> np.ndarray:
     """Per piece of A and G, the sum of |omega|^p over the rule (pts, wts)."""
-    P = np.prod(pts[:, None, :] ** E, axis=2)
+    P = _monomials(pts, E)
     step = max(1, _BLOCK // len(pts))
     return np.concatenate([_norm_sq(P @ A[i:i + step], G[i:i + step]) ** (p / 2.0) @ wts
                            for i in range(0, len(A), step)])

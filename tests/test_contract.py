@@ -1,6 +1,7 @@
 import dataclasses
 import time
 from collections import deque
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -227,6 +228,67 @@ def reference_coreduce(M: MatrixComplex):
             critical[low[0]].append(low[1])
             remove(*low)
     return eta, critical
+
+
+def list_coreduce(M: MatrixComplex):
+    """`_coreduce` as it was when each popped cell rebuilt the list of its
+    unpaired facets, before it kept a count of them.  Kept as the reference
+    it must match exactly."""
+    facets = [[[]] * M.dims[0]] + [by_row[3] for by_row, _ in M._incidence]
+    cofaces = [by_col[3] for _, by_col in M._incidence] + [[[]] * M.dims[-1]]
+    starts = [[]] + [by_row[0].tolist() for by_row, _ in M._incidence]
+    values = [[]] + [by_row[2].tolist() for by_row, _ in M._incidence]
+    alive, critical = [[True] * d for d in M.dims], [[] for _ in M.dims]
+    eta = {i: {} for i in range(1, len(M.dims))}
+    cells = [(i, c) for i, d in enumerate(M.dims) for c in range(d)]
+    queue = deque(cells)
+
+    def remove(i, c):
+        alive[i][c] = False
+        queue.extend((i + 1, r) for r in cofaces[i][c])
+
+    for low in cells:
+        while queue:
+            i, u = queue.popleft()
+            live = [j for j in facets[i][u] if alive[i - 1][j]]
+            if alive[i][u] and len(live) == 1:
+                l, fs, p, rows = live[0], facets[i][u], starts[i][u], eta[i]
+                row = {}
+                for f, d in zip(fs, values[i][p:p + len(fs)]):
+                    for c, x in zip(*rows.get(f, ((), ()))):
+                        row[c] = row.get(c, 0.0) - d * x
+                row[u] = 1.0
+                pivot = values[i][p + fs.index(l)]
+                rows[l] = list(row), [x / pivot for x in row.values()]
+                remove(i, u)
+                remove(i - 1, l)
+        if alive[low[0]][low[1]]:
+            critical[low[0]].append(low[1])
+            remove(*low)
+    for i, rows in eta.items():
+        r = np.repeat(np.fromiter(rows, int, len(rows)), [len(c) for c, _ in rows.values()])
+        c = np.fromiter(chain.from_iterable(c for c, _ in rows.values()), int, len(r))
+        v = np.fromiter(chain.from_iterable(v for _, v in rows.values()), float, len(r))
+        o = np.argsort(r * M.dims[i] + c, kind="stable")
+        o = o[v[o] != 0]
+        eta[i] = (M.dims[i - 1], M.dims[i]), r[o], c[o], v[o]
+    return eta, critical
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("build", [
+    lambda: barycentric_subdivide(ray_complex(2, 48)),
+    lambda: barycentric_subdivide(build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, 0.8)},
+                                                [(0, 1, 2)])),
+], ids=["sd_strip_48", "sd_triangle"])
+def test_coreduce_matches_the_list_based_matching(build, augmented):
+    M = assemble(build(), augmented=augmented)
+    (eta, critical), (ref, ref_critical) = _coreduce(M), list_coreduce(M)
+    assert critical == ref_critical
+    assert eta.keys() == ref.keys()
+    for i in ref:
+        assert eta[i][0] == ref[i][0]
+        assert all(np.array_equal(a, b) for a, b in zip(eta[i][1:], ref[i][1:])), i
 
 
 @pytest.mark.parametrize("make", [

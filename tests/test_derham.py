@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -109,13 +110,12 @@ def test_verify_split_report(subdivided_triangle):
 
 def _split_per_sample(K, k, samples, seed):
     """verify_split's error, computed the direct way: the Whitney / de Rham
-    pipeline on each whole sample, with the same draws in the same order."""
-    rng = np.random.default_rng(seed)
+    pipeline on each whole sample, with the same draws from the same sampler."""
     sigmas = K.simplices_of_dim(k)
+    draws = derham._draw(np.random.default_rng(seed), len(sigmas), min(4, len(sigmas)), samples)
     max_err = 0.0
-    for _ in range(samples):
-        support = rng.choice(len(sigmas), size=min(4, len(sigmas)), replace=False)
-        vals = {sigmas[i]: float(rng.normal()) for i in support}
+    for support, values in zip(*draws):
+        vals = {sigmas[i]: float(v) for i, v in zip(support, values)}
         scaled = Cochain(k, {s: v / (math.factorial(k) * K.volume(s)) for s, v in vals.items()}, K)
         image = derham.derham_map(derham.whitney(scaled), K, k, weighted=True)
         max_err = max(max_err, *(abs(image(s) - vals.get(s, 0.0)) for s in sigmas))
@@ -195,12 +195,8 @@ def test_verify_split_runs_the_pipeline_once_per_drawn_simplex(monkeypatch):
     for k in range(K.dim + 1):
         sigmas = K.simplices_of_dim(k)
         rng = np.random.default_rng(seed)
-        drawn = set()
-        for _ in range(samples):
-            support = rng.choice(len(sigmas), size=min(4, len(sigmas)), replace=False)
-            for i in support:
-                drawn.add(sigmas[i])
-                rng.normal()
+        support, _ = derham._draw(rng, len(sigmas), min(4, len(sigmas)), samples)
+        drawn = {sigmas[i] for i in support.ravel().tolist()}
         calls.clear()
         assert verify_split(K, k, samples, seed).max_identity_error <= 1e-10
         assert len(drawn) < 4 * samples
@@ -225,6 +221,34 @@ def test_verify_split_memory_grows_with_the_entries():
     finally:
         tracemalloc.stop()
     assert peak < n_k * columns, peak
+
+
+def test_draw_gives_distinct_supports_and_repeats_with_the_seed():
+    for n, size in [(6, 3), (10_002, 4), (5, 4), (9, 1)]:
+        support, vals = derham._draw(np.random.default_rng(8), n, size, 500)
+        assert support.shape == vals.shape == (500, size)
+        assert all(len(set(row)) == size for row in support.tolist()), n
+        assert 0 <= support.min() and support.max() < n
+        again = derham._draw(np.random.default_rng(8), n, size, 500)
+        assert np.array_equal(support, again[0]) and np.array_equal(vals, again[1])
+
+
+def test_draw_reaches_every_subset():
+    # Floyd's algorithm draws each size-subset with the same probability; in
+    # 2000 draws each of the C(6, 3) = 20 subsets is expected 100 times
+    support, _ = derham._draw(np.random.default_rng(3), 6, 3, 2000)
+    counts = Counter(tuple(sorted(row)) for row in support.tolist())
+    assert set(counts) == set(itertools.combinations(range(6), 3))
+    assert 50 < min(counts.values()) and max(counts.values()) < 150, counts
+
+
+def test_draw_takes_the_whole_set_when_n_is_at_most_4(triangle):
+    # with size = n every step's j is n - size + i = i, so each sample is all of 0..n-1
+    for n in range(1, 5):
+        support, _ = derham._draw(np.random.default_rng(n), n, n, 50)
+        assert (np.sort(support, axis=1) == np.arange(n)).all(), n
+    for k in range(3):  # 3, 3 and 1 simplices: each sample is the whole set
+        assert verify_split(triangle, k, samples=20, seed=k).max_identity_error <= 1e-10
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -543,7 +567,7 @@ def test_d_equals_the_piecewise_reference(case):
     # d multiplies each dimension's coefficients by the term keys' unit
     # derivatives; on Whitney forms (linear, so every product is exact) and on
     # integer coefficients its pieces are t_d's bit for bit, and a piece whose
-    # d is 0 is dropped
+    # d is 0 is dropped, as is a key that is 0 on every piece
     K = COCHAIN_COMPLEXES[case]()
     rng = np.random.default_rng(68)
     for k in range(K.dim + 1):
@@ -557,6 +581,7 @@ def test_d_equals_the_piecewise_reference(case):
             assert all(d.pieces.values()) and d.d().pieces == {}, k
             for _, rows, _, dense in d._layout():
                 assert not rows.flags.writeable and not dense.flags.writeable
+                assert (dense != 0.0).any(axis=0).all(), k
 
 
 @pytest.mark.parametrize("case", COCHAIN_COMPLEXES)

@@ -13,6 +13,7 @@ from lpiforms import polyform
 from lpiforms.cochains import Cochain
 from lpiforms.complexes import (
     PiSequence,
+    barycentric_subdivide,
     build_complex,
     cube_boundary_complex,
     ray_complex,
@@ -760,3 +761,117 @@ def test_a_piece_off_the_complex_is_rejected():
         PolyForm(0, K, {(0, 1): {((1,), ()): 1.0}, (3, 2): {((1,), ()): 1.0}})
     om = PolyForm(0, K, {(0, 1): {((1,), ()): 1.0}})
     assert [om.integrate((v,), weighted=False) for v in (0, 1)] == [0.0, 1.0]
+
+
+def _prod_monomials(pts, E):
+    """The monomial matrix as `lp_norm` and the pointwise values built it
+    before the power table: one power per point, key and axis."""
+    return np.prod(pts[:, None, :] ** E, axis=2)
+
+
+def test_monomials_equal_the_elementwise_powers():
+    # bit for bit, and C-contiguous: an F-ordered matrix changes the rounding
+    # of P @ A.  A lone exponent 2 is squared by numpy's scalar power, as the
+    # elementwise powers do, which can differ from pow by an ulp
+    rng = np.random.default_rng(41)
+    E = rng.integers(0, 6, size=(6, 3))
+    E[:, 1] = 0
+    cases = [(simplex_rule(3, 10)[0], E),  # an all-zero exponent column
+             (simplex_rule(2, 6)[0], np.zeros((4, 2), dtype=int)),
+             (simplex_rule(0, 4)[0], np.zeros((3, 0), dtype=int)),  # m = 0
+             (simplex_rule(2, 4)[0], np.zeros((0, 2), dtype=int)),  # no key
+             (rng.random((300, 1)), np.array([[2]]))]
+    cases += [(simplex_rule(m, 8)[0], rng.integers(0, 5, size=(1, m))) for m in (1, 2, 3)]
+    for _ in range(300):
+        m = int(rng.integers(1, 4))
+        pts = simplex_rule(m, int(rng.integers(1, 30)))[0] if rng.random() < 0.5 else \
+            rng.random((int(rng.integers(1, 60)), m))
+        cases.append((pts, rng.integers(0, 12, size=(int(rng.integers(1, 10)), m))))
+    for pts, E in cases:
+        got = polyform._monomials(pts, E)
+        assert got.flags.c_contiguous, E
+        assert np.array_equal(got, _prod_monomials(pts, E)), E
+
+
+def _prod_lp_norm(om, p):
+    """`lp_norm` as it was before the power table and the direct even-p
+    rule: the elementwise monomials, and the adaptive loop, whose one degree
+    at an even p is the exact rule."""
+    k, K = om.degree, om.complex
+    layouts = [(vol[rows], *polyform._coefficients(union, dense, m, k), G[rows])
+               for m, rows, union, dense in om._layout() if m >= k
+               for vol, G in [K._geometry_at(m, rows, k)]]
+    if not layouts:
+        return 0.0
+    e = math.frexp(max(float((np.abs(A).max(axis=(1, 2)) * np.sqrt(G.max(axis=(1, 2)))).max())
+                       for _, _, A, G in layouts))[1]
+    degrees = _ADAPTIVE_DEGREES
+    if float(p).is_integer() and int(p) % 2 == 0:
+        degrees = (int(p) * max(int(E.sum(axis=1).max()) for _, E, _, _ in layouts),)
+    floor = math.exp(min(-e * p * math.log(2.0), 700.0))
+    total = 0.0
+    for vol, E, A, G in layouts:
+        A *= math.ldexp(1.0, -e)
+        acc, live = np.full(len(vol), np.nan), np.arange(len(vol))
+        for deg in degrees:
+            pts, wts = simplex_rule(E.shape[1], deg)
+            P = _prod_monomials(pts, E)
+            step = max(1, polyform._BLOCK // len(pts))
+            cur = np.concatenate([polyform._norm_sq(P @ A[live][i:i + step], G[live][i:i + step])
+                                  ** (p / 2.0) @ wts for i in range(0, len(live), step)])
+            keep = ~(np.abs(cur - acc[live]) <= 1e-10 * (floor + np.abs(cur)))
+            acc[live], live = cur, live[keep]
+            if not live.size:
+                break
+        total += float(vol @ acc)
+    return total ** (1.0 / p) * math.ldexp(1.0, e)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 1.5, 3.0])
+def test_lp_norm_equals_the_elementwise_formula(p):
+    # bit for bit on dict-built forms (one piece on a tetrahedron, pieces of
+    # two dimensions), on Whitney forms and on prism extensions
+    rng = np.random.default_rng(43)
+    tet = build_complex({0: (0.0, 0.0, 0.0), 1: (2.0, 0.0, 0.0), 2: (0.5, 1.5, 0.0),
+                         3: (0.3, 0.2, 1.25)}, [(0, 1, 2, 3)])
+    mixed = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.2, 0.9), 3: (2.0, 0.5)},
+                          [(0, 1, 2), (1, 3)])
+    forms = [PolyForm(k, tet, {(0, 1, 2, 3): _random_terms(rng, 3, k, 5)}) for k in range(4)]
+    forms += [PolyForm(k, mixed, {(0, 1, 2): _random_terms(rng, 2, k, 4),
+                                  (1, 3): _random_terms(rng, 1, k, 2)}) for k in (0, 1)]
+    forms.append(PolyForm(0, mixed, {(1, 3): {((2,), ()): 1.5}}))  # a lone exponent 2
+    S = barycentric_subdivide(build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.3, 0.8)},
+                                            [(0, 1, 2)]))
+    for k in range(3):
+        forms.append(whitney(Cochain(k, {s: float(rng.normal()) for s in S.simplices_of_dim(k)}, S)))
+    K2 = cube_boundary_complex(2)
+    for k in (0, 1):
+        c = Cochain(k, {s: float(rng.normal()) for s in K2.simplices_of_dim(k)}, K2)
+        forms.append(prism_extend(whitney(c), 2))
+    forms.append(prism_extend(PolyForm(0, cube_boundary_complex(1), {
+        (0,): {((), ()): 0.7}, (1,): {((), ()): -1.3}}), 1))
+    forms += [om.d() for om in forms if om.degree < om.complex.dim]
+    for om in forms:
+        assert om.lp_norm(p) == _prod_lp_norm(om, p), (om.degree, om.complex.dim)
+
+
+def test_d_drops_a_key_that_cancels_on_every_piece():
+    # d(t_2^2 dt_1 + 2 t_1 t_2 dt_2 + t_1 dt_2) = (-2 t_2 + 2 t_2 + 1) dt_1 ^ dt_2:
+    # the key t_2 dt_1 ^ dt_2 cancels, and with it the rule of even-p lp_norm
+    # falls from degree 2 p to 0; the norm is the same
+    K = build_complex({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.3, 0.8)}, [(0, 1, 2)])
+    om = PolyForm(1, K, {(0, 1, 2): {((0, 2), (1,)): 1.0, ((1, 1), (2,)): 2.0,
+                                     ((1, 0), (2,)): 1.0}})
+    ((m, rows, union, dense),) = om._layout()
+    images, unit = polyform._dense([dict(polyform._unit_d(key, m)) for key in union])
+    kept = PolyForm._from_layout(2, K, ((m, rows.copy(), tuple(images), dense @ unit),))
+    assert (kept._layout()[0][3] == 0.0).all(axis=0).any()
+    ((_, _, d_union, d_dense),) = om.d()._layout()
+    assert d_union == (((0, 0), (1, 2)),) and d_dense.tolist() == [[1.0]]
+    for p in (2.0, 4.0):
+        assert om.d().lp_norm(p) == pytest.approx(kept.lp_norm(p), rel=1e-14)
+    assert derham.verify_stokes(om, K).max_stokes_error <= 1e-10
+    # a NaN coefficient is not 0, so its key stays
+    nan = PolyForm(0, K, {(0, 1, 2): {((1, 0), ()): math.nan, ((0, 1), ()): 1.0}}).d()
+    ((_, _, nan_union, nan_dense),) = nan._layout()
+    assert nan_union == (((0, 0), (1,)), ((0, 0), (2,))) and np.isnan(nan_dense[0, 0])
